@@ -54,25 +54,30 @@ def _load_sequences(args) -> list[sequences.Sequence]:
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_payload(seq: sequences.Sequence) -> dict:
-    parity = sequences.even_order_check(seq.n)
+def _check1_payload(n: int) -> dict:
+    parity = sequences.even_order_check(n)
+    return {"passed": parity.passed, "trivial_exception": parity.trivial_exception}
+
+
+def _check2_payload(seq: sequences.Sequence) -> dict:
     weight = sequences.square_weight_check(seq)
+    return {
+        "passed": weight.passed,
+        "is_square": weight.is_square,
+        "minus_count": weight.minus_count,
+        "expected": list(weight.expected) if weight.expected else None,
+        "case": weight.case,
+    }
+
+
+def _verify_payload(seq: sequences.Sequence) -> dict:
     hadamard = sequences.is_circulant_hadamard(seq)
     matrix = sequences.has_orthogonal_rows(seq)
     return {
         "sequence": seq.to_string(),
         "n": seq.n,
-        "even_order": {
-            "passed": parity.passed,
-            "trivial_exception": parity.trivial_exception,
-        },
-        "square_weight": {
-            "passed": weight.passed,
-            "is_square": weight.is_square,
-            "minus_count": weight.minus_count,
-            "expected": list(weight.expected) if weight.expected else None,
-            "case": weight.case,
-        },
+        "even_order": _check1_payload(seq.n),
+        "square_weight": _check2_payload(seq),
         "is_circulant_hadamard": hadamard,
         "matrix_identity": matrix,
         "passed": hadamard,
@@ -248,25 +253,14 @@ def _cmd_lemma(args) -> int:
     payload: dict = {"n": n}
     failed = False
     if 1 in which:
-        parity = sequences.even_order_check(n)
-        payload["check1"] = {
-            "passed": parity.passed,
-            "trivial_exception": parity.trivial_exception,
-        }
-        failed = failed or not parity.passed
+        payload["check1"] = _check1_payload(n)
+        failed = failed or not payload["check1"]["passed"]
     if 2 in which:
-        expected = sequences.expected_minus_counts(n)
         if seq is not None:
-            weight = sequences.square_weight_check(seq)
-            payload["check2"] = {
-                "passed": weight.passed,
-                "is_square": weight.is_square,
-                "minus_count": weight.minus_count,
-                "expected": list(weight.expected) if weight.expected else None,
-                "case": weight.case,
-            }
-            failed = failed or not weight.passed
+            payload["check2"] = _check2_payload(seq)
+            failed = failed or not payload["check2"]["passed"]
         else:
+            expected = sequences.expected_minus_counts(n)
             payload["check2"] = {
                 "passed": expected is not None,
                 "is_square": expected is not None,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -175,13 +176,34 @@ class CycloElement:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> CycloElement:
-        """Complex conjugation: root power e maps to n - e."""
+    def power_map(self, k: int) -> CycloElement:
+        """Ring map on coefficient vectors: root power e goes to k*e mod n.
+
+        The Galois automorphism sigma_k when gcd(k, n) = 1; for other k the
+        image depends on the coefficient vector, not only on its value.
+        """
         n = self.n
         out = [0] * n
         for e, a in enumerate(self.coeffs):
-            out[-e % n] += a
+            out[k * e % n] += a
         return CycloElement(n, tuple(out))
+
+    def zero_at_powers(self) -> Iterator[bool]:
+        """Lazily yield, for k = 0..n-1, whether ``power_map(k)`` is zero.
+
+        The root power k is a Galois conjugate of the root power gcd(k, n),
+        so one canonical zero test per divisor of n decides every k.
+        """
+        by_divisor: dict[int, bool] = {}
+        for k in range(self.n):
+            g = math.gcd(k, self.n)
+            if g not in by_divisor:
+                by_divisor[g] = self.power_map(g).is_zero()
+            yield by_divisor[g]
+
+    def conjugate(self) -> CycloElement:
+        """Complex conjugation: root power e maps to n - e."""
+        return self.power_map(-1)
 
     def residue(self) -> tuple[int, ...]:
         """Canonical representative modulo the n-th cyclotomic polynomial."""

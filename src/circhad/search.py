@@ -25,6 +25,7 @@ arithmetic, just cheaper than the sum form.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import itertools
 import os
 import time
@@ -46,6 +47,7 @@ STRATEGY_EXHAUSTIVE = "exhaustive"
 STRATEGY_WEIGHT = "weight-constrained"
 STRATEGY_DFS = "pruned-dfs"
 STRATEGIES = (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT, STRATEGY_DFS)
+_REPORT_STRATEGIES = STRATEGIES + (STRATEGY_DFS + "+weight",)
 
 
 class CapExceeded(RuntimeError):
@@ -120,6 +122,7 @@ def _exhaustive_shard(n: int, prefix: int, plen: int) -> tuple[int, int, list[in
     half = n // 2
     for suffix in range(span):
         bits = prefix | (suffix << plen)
+        # _is_perfect_row inlined: a call per row measured 6-25 % slower at n = 20.
         for t in range(1, half + 1):
             rot = ((bits >> t) | (bits << (n - t))) & mask
             if 2 * (bits ^ rot).bit_count() != n:
@@ -293,36 +296,48 @@ def _append_checkpoint_line(path: str, plen: int, result: tuple) -> None:
 
 
 def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tuple]:
-    """Parse completed shard lines; create the file with a header if new."""
-    if not os.path.exists(path) or os.path.getsize(path) == 0:
+    """Parse completed shard lines; create the file with a header if new.
+
+    A crash mid-append leaves an unterminated last line.  The file is cut
+    back to its last newline, so that shard is redone and the next append
+    starts on a line of its own.
+    """
+    try:
+        with open(path, "r+b") as f:
+            data = f.read()
+            end = data.rfind(b"\n") + 1
+            if end < len(data):
+                f.truncate(end)
+    except FileNotFoundError:
+        end = 0
+    if end == 0:
         _write_checkpoint_header(path, n, label, plen)
         return {}
     header: dict[str, str] = {}
     done: dict[int, tuple] = {}
-    with open(path, encoding="ascii") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("prefix="):
-                fields = dict(part.split("=", 1) for part in line.split())
-                bitstring = fields["prefix"]
-                if len(bitstring) != plen:
-                    raise ValueError(
-                        f"checkpoint prefix width {len(bitstring)} does not match this run ({plen})"
-                    )
-                prefix = int(bitstring[::-1], 2) if bitstring else 0
-                sols = tuple(s for s in fields.get("solutions", "").split(",") if s)
-                done[prefix] = (
-                    prefix,
-                    int(fields["raw_count"]),
-                    int(fields["nodes_explored"]),
-                    sols,
-                    int(fields.get("elapsed_ms", 0)),
+    for line in data[:end].decode("ascii").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("prefix="):
+            fields = dict(part.split("=", 1) for part in line.split())
+            bitstring = fields["prefix"]
+            if len(bitstring) != plen:
+                raise ValueError(
+                    f"checkpoint prefix width {len(bitstring)} does not match this run ({plen})"
                 )
-            else:
-                key, _, value = line.partition("=")
-                header[key] = value
+            prefix = int(bitstring[::-1], 2) if bitstring else 0
+            sols = tuple(s for s in fields.get("solutions", "").split(",") if s)
+            done[prefix] = (
+                prefix,
+                int(fields["raw_count"]),
+                int(fields["nodes_explored"]),
+                sols,
+                int(fields.get("elapsed_ms", 0)),
+            )
+        else:
+            key, _, value = line.partition("=")
+            header[key] = value
     if int(header.get("n", -1)) != n or header.get("strategy") != label:
         raise ValueError(
             f"checkpoint was written for n={header.get('n')} strategy={header.get('strategy')}, "
@@ -410,7 +425,8 @@ def run_search(
             if checkpoint is not None:
                 _append_checkpoint_line(checkpoint, plen, res)
     elif pending:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, len(pending), os.cpu_count() or 1)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(_run_shard, pending):
                 results[res[0]] = res
                 if checkpoint is not None:
@@ -440,31 +456,13 @@ def run_search(
 # ---------------------------------------------------------------------------
 # Report wire format.
 
-_REPORT_KEYS = (
-    "schema_version",
-    "n",
-    "strategy",
-    "raw_count",
-    "canonical_count",
-    "solutions",
-    "nodes_explored",
-    "elapsed_ms",
-    "cap",
-)
+_REPORT_KEYS = tuple(f.name for f in dataclasses.fields(SearchReport))
 
 
 def report_to_dict(report: SearchReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "n": report.n,
-        "strategy": report.strategy,
-        "raw_count": report.raw_count,
-        "canonical_count": report.canonical_count,
-        "solutions": list(report.solutions),
-        "nodes_explored": report.nodes_explored,
-        "elapsed_ms": report.elapsed_ms,
-        "cap": report.cap,
-    }
+    data = {key: getattr(report, key) for key in _REPORT_KEYS}
+    data["solutions"] = list(report.solutions)
+    return data
 
 
 def report_from_dict(data: dict) -> SearchReport:
@@ -491,13 +489,24 @@ def revalidate_report(report: SearchReport) -> list[str]:
 
     Every listed row is re-checked with the exact autocorrelation test
     and the independent matrix product, and count consistency is checked
-    against the listing cap.
+    against the listing cap.  The listing must be strictly ascending (as
+    ``run_search`` writes it), the strategy label known and the counts
+    non-negative.
     """
     from .sequences import has_orthogonal_rows  # local import to keep startup light
 
     problems = []
     if report.schema_version != SCHEMA_VERSION:
         problems.append(f"unsupported schema_version {report.schema_version}")
+    if report.strategy not in _REPORT_STRATEGIES:
+        problems.append(f"unknown strategy {report.strategy!r}")
+    for key in ("raw_count", "canonical_count", "nodes_explored", "cap"):
+        if getattr(report, key) < 0:
+            problems.append(f"{key} is negative")
+    if len(report.solutions) > report.cap:
+        problems.append(f"{len(report.solutions)} rows listed, more than the cap {report.cap}")
+    if any(a >= b for a, b in zip(report.solutions, report.solutions[1:])):
+        problems.append("solutions are not strictly ascending (sorted and distinct)")
     if report.raw_count < len(report.solutions):
         problems.append("raw_count is smaller than the number of listed solutions")
     if report.raw_count <= report.cap and report.raw_count != len(report.solutions):

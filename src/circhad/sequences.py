@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cyclotomic import CycloElement
+from .cyclotomic import CycloElement, from_integer
 
 _SIGN_OF_CHAR = {"+": 1, "-": -1}
 
@@ -145,12 +145,8 @@ def eigenvalue(seq: Sequence, k: int) -> CycloElement:
     alpha contributes its sign at root power k*alpha.  The Fourier
     vector with phases k is the matching eigenvector, exactly.
     """
-    n = seq.n
-    _check_mode(n, k)
-    coeffs = [0] * n
-    for alpha, sign in enumerate(seq.entries):
-        coeffs[(k * alpha) % n] += sign
-    return CycloElement(n, tuple(coeffs))
+    _check_mode(seq.n, k)
+    return CycloElement(seq.n, seq.entries).power_map(k)
 
 
 def eigenvalue_mag_sq(seq: Sequence, k: int) -> CycloElement:
@@ -160,35 +156,18 @@ def eigenvalue_mag_sq(seq: Sequence, k: int) -> CycloElement:
     sum_t r[t] * (root power k*t), which is canonically equal to the
     eigenvalue times its conjugate.
     """
-    n = seq.n
-    _check_mode(n, k)
-    r = autocorrelation(seq)
-    coeffs = [0] * n
-    for t, val in enumerate(r):
-        if val:
-            coeffs[(k * t) % n] += val
-    return CycloElement(n, tuple(coeffs))
+    _check_mode(seq.n, k)
+    return CycloElement(seq.n, autocorrelation(seq)).power_map(k)
 
 
 def has_flat_spectrum(seq: Sequence) -> bool:
     """True iff |eigenvalue_k|^2 - n reduces to zero for every k.
 
-    The per-mode elements are assembled exactly as in
-    ``eigenvalue_mag_sq`` with the autocorrelation computed once; the
-    zero test is the canonical cyclotomic reduction.
+    Mode k's element is the power map k of mode 1's, so one canonical zero
+    test per divisor of n decides every mode, stopping at the first failure.
     """
     n = seq.n
-    r = autocorrelation(seq)
-    for k in range(n):
-        coeffs = [0] * n
-        for t in range(n):
-            v = r[t]
-            if v:
-                coeffs[(k * t) % n] += v
-        coeffs[0] -= n
-        if not CycloElement(n, tuple(coeffs)).is_zero():
-            return False
-    return True
+    return all((CycloElement(n, autocorrelation(seq)) - from_integer(n, n)).zero_at_powers())
 
 
 def minus_indices(seq: Sequence) -> IndexSet:

@@ -8,6 +8,11 @@ by the residue class of k*(s - t); the squared eigenvalue modulus of the
 associated row is, up to the weight convention at k = 0, four times the
 pair sum over those classes.
 
+Only the mode-1 table is counted: mode k's is its power map k (class d
+moves to k*d mod n).  One canonical zero test per divisor g of n decides
+flatness for every mode, as the root power k is a Galois conjugate of
+the root power g = gcd(k, n) (both are primitive roots of order n/g).
+
 Mode k = 0 is deliberately evaluated with the same pair-sum form as
 every other mode, so it passes only when 4*|J|^2 = n.  The k = 0
 eigenvalue of an actual candidate row is governed by the balanced
@@ -79,17 +84,14 @@ def index_map_check(index_set: IndexSet, k: int) -> IndexMapVerdict:
     """Verify that multiplying the mode merges difference classes d into k*d mod n.
 
     The mode-k count of class l must equal the sum of mode-1 counts over
-    all classes d with k*d = l (mod n); both sides are counted directly.
+    all classes d with k*d = l (mod n): the mode-k table is counted
+    directly and checked against the power map k of the mode-1 table.
     """
     n = index_set.n
     if not 1 <= k < n:
         raise ValueError(f"mode index k must lie in [1, {n - 1}], got {k}")
-    base = difference_counts(index_set, 1).counts
     direct = difference_counts(index_set, k).counts
-    remapped = [0] * n
-    for d in range(n):
-        if base[d]:
-            remapped[(k * d) % n] += base[d]
+    remapped = CycloElement(n, difference_counts(index_set, 1).counts).power_map(k).coeffs
     mismatches = tuple(
         (l, direct[l], remapped[l]) for l in range(n) if direct[l] != remapped[l]
     )
@@ -147,26 +149,23 @@ class SpectralVerdict:
 def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
     """Evaluate every mode of an index set in exact cyclotomic arithmetic.
 
-    For each k the pair-sum element is scaled by 4, n is subtracted, and
-    the result is zero-tested after canonical reduction.  The cosine
-    coordinates and the constant-coordinate law are reported alongside.
-    Mode 0 uses the same pair-sum form (see the module docstring for the
-    weight convention this implies).
+    Mode k's pair sum is the power map k of mode 1's; 4 times it minus n
+    is zero-tested once per divisor of n (see the module docstring).  The
+    cosine coordinates and the constant-coordinate law are reported
+    alongside.  Mode 0 uses the same pair-sum form (see the module
+    docstring for the weight convention this implies).
     """
     n = index_set.n
     if n % 4:
         raise ValueError("spectral verdicts need an order divisible by 4")
-    target = from_integer(n, n)
+    pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
     modes = []
-    for k in range(n):
-        table = difference_counts(index_set, k)
-        coeffs = basis_coefficients(table)
-        flat = (CycloElement(n, table.counts) * 4 - target).is_zero()
-        c0_ok = 4 * (table.counts[0] - table.counts[n // 2]) == n
+    for k, flat in enumerate((pair_sum * 4 - from_integer(n, n)).zero_at_powers()):
+        coeffs = basis_coefficients(DifferenceCounts(n, k, pair_sum.power_map(k).coeffs))
         modes.append(
             ModeVerdict(
                 k=k,
-                constant_term_ok=c0_ok,
+                constant_term_ok=4 * coeffs.coeffs[0] == n,
                 coefficients=coeffs,
                 mag_sq_equals_order=flat,
             )

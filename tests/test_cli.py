@@ -152,6 +152,17 @@ def test_report_flags_tampered_solutions(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_report_flags_duplicate_rows(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    run(capsys, "search", "--n", "4", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    data.update(solutions=["-+++", "-+++"], raw_count=2)
+    out_file.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", "--in", str(out_file))
+    assert code == 1
+    assert any("strictly ascending" in p for p in json.loads(out)["problems"])
+
+
 def test_report_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"n\": 4}")

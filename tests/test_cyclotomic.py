@@ -94,6 +94,67 @@ def test_conjugation_is_a_ring_map(pair):
     assert a.conjugate().conjugate() == a
 
 
+@given(orders.flatmap(elements))
+def test_conjugate_sends_each_root_power_to_its_negative(a):
+    n = a.n
+    expected = [0] * n
+    for e, c in enumerate(a.coeffs):
+        expected[-e % n] += c
+    assert a.conjugate() == CycloElement(n, tuple(expected))
+
+
+# ---------------------------------------------------------------------------
+# power maps and one zero test per divisor
+
+def subgroup_sum(n, m):
+    """Sum of the m-th roots of unity inside order n; power map k kills it iff m does not divide k."""
+    total = CycloElement.zero(n)
+    for j in range(m):
+        total = total + root_power(n, j * (n // m))
+    return total
+
+
+def sometimes_vanishing(n):
+    # A random element times a subgroup sum: zero under some power maps, not others.
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    return st.tuples(elements(n, -3, 3), st.sampled_from(divisors)).map(
+        lambda pair: pair[0] * subgroup_sum(n, pair[1])
+    )
+
+
+def power_map_cases(n):
+    return st.tuples(st.one_of(elements(n), sometimes_vanishing(n)), st.integers(-40, 40))
+
+
+@given(orders.flatmap(lambda n: st.tuples(elements(n), elements(n), st.integers(-40, 40))))
+@settings(max_examples=60)
+def test_power_map_is_a_ring_map(case):
+    a, b, k = case
+    assert (a * b).power_map(k) == a.power_map(k) * b.power_map(k)
+    assert (a + b).power_map(k) == a.power_map(k) + b.power_map(k)
+
+
+@given(orders.flatmap(power_map_cases))
+@settings(max_examples=120)
+def test_power_map_zero_test_depends_only_on_the_gcd(case):
+    a, k = case
+    assert a.power_map(k).is_zero() == a.power_map(math.gcd(k, a.n)).is_zero()
+
+
+@given(orders.flatmap(power_map_cases))
+@settings(max_examples=60)
+def test_zero_at_powers_matches_a_zero_test_per_power(case):
+    a, _ = case
+    assert list(a.zero_at_powers()) == [a.power_map(k).is_zero() for k in range(a.n)]
+
+
+def test_power_map_examples():
+    assert root_power(12, 5).power_map(7) == root_power(12, 35)
+    assert root_power(12, 5).power_map(-1) == root_power(12, 5).conjugate()
+    assert (root_power(16, 3) * 2).power_map(0) == from_integer(16, 2)
+    assert list(subgroup_sum(12, 3).zero_at_powers()) == [k % 3 != 0 for k in range(12)]
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 

@@ -1,11 +1,13 @@
 """Enumeration strategies, canonical forms, checkpoints, cross-validation."""
 
+import dataclasses
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circhad import search
 from circhad.search import (
     CapExceeded,
     STRATEGY_DFS,
@@ -216,6 +218,78 @@ def test_checkpoint_header_mismatch_is_rejected(tmp_path):
         run_search(12, STRATEGY_DFS, checkpoint=cp, jobs=128)
 
 
+def same_but_elapsed(a, b):
+    return dataclasses.replace(a, elapsed_ms=0) == dataclasses.replace(b, elapsed_ms=0)
+
+
+@pytest.mark.parametrize("torn", ("prefix=01010000 raw_co", "prefix=01"))
+def test_checkpoint_torn_last_line_is_dropped_on_resume(tmp_path, torn):
+    cp = str(tmp_path / "cp.txt")
+    full = run_search(12, STRATEGY_DFS, checkpoint=cp)
+    lines = open(cp).read().splitlines(True)
+    head = [l for l in lines if not l.startswith("prefix=")]
+    shards = [l for l in lines if l.startswith("prefix=")]
+    with open(cp, "w") as f:
+        f.writelines(head + shards[:100] + [torn])  # a crash mid-append
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, checkpoint=cp), full)
+    text = open(cp).read()
+    assert torn + "\n" not in text and text.endswith("\n")
+    assert sum(1 for l in text.splitlines() if l.startswith("prefix=")) == 256
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, checkpoint=cp), full)
+
+
+def test_checkpoint_torn_header_starts_afresh(tmp_path):
+    cp = tmp_path / "cp.txt"
+    full = run_search(4, STRATEGY_EXHAUSTIVE)
+    cp.write_text("# circhad search chec")
+    assert same_but_elapsed(run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp)), full)
+    assert cp.read_text().startswith("# circhad search checkpoint v1\nn=4\n")
+
+
+# ---------------------------------------------------------------------------
+# bounded process pool
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps serially."""
+
+    def __init__(self, max_workers, sizes):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
+    sizes = []
+    monkeypatch.setattr(
+        search.concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes),
+    )
+    # jobs=64 and a checkpointed run both split into 2^8 shards, so even
+    # nodes_explored must agree.
+    cp = str(tmp_path / "cp.txt")
+    base = run_search(12, STRATEGY_DFS, checkpoint=cp)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)
+    assert sizes == [3, 1]
+
+    # Two shards left to run: two workers, however many jobs and cores.
+    lines = open(cp).read().splitlines(True)
+    with open(cp, "w") as f:
+        f.writelines(lines[:-2])
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 16)
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=8, checkpoint=cp), base)
+    assert sizes == [3, 1, 2]
+
+
 # ---------------------------------------------------------------------------
 # report wire format
 
@@ -277,3 +351,43 @@ def test_cross_validate_refuses_past_cap(monkeypatch):
     monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "8")
     with pytest.raises(CapExceeded):
         cross_validate(12)
+
+
+def order_four_report_data():
+    return report_to_dict(run_search(4, STRATEGY_EXHAUSTIVE))
+
+
+def tampered(**changes):
+    data = order_four_report_data()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        (tampered(solutions=["-+++", "-+++"], raw_count=2), "strictly ascending"),
+        (tampered(solutions=sorted(order_four_report_data()["solutions"], reverse=True)),
+         "strictly ascending"),
+        (tampered(strategy="bogus"), "unknown strategy"),
+        (tampered(raw_count=-1), "raw_count is negative"),
+        (tampered(canonical_count=-1), "canonical_count is negative"),
+        (tampered(nodes_explored=-1), "nodes_explored is negative"),
+        (tampered(cap=-1), "cap is negative"),
+        (tampered(cap=3), "more than the cap"),
+    ],
+    ids=["duplicate", "descending", "strategy", "raw_count", "canonical_count",
+         "nodes_explored", "cap", "over_cap"],
+)
+def test_revalidate_flags_malformed_reports(data, problem):
+    problems = revalidate_report(report_from_dict(data))
+    assert any(problem in p for p in problems), problems
+
+
+def test_revalidate_accepts_every_strategy_label():
+    for rep in (
+        run_search(4, STRATEGY_WEIGHT),
+        run_search(4, STRATEGY_DFS),
+        run_search(4, STRATEGY_DFS, weight_filter=True),
+    ):
+        assert revalidate_report(rep) == []

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circhad.cyclotomic import CycloElement, reduce_to_real_basis
+from circhad import spectra
+from circhad.cyclotomic import CycloElement, from_integer, reduce_to_real_basis
 from circhad.sequences import IndexSet, Sequence, is_circulant_hadamard, minus_indices
 from circhad.spectra import (
+    ModeVerdict,
+    SpectralVerdict,
     basis_coefficients,
     constant_term_check,
     difference_counts,
@@ -210,3 +213,73 @@ def test_verdict_exposes_constant_term_and_coefficients():
     assert m1.coefficients.coeffs == (6, 5, 4, 2)
     assert not m1.constant_term_ok
     assert minus_indices(Sequence.from_string("-" * 6 + "+" * 10)).members == tuple(range(6))
+
+
+# ---------------------------------------------------------------------------
+# the remap and the per-divisor zero test against a per-mode recount
+
+def recount_verdict(index_set):
+    """Reference: a fresh table and a full zero test for every mode."""
+    n = index_set.n
+    target = from_integer(n, n)
+    modes = []
+    for k in range(n):
+        table = difference_counts(index_set, k)
+        modes.append(
+            ModeVerdict(
+                k=k,
+                constant_term_ok=4 * (table.counts[0] - table.counts[n // 2]) == n,
+                coefficients=basis_coefficients(table),
+                mag_sq_equals_order=(CycloElement(n, table.counts) * 4 - target).is_zero(),
+            )
+        )
+    return SpectralVerdict(
+        n=n,
+        index_set=index_set,
+        per_mode=tuple(modes),
+        overall=all(m.mag_sq_equals_order for m in modes),
+    )
+
+
+@pytest.mark.parametrize("n", (4, 8, 12))
+def test_spectral_verdict_matches_recount_on_every_subset(n):
+    for bits in range(1 << n):
+        J = IndexSet(n, tuple(i for i in range(n) if bits >> i & 1))
+        assert spectral_verdict(J) == recount_verdict(J)
+
+
+@pytest.mark.parametrize("n", (16, 36, 64, 100, 144))
+def test_spectral_verdict_matches_recount_on_seeded_sets(n):
+    rng = random.Random(n)
+    root = math.isqrt(n)
+    # Mode k of the subgroup of order root/2 is flat exactly when that order divides k.
+    m = root // 2
+    sets = [IndexSet.from_iterable(n, range(0, n, n // m))]
+    sets += [random_index_set(rng, n, size) for size in ((n - root) // 2, (n + root) // 2, m)]
+    sets.append(random_index_set(rng, n))
+    for J in sets:
+        verdict = spectral_verdict(J)
+        assert verdict == recount_verdict(J)
+    flat = [mode.mag_sq_equals_order for mode in spectral_verdict(sets[0]).per_mode]
+    assert flat == [k % m == 0 for k in range(n)]
+
+
+def test_spectral_verdict_counts_one_table_and_one_zero_test_per_divisor(monkeypatch):
+    tables = []
+    zero_tests = []
+    real_counts = spectra.difference_counts
+    real_is_zero = CycloElement.is_zero
+
+    def counting_table(index_set, k):
+        tables.append(k)
+        return real_counts(index_set, k)
+
+    def counting_zero_test(element):
+        zero_tests.append(element)
+        return real_is_zero(element)
+
+    monkeypatch.setattr(spectra, "difference_counts", counting_table)
+    monkeypatch.setattr(CycloElement, "is_zero", counting_zero_test)
+    spectral_verdict(IndexSet.from_iterable(36, range(15)))
+    assert tables == [1]
+    assert len(zero_tests) == 9  # the divisors of 36
