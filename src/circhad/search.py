@@ -10,11 +10,17 @@ on what they find:
                            -1 counts for a perfect-square order;
 * ``pruned-dfs``        -- left-to-right sign assignment, backtracking as
                            soon as any partial autocorrelation provably
-                           cannot reach zero (magnitude or parity).
+                           cannot reach zero (magnitude or parity).  All
+                           n-1 partial sums live in one packed integer,
+                           so a node costs a few big-integer operations
+                           and one guard-bit test, with nothing to undo
+                           on the way back; the parity clause is implied
+                           at even n and cuts every odd order at depth 1.
 
 Work is split into independent subtrees by fixing the first few entries
-(2^P prefixes with 2^P >= 4*jobs), so results merge deterministically
-regardless of scheduling.  Every row a strategy emits is re-verified
+(2^P prefixes with 2^P >= 4*jobs; at least 2^8 for a new checkpoint,
+and the header's P when resuming one), so results merge
+deterministically regardless of scheduling.  Every row a strategy emits is re-verified
 with the exact integer autocorrelation before it is reported.
 
 Rows are represented internally as bit masks (bit i set means entry i is
@@ -26,10 +32,13 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import os
+import re
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sequences import (
     Sequence,
@@ -155,94 +164,118 @@ def _weight_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...]) -> t
     return raw, nodes, sols
 
 
+# The pruned DFS keeps every partial autocorrelation in one integer.
+# Field t (bits 8t..8t+7, t = 1..n-1) holds 64 + r_t, the running sum of
+# the products h[i]*h[i+t mod n] whose two entries are both assigned;
+# bit 7 of each field is a guard bit.  The assigned prefix is kept twice
+# as a "dilated" integer, one bit per field: forward (field j set when
+# h[j] = -1) and reversed (field n-1-j set when h[j] = -1).  Assigning
+# h[d] = +1 adds to field t the products with h[d-t] (t <= d) and with
+# h[d+t-n] (t >= n-d), each 1 - 2*[that entry is -1], so the whole update
+# is P + ones - 2*((fwd << 8(n-d)) + (rev >> 8(n-1-d))); at t = n/2 both
+# terms land in one field, as they should.  Assigning -1 negates every
+# product, so that child is P minus the same delta.
+#
+# The number u_t of open terms of r_t depends only on the depth, so
+# |r_t| <= u_t for every t is one test per node: with lo holding 64 + u_t
+# and hi holding 192 + u_t in field t, the guard bits of P + lo and
+# hi - P are all set exactly when r_t + u_t >= 0 and u_t - r_t >= 0 for
+# every t.  Fields never touched hold r_t = 0 <= u_t = n, and a touched
+# field is touched again at every later depth, so testing all fields is
+# the same as testing the touched ones.
+
+_FIELD = 8
+_BIAS = 64
+_GUARD = 128
+
+
+class _Step(NamedTuple):
+    """Per-depth constants of the packed DFS (depth d assigns h[d])."""
+
+    ones: int       # number of terms each field gains
+    shift_fwd: int  # 8(n-d): forward prefix onto the wrapped shifts t >= n-d
+    shift_rev: int  # 8(n-1-d): reversed prefix onto the shifts t <= d
+    lo: int         # 128 + u_t - 64 in field t, u_t counted after depth d
+    hi: int         # 128 + u_t + 64 in field t
+    bit_fwd: int    # the dilated bits of entry d
+    bit_rev: int
+
+
+@functools.cache
+def _packed_tables(n: int) -> tuple[int, int, tuple[_Step, ...]]:
+    """(start state, guard mask, per-depth steps) of the packed DFS at order n."""
+    # Fields stay in [64 - n, 64 + n] and guard sums in [128 - n, 128 + 2n]:
+    # [28, 100] and [92, 200] at the DFS cap, so no field carries into or
+    # borrows from its neighbour and every test is exact.
+    assert 1 <= n <= MAX_DFS_ORDER and _BIAS + n < _GUARD and _GUARD + 2 * n < 2 * _GUARD
+    shifts = range(1, n)
+
+    def packed(values) -> int:
+        return sum(v << (_FIELD * t) for t, v in zip(shifts, values))
+
+    steps = []
+    for d in range(n):
+        open_terms = [n - max(0, d - t + 1) - max(0, d - (n - t) + 1) for t in shifts]
+        steps.append(_Step(
+            ones=packed((d >= t) + (d >= n - t) for t in shifts),
+            shift_fwd=_FIELD * (n - d),
+            shift_rev=_FIELD * (n - 1 - d),
+            lo=packed(_GUARD + u - _BIAS for u in open_terms),
+            hi=packed(_GUARD + u + _BIAS for u in open_terms),
+            bit_fwd=1 << (_FIELD * d),
+            bit_rev=1 << (_FIELD * (n - 1 - d)),
+        ))
+    return packed([_BIAS] * (n - 1)), packed([_GUARD] * (n - 1)), tuple(steps)
+
+
 def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, int, list[int]]:
-    h = [0] * n
-    partial = [0] * n       # running r[t] over completed terms
-    remaining = [n] * n     # terms of r[t] not yet determined
-    low_taus = [range(1, d + 1) for d in range(n)]
-    high_taus = [range(max(1, n - d), n) for d in range(n)]
+    start, guard, steps = _packed_tables(n)
     nodes = 0
     raw = 0
     sols: list[int] = []
     wlo = min(weights) if weights else 0
     whi = max(weights) if weights else n
-    wset = set(weights) if weights else None
+    wset = set(weights) if weights else range(n + 1)
+    # Each depth gets the range of -1 counts so far from which its + and
+    # its - child stay inside the weight bounds; a fixed prefix entry
+    # empties the range of the other sign.  The prefix thus goes through
+    # the same bound machinery, so an infeasible prefix costs exactly the
+    # nodes visited before the cut.  r_t + u_t = n (mod 2) at every
+    # node, so the parity clause never fires at even n and fails every
+    # node below the root at odd n.
+    rows = []
+    for d, step in enumerate(steps):
+        fixed = d < plen
+        minus_fixed = fixed and (prefix >> d) & 1
+        reach = wlo - (n - d - 1)
+        rows.append(step + (
+            reach, -1 if minus_fixed else whi,
+            reach - 1, -1 if fixed and not minus_fixed else whi - 1,
+            bool(n & 1 and d),
+        ))
 
-    def assign(d: int, sign: int) -> bool:
-        # Returns False when some r[t] provably cannot reach zero: the
-        # finished part already outweighs the undetermined terms, or has
-        # the wrong parity to be cancelled by them.  Only shifts touched
-        # at this depth can change status, so only those are checked;
-        # updates always run to completion so retract stays symmetric.
-        nonlocal nodes
-        nodes += 1
-        h[d] = sign
-        ok = True
-        for t in low_taus[d]:
-            s = partial[t] + h[d - t] * sign
-            partial[t] = s
-            u = remaining[t] - 1
-            remaining[t] = u
-            if (s if s >= 0 else -s) > u or (s + u) & 1:
-                ok = False
-        for t in high_taus[d]:
-            s = partial[t] + sign * h[d + t - n]
-            partial[t] = s
-            u = remaining[t] - 1
-            remaining[t] = u
-            if (s if s >= 0 else -s) > u or (s + u) & 1:
-                ok = False
-        return ok
-
-    def retract(d: int, sign: int) -> None:
-        for t in low_taus[d]:
-            partial[t] -= h[d - t] * sign
-            remaining[t] += 1
-        for t in high_taus[d]:
-            partial[t] -= sign * h[d + t - n]
-            remaining[t] += 1
-        h[d] = 0
-
-    def record() -> None:
-        nonlocal raw
-        bits = 0
-        for i in range(n):
-            if h[i] == -1:
-                bits |= 1 << i
-        raw += 1
-        sols.append(bits)
-
-    def walk(d: int, minus: int) -> None:
+    def walk(d: int, packed: int, fwd: int, rev: int, minus: int) -> None:
+        nonlocal nodes, raw
         if d == n:
-            if wset is None or minus in wset:
-                record()
+            if minus in wset:
+                raw += 1
+                sols.append(sum(1 << j for j in range(n) if (fwd >> (_FIELD * j)) & 1))
             return
-        left = n - d - 1
-        for sign in (1, -1):
-            m = minus + (sign == -1)
-            if wset is not None and (m > whi or m + left < wlo):
-                continue
-            if assign(d, sign):
-                walk(d + 1, m)
-            retract(d, sign)
+        (ones, shift_fwd, shift_rev, lo, hi, bit_fwd, bit_rev,
+         plus_lo, plus_hi, minus_lo, minus_hi, parity_fails) = rows[d]
+        delta = ones - 2 * ((fwd << shift_fwd) + (rev >> shift_rev))
+        if plus_lo <= minus <= plus_hi:
+            nodes += 1
+            child = packed + delta
+            if not parity_fails and ((child + lo) & (hi - child) & guard) == guard:
+                walk(d + 1, child, fwd, rev, minus)
+        if minus_lo <= minus <= minus_hi:
+            nodes += 1
+            child = packed - delta
+            if not parity_fails and ((child + lo) & (hi - child) & guard) == guard:
+                walk(d + 1, child, fwd | bit_fwd, rev | bit_rev, minus + 1)
 
-    # Fix the prefix through the same bound machinery, so an infeasible
-    # prefix costs exactly the assignments made before the cut.
-    minus = 0
-    feasible = True
-    for d in range(plen):
-        sign = -1 if (prefix >> d) & 1 else 1
-        m = minus + (sign == -1)
-        left = n - d - 1
-        if wset is not None and (m > whi or m + left < wlo):
-            feasible = False
-            break
-        if not assign(d, sign):
-            feasible = False
-            break
-        minus = m
-    if feasible:
-        walk(plen, minus)
+    walk(0, start, 0, 0, 0)
     return raw, nodes, sols
 
 
@@ -272,6 +305,9 @@ def _prefix_len(n: int, jobs: int, checkpointing: bool) -> int:
     return min(plen, n)
 
 
+_BITS_TO_SIGNS = str.maketrans("01", "+-")
+
+
 def _prefix_bitstring(prefix: int, plen: int) -> str:
     return "".join("1" if (prefix >> i) & 1 else "0" for i in range(plen))
 
@@ -295,8 +331,50 @@ def _append_checkpoint_line(path: str, plen: int, result: tuple) -> None:
         f.write(line)
 
 
-def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tuple]:
+_SHARD_LINE = re.compile(
+    r"prefix=([01]*) raw_count=([0-9]+) nodes_explored=([0-9]+)"
+    r" elapsed_ms=([0-9]+) solutions=([-+,]*)"
+)
+
+
+def _parse_shard_line(line: str, n: int, plen: int) -> tuple:
+    """One ``prefix=...`` line as a shard result; ValueError if it does not hold."""
+    match = _SHARD_LINE.fullmatch(line)
+    if match is None:
+        raise ValueError(
+            f"checkpoint line {line!r} does not read prefix=<bits> raw_count=<count>"
+            " nodes_explored=<count> elapsed_ms=<count> solutions=<rows>,"
+            " each count a non-negative integer"
+        )
+    bitstring, raw, nodes, elapsed, listing = match.groups()
+    if len(bitstring) != plen:
+        raise ValueError(
+            f"checkpoint prefix width {len(bitstring)} does not match its header ({plen})"
+        )
+    raw, nodes, elapsed = int(raw), int(nodes), int(elapsed)
+    sols = tuple(filter(None, listing.split(",")))
+    if raw != len(sols):
+        raise ValueError(f"checkpoint shard {bitstring}: raw_count {raw} but {len(sols)} rows listed")
+    head = bitstring.translate(_BITS_TO_SIGNS)
+    for text in sols:
+        if len(text) != n or not text.startswith(head):
+            raise ValueError(
+                f"checkpoint shard {bitstring}: row {text!r} is not {n} signs starting {head!r}"
+            )
+        if not is_circulant_hadamard(Sequence.from_string(text)):
+            raise ValueError(f"checkpoint shard {bitstring}: row {text} is not a Hadamard row")
+    prefix = int(bitstring[::-1], 2) if bitstring else 0
+    return prefix, raw, nodes, sols, elapsed
+
+
+def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dict[int, tuple]]:
     """Parse completed shard lines; create the file with a header if new.
+
+    Returns the prefix width and the finished shards.  A file with a
+    header keeps the width written there, so a resume does not depend on
+    ``--jobs``; a new file gets ``plen``.  Every shard line is checked
+    against the header and its own listing; anything that does not hold
+    raises ValueError.
 
     A crash mid-append leaves an unterminated last line.  The file is cut
     back to its last newline, so that shard is redone and the next append
@@ -312,29 +390,15 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tupl
         end = 0
     if end == 0:
         _write_checkpoint_header(path, n, label, plen)
-        return {}
+        return plen, {}
     header: dict[str, str] = {}
-    done: dict[int, tuple] = {}
+    shard_lines = []
     for line in data[:end].decode("ascii").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("prefix="):
-            fields = dict(part.split("=", 1) for part in line.split())
-            bitstring = fields["prefix"]
-            if len(bitstring) != plen:
-                raise ValueError(
-                    f"checkpoint prefix width {len(bitstring)} does not match this run ({plen})"
-                )
-            prefix = int(bitstring[::-1], 2) if bitstring else 0
-            sols = tuple(s for s in fields.get("solutions", "").split(",") if s)
-            done[prefix] = (
-                prefix,
-                int(fields["raw_count"]),
-                int(fields["nodes_explored"]),
-                sols,
-                int(fields.get("elapsed_ms", 0)),
-            )
+            shard_lines.append(line)
         else:
             key, _, value = line.partition("=")
             header[key] = value
@@ -343,9 +407,15 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tupl
             f"checkpoint was written for n={header.get('n')} strategy={header.get('strategy')}, "
             f"not n={n} strategy={label}"
         )
-    if int(header.get("prefix_bits", -1)) != plen:
-        raise ValueError("checkpoint prefix_bits does not match this run; cannot resume")
-    return done
+    width = header.get("prefix_bits", "")
+    if not width.isdigit() or int(width) > n:
+        raise ValueError(f"checkpoint prefix_bits {width!r} is not in 0..{n}; cannot resume")
+    plen = int(width)
+    done = {}
+    for line in shard_lines:
+        shard = _parse_shard_line(line, n, plen)
+        done[shard[0]] = shard
+    return plen, done
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +477,14 @@ def run_search(
 
     label = strategy + "+weight" if weight_filter else strategy
     plen = _prefix_len(n, jobs, checkpoint is not None)
-    dfs_weights = weights if (strategy != STRATEGY_EXHAUSTIVE) else None
-    tasks = [
-        (strategy, n, prefix, plen, dfs_weights) for prefix in range(1 << plen)
-    ]
-
     done: dict[int, tuple] = {}
     if checkpoint is not None:
-        done = _load_checkpoint(checkpoint, n, label, plen)
-    pending = [t for t in tasks if t[2] not in done]
+        plen, done = _load_checkpoint(checkpoint, n, label, plen)
+    dfs_weights = weights if (strategy != STRATEGY_EXHAUSTIVE) else None
+    pending = [
+        (strategy, n, prefix, plen, dfs_weights)
+        for prefix in range(1 << plen) if prefix not in done
+    ]
 
     results = dict(done)
     if jobs == 1:

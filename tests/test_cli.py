@@ -188,6 +188,21 @@ def test_search_weight_on_non_square(capsys):
     assert "perfect-square" in err
 
 
+def test_search_malformed_checkpoint_line_is_invalid_input(capsys, tmp_path):
+    cp = tmp_path / "cp.txt"
+    argv = ("search", "--n", "4", "--strategy", "exhaustive", "--checkpoint", str(cp))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    lines = [
+        "prefix=0000 nodes_explored=3" if l.startswith("prefix=0000 ") else l
+        for l in cp.read_text().splitlines()
+    ]
+    cp.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "does not read" in err
+
+
 # ---------------------------------------------------------------------------
 # congruence / basis-rank / lemma
 

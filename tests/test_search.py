@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,12 @@ from circhad.search import (
     revalidate_report,
     run_search,
 )
-from circhad.sequences import Sequence, has_orthogonal_rows, is_circulant_hadamard
+from circhad.sequences import (
+    Sequence,
+    expected_minus_counts,
+    has_orthogonal_rows,
+    is_circulant_hadamard,
+)
 
 sequences_st = st.integers(1, 16).flatmap(
     lambda n: st.tuples(*([st.sampled_from((-1, 1))] * n)).map(Sequence)
@@ -138,6 +145,144 @@ def test_listing_cap_truncates_but_counts_stay_exact():
 
 
 # ---------------------------------------------------------------------------
+# the packed pruned-dfs kernel against the assign/retract oracle
+
+def reference_dfs_shard(n, prefix, plen, weights):
+    """The pruned DFS written shift by shift, undoing each assignment on return."""
+    h = [0] * n
+    partial = [0] * n       # running r[t] over completed terms
+    remaining = [n] * n     # terms of r[t] not yet determined
+    low_taus = [range(1, d + 1) for d in range(n)]
+    high_taus = [range(max(1, n - d), n) for d in range(n)]
+    nodes = 0
+    raw = 0
+    sols = []
+    wlo = min(weights) if weights else 0
+    whi = max(weights) if weights else n
+    wset = set(weights) if weights else None
+
+    def assign(d, sign):
+        nonlocal nodes
+        nodes += 1
+        h[d] = sign
+        ok = True
+        for t in low_taus[d]:
+            s = partial[t] + h[d - t] * sign
+            partial[t] = s
+            u = remaining[t] - 1
+            remaining[t] = u
+            if (s if s >= 0 else -s) > u or (s + u) & 1:
+                ok = False
+        for t in high_taus[d]:
+            s = partial[t] + sign * h[d + t - n]
+            partial[t] = s
+            u = remaining[t] - 1
+            remaining[t] = u
+            if (s if s >= 0 else -s) > u or (s + u) & 1:
+                ok = False
+        return ok
+
+    def retract(d, sign):
+        for t in low_taus[d]:
+            partial[t] -= h[d - t] * sign
+            remaining[t] += 1
+        for t in high_taus[d]:
+            partial[t] -= sign * h[d + t - n]
+            remaining[t] += 1
+        h[d] = 0
+
+    def record():
+        nonlocal raw
+        bits = 0
+        for i in range(n):
+            if h[i] == -1:
+                bits |= 1 << i
+        raw += 1
+        sols.append(bits)
+
+    def walk(d, minus):
+        if d == n:
+            if wset is None or minus in wset:
+                record()
+            return
+        left = n - d - 1
+        for sign in (1, -1):
+            m = minus + (sign == -1)
+            if wset is not None and (m > whi or m + left < wlo):
+                continue
+            if assign(d, sign):
+                walk(d + 1, m)
+            retract(d, sign)
+
+    minus = 0
+    feasible = True
+    for d in range(plen):
+        sign = -1 if (prefix >> d) & 1 else 1
+        m = minus + (sign == -1)
+        left = n - d - 1
+        if wset is not None and (m > whi or m + left < wlo):
+            feasible = False
+            break
+        if not assign(d, sign):
+            feasible = False
+            break
+        minus = m
+    if feasible:
+        walk(plen, minus)
+    return raw, nodes, sols
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_dfs_kernel_matches_reference_on_every_prefix(n):
+    weight_options = [None]
+    if expected_minus_counts(n) is not None:
+        weight_options.append(expected_minus_counts(n))
+    for plen in sorted({min(2, n), min(8, n)}):
+        for weights in weight_options:
+            for prefix in range(1 << plen):
+                assert search._dfs_shard(n, prefix, plen, weights) == reference_dfs_shard(
+                    n, prefix, plen, weights
+                ), (plen, weights, prefix)
+
+
+def test_dfs_kernel_matches_reference_on_order_36_shards():
+    weights = expected_minus_counts(36)
+    rng = random.Random(0)
+    for prefix in (rng.getrandbits(20), rng.getrandbits(20)):
+        expected = reference_dfs_shard(36, prefix, 20, weights)
+        assert expected[1] > 1000  # shards that get well past the prefix
+        assert search._dfs_shard(36, prefix, 20, weights) == expected, prefix
+
+
+def test_packed_fields_decode_to_the_partial_autocorrelations():
+    n = 36
+    start, guard, steps = search._packed_tables(n)
+    rng = random.Random(36)
+    for _ in range(20):
+        h = [rng.choice((1, -1)) for _ in range(n)]
+        packed, fwd, rev = start, 0, 0
+        for d, step in enumerate(steps):
+            delta = step.ones - 2 * ((fwd << step.shift_fwd) + (rev >> step.shift_rev))
+            if h[d] == 1:
+                packed += delta
+            else:
+                packed -= delta
+                fwd |= step.bit_fwd
+                rev |= step.bit_rev
+            within = True
+            for t in range(1, n):
+                pairs = [i for i in range(n) if i <= d and (i + t) % n <= d]
+                partial = sum(h[i] * h[(i + t) % n] for i in pairs)
+                assert ((packed >> (8 * t)) & 0xFF) - 64 == partial, (d, t)
+                within = within and abs(partial) <= n - len(pairs)
+            passes = ((packed + step.lo) & (step.hi - packed) & guard) == guard
+            assert passes == within, d
+        assert sum(1 << j for j in range(n) if h[j] == -1) == sum(
+            1 << j for j in range(n) if (fwd >> (8 * j)) & 1
+        )
+
+
+# ---------------------------------------------------------------------------
 # caps
 
 def test_exhaustive_cap_env_is_honored(monkeypatch):
@@ -213,13 +358,82 @@ def test_checkpoint_header_mismatch_is_rejected(tmp_path):
         run_search(16, STRATEGY_DFS, checkpoint=cp)
     with pytest.raises(ValueError):
         run_search(12, STRATEGY_EXHAUSTIVE, checkpoint=cp)
-    with pytest.raises(ValueError):
-        # jobs=128 needs 9 prefix bits, the stored file has 8
-        run_search(12, STRATEGY_DFS, checkpoint=cp, jobs=128)
 
 
 def same_but_elapsed(a, b):
     return dataclasses.replace(a, elapsed_ms=0) == dataclasses.replace(b, elapsed_ms=0)
+
+
+def shard_lines(path):
+    return [l for l in open(path).read().splitlines() if l.startswith("prefix=")]
+
+
+def test_checkpoint_resume_takes_prefix_width_from_header(tmp_path):
+    cp = str(tmp_path / "cp.txt")
+    base = run_search(12, STRATEGY_DFS, checkpoint=cp)
+    lines = open(cp).read().splitlines(True)
+    with open(cp, "w") as f:
+        f.writelines(lines[:-2])
+    # jobs=128 alone would pick 9 prefix bits; the header says 8.
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=128, checkpoint=cp), base)
+    assert "prefix_bits=8\n" in open(cp).read()
+    assert len(shard_lines(cp)) == 256
+    assert {len(l.split()[0]) for l in shard_lines(cp)} == {len("prefix=") + 8}
+
+
+@pytest.mark.parametrize("width", ("13", "-1", "x", None))
+def test_checkpoint_header_prefix_width_outside_the_order_is_rejected(tmp_path, width):
+    cp = tmp_path / "cp.txt"
+    run_search(12, STRATEGY_DFS, checkpoint=str(cp))
+    text = cp.read_text()
+    replacement = "" if width is None else f"prefix_bits={width}\n"
+    cp.write_text(text.replace("prefix_bits=8\n", replacement))
+    with pytest.raises(ValueError, match="prefix_bits"):
+        run_search(12, STRATEGY_DFS, checkpoint=str(cp))
+
+
+def order_four_checkpoint(tmp_path, prefix, line):
+    """An order-4 exhaustive checkpoint (one row per shard) with one shard line replaced."""
+    cp = tmp_path / "cp.txt"
+    run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    lines = cp.read_text().splitlines()
+    assert sum(l.startswith(f"prefix={prefix} ") for l in lines) == 1
+    cp.write_text("".join(
+        (line if l.startswith(f"prefix={prefix} ") else l) + "\n" for l in lines
+    ))
+    return str(cp)
+
+
+@pytest.mark.parametrize(
+    "prefix, line, problem",
+    [
+        ("0000", "prefix=0000 nodes_explored=3", "does not read"),
+        ("0000", "prefix=0000 raw_count=0 nodes_explored=x elapsed_ms=0 solutions=",
+         "does not read"),
+        ("0000", "prefix=0000 raw_count=0 nodes_explored=1 solutions=", "does not read"),
+        ("0000", "prefix=0000 raw_count=-5 nodes_explored=1 elapsed_ms=0 solutions=",
+         "does not read"),
+        ("0000", "prefix=0000 raw_count=0 nodes_explored=-1 elapsed_ms=0 solutions=",
+         "does not read"),
+        ("1000", "prefix=1000 raw_count=2 nodes_explored=1 elapsed_ms=0 solutions=-+++",
+         "raw_count 2 but 1 rows listed"),
+        ("1000", "prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-++",
+         "is not 4 signs"),
+        ("1000", "prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+-++",
+         "starting '-+++'"),
+        ("0000", "prefix=0000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=++++",
+         "not a Hadamard row"),
+        ("0000", "prefix=00x0 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "does not read"),
+    ],
+    ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
+         "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
+         "row_off_prefix", "row_not_hadamard", "prefix_not_bits"],
+)
+def test_checkpoint_shard_line_is_validated(tmp_path, prefix, line, problem):
+    cp = order_four_checkpoint(tmp_path, prefix, line)
+    with pytest.raises(ValueError, match=re.escape(problem)):
+        run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=cp)
 
 
 @pytest.mark.parametrize("torn", ("prefix=01010000 raw_co", "prefix=01"))
