@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import congruences, cyclotomic, search, sequences, spectra
 
@@ -51,23 +52,20 @@ def _load_sequences(args) -> list[sequences.Sequence]:
     return rows
 
 
+def _fields_payload(result, drop: tuple[str, ...] = ()) -> dict:
+    """The fields of a result dataclass, in declaration order, as a JSON object."""
+    return {f.name: getattr(result, f.name) for f in fields(result) if f.name not in drop}
+
+
 # ---------------------------------------------------------------------------
 # verify
 
 def _check1_payload(n: int) -> dict:
-    parity = sequences.even_order_check(n)
-    return {"passed": parity.passed, "trivial_exception": parity.trivial_exception}
+    return _fields_payload(sequences.even_order_check(n), drop=("n",))
 
 
 def _check2_payload(seq: sequences.Sequence) -> dict:
-    weight = sequences.square_weight_check(seq)
-    return {
-        "passed": weight.passed,
-        "is_square": weight.is_square,
-        "minus_count": weight.minus_count,
-        "expected": list(weight.expected) if weight.expected else None,
-        "case": weight.case,
-    }
+    return _fields_payload(sequences.square_weight_check(seq), drop=("n",))
 
 
 def _verify_payload(seq: sequences.Sequence) -> dict:
@@ -165,10 +163,7 @@ def _cmd_search(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.infile, encoding="ascii") as f:
         data = json.load(f)
-    try:
-        report = search.report_from_dict(data)
-    except (TypeError, KeyError) as exc:
-        raise ValueError(f"malformed report file: {exc}") from exc
+    report = search.report_from_dict(data)
     problems = search.revalidate_report(report)
     print(
         json.dumps(
@@ -192,20 +187,7 @@ def _cmd_report(args) -> int:
 def _cmd_congruence(args) -> int:
     c = args.c if args.c is not None else args.n // 2
     sol = congruences.solve_linear_congruence(args.k, c, args.n)
-    print(
-        json.dumps(
-            {
-                "n": sol.n,
-                "k": sol.k,
-                "c": sol.c,
-                "g": sol.g,
-                "solvable": sol.solvable,
-                "j0": sol.j0,
-                "solution_count": sol.solution_count,
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(_fields_payload(sol), indent=2))
     return EXIT_PASS
 
 
@@ -215,18 +197,7 @@ def _cmd_congruence(args) -> int:
 def _cmd_basis_rank(args) -> int:
     report = cyclotomic.real_basis_rank(args.n)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": report.n,
-                    "basis_size": report.basis_size,
-                    "rank": report.rank,
-                    "euler_half": report.euler_half,
-                    "independent": report.independent,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(_fields_payload(report), indent=2))
     else:
         print("n,basis_size,rank,euler_half,independent")
         print(
@@ -268,18 +239,7 @@ def _cmd_lemma(args) -> int:
             }
             failed = failed or expected is None
     if 3 in which:
-        report = congruences.half_period_report(n)
-        payload["check3"] = {
-            "t": report.t,
-            "t_parity": report.t_parity,
-            "k": report.k,
-            "gcd_chain": list(report.gcd_chain),
-            "solvable": report.solvable,
-            "j0": report.j0,
-            "n_over_8_integral": report.n_over_8_integral,
-            "turyn_excluded": report.turyn_excluded,
-            "degenerate_multiplier": report.degenerate_multiplier,
-        }
+        payload["check3"] = _fields_payload(congruences.half_period_report(n), drop=("n",))
 
     if args.format == "json":
         print(json.dumps(payload, indent=2))

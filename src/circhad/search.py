@@ -7,7 +7,10 @@ on what they find:
 
 * ``exhaustive``        -- all 2^n rows (bit-mask walk, exact popcount math);
 * ``weight-constrained``-- only rows carrying one of the two admissible
-                           -1 counts for a perfect-square order;
+                           -1 counts for a perfect-square order; the same
+                           walker and row test as ``exhaustive``, fed
+                           the prefix OR-ed with each admissible choice
+                           of -1 positions instead of every suffix;
 * ``pruned-dfs``        -- left-to-right sign assignment, backtracking as
                            soon as any partial autocorrelation provably
                            cannot reach zero (magnitude or parity).  All
@@ -20,8 +23,10 @@ on what they find:
 Work is split into independent subtrees by fixing the first few entries
 (2^P prefixes with 2^P >= 4*jobs; at least 2^8 for a new checkpoint,
 and the header's P when resuming one), so results merge
-deterministically regardless of scheduling.  Every row a strategy emits is re-verified
-with the exact integer autocorrelation before it is reported.
+deterministically regardless of scheduling.  Every shard returns its
+node count and its rows, whatever the strategy; counts of rows are
+always the length of a listing.  Every row a strategy emits is
+re-verified with the exact integer autocorrelation before it is reported.
 
 Rows are represented internally as bit masks (bit i set means entry i is
 -1); r[t] = n - 2*popcount(b XOR rotate(b, t)), still exact integer
@@ -31,9 +36,11 @@ arithmetic, just cheaper than the sum form.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import functools
 import itertools
+import math
 import os
 import re
 import time
@@ -103,65 +110,37 @@ def canonicalize(seq: Sequence) -> Sequence:
 
 
 # ---------------------------------------------------------------------------
-# Bit-level row checking.
-
-def _bits_to_string(bits: int, n: int) -> str:
-    return "".join("-" if (bits >> i) & 1 else "+" for i in range(n))
-
-
-def _is_perfect_row(bits: int, n: int, mask: int) -> bool:
-    """Exact zero-autocorrelation test via popcounts of rotated XORs."""
-    for t in range(1, n // 2 + 1):
-        rot = ((bits >> t) | (bits << (n - t))) & mask
-        if 2 * (bits ^ rot).bit_count() != n:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Shard workers.  Each enumerates the rows whose first ``plen`` entries
-# match ``prefix`` and returns (prefix, raw, nodes, solution strings,
-# elapsed_ms).
+# match ``prefix`` and returns (nodes visited, solution bit masks):
+# ``_walk_shard`` for both full enumerations, ``_dfs_shard`` for the
+# pruned DFS.
 
-def _exhaustive_shard(n: int, prefix: int, plen: int) -> tuple[int, int, list[int]]:
+def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
+    """Test every row on the prefix, or only those with an admissible -1 count."""
+    if weights is None:
+        rows = range(prefix, 1 << n, 1 << plen)
+        nodes = len(rows)
+    else:
+        free = range(plen, n)
+        needs = [w - prefix.bit_count() for w in sorted(set(weights))]
+        needs = [k for k in needs if 0 <= k <= len(free)]
+        rows = (
+            prefix | sum(1 << i for i in combo)
+            for k in needs for combo in itertools.combinations(free, k)
+        )
+        nodes = sum(math.comb(len(free), k) for k in needs)
     mask = (1 << n) - 1
-    raw = 0
-    sols = []
-    span = 1 << (n - plen)
     half = n // 2
-    for suffix in range(span):
-        bits = prefix | (suffix << plen)
-        # _is_perfect_row inlined: a call per row measured 6-25 % slower at n = 20.
+    sols = []
+    for bits in rows:
+        # r[t] = r[n-t], so the shifts 0 < t <= n/2 decide the row.
         for t in range(1, half + 1):
             rot = ((bits >> t) | (bits << (n - t))) & mask
             if 2 * (bits ^ rot).bit_count() != n:
                 break
         else:
-            raw += 1
             sols.append(bits)
-    return raw, span, sols
-
-
-def _weight_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...]) -> tuple[int, int, list[int]]:
-    mask = (1 << n) - 1
-    raw = 0
-    nodes = 0
-    sols = []
-    base_minus = prefix.bit_count()
-    free = tuple(range(plen, n))
-    for w in sorted(set(weights)):
-        need = w - base_minus
-        if need < 0 or need > len(free):
-            continue
-        for combo in itertools.combinations(free, need):
-            bits = prefix
-            for i in combo:
-                bits |= 1 << i
-            nodes += 1
-            if _is_perfect_row(bits, n, mask):
-                raw += 1
-                sols.append(bits)
-    return raw, nodes, sols
+    return nodes, sols
 
 
 # The pruned DFS keeps every partial autocorrelation in one integer.
@@ -228,10 +207,9 @@ def _packed_tables(n: int) -> tuple[int, int, tuple[_Step, ...]]:
     return packed([_BIAS] * (n - 1)), packed([_GUARD] * (n - 1)), tuple(steps)
 
 
-def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, int, list[int]]:
+def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
     start, guard, steps = _packed_tables(n)
     nodes = 0
-    raw = 0
     sols: list[int] = []
     wlo = min(weights) if weights else 0
     whi = max(weights) if weights else n
@@ -255,10 +233,9 @@ def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) 
         ))
 
     def walk(d: int, packed: int, fwd: int, rev: int, minus: int) -> None:
-        nonlocal nodes, raw
+        nonlocal nodes
         if d == n:
             if minus in wset:
-                raw += 1
                 sols.append(sum(1 << j for j in range(n) if (fwd >> (_FIELD * j)) & 1))
             return
         (ones, shift_fwd, shift_rev, lo, hi, bit_fwd, bit_rev,
@@ -276,20 +253,20 @@ def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) 
                 walk(d + 1, child, fwd | bit_fwd, rev | bit_rev, minus + 1)
 
     walk(0, start, 0, 0, 0)
-    return raw, nodes, sols
+    return nodes, sols
 
 
-def _run_shard(task: tuple) -> tuple[int, int, int, tuple[str, ...], int]:
+def _bits_to_string(bits: int, n: int) -> str:
+    return "".join("-" if (bits >> i) & 1 else "+" for i in range(n))
+
+
+def _run_shard(task: tuple) -> tuple[int, int, tuple[str, ...], int]:
+    """(prefix, nodes, solution strings, elapsed_ms) of one shard."""
     strategy, n, prefix, plen, weights = task
     start = time.monotonic()
-    if strategy == STRATEGY_EXHAUSTIVE:
-        raw, nodes, sols = _exhaustive_shard(n, prefix, plen)
-    elif strategy == STRATEGY_WEIGHT:
-        raw, nodes, sols = _weight_shard(n, prefix, plen, weights)
-    else:
-        raw, nodes, sols = _dfs_shard(n, prefix, plen, weights)
+    nodes, sols = (_dfs_shard if strategy == STRATEGY_DFS else _walk_shard)(n, prefix, plen, weights)
     elapsed = int((time.monotonic() - start) * 1000)
-    return prefix, raw, nodes, tuple(_bits_to_string(b, n) for b in sols), elapsed
+    return prefix, nodes, tuple(_bits_to_string(b, n) for b in sols), elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +298,10 @@ def _write_checkpoint_header(path: str, n: int, label: str, plen: int) -> None:
 
 
 def _append_checkpoint_line(path: str, plen: int, result: tuple) -> None:
-    prefix, raw, nodes, sols, elapsed = result
+    prefix, nodes, sols, elapsed = result
     line = (
         f"prefix={_prefix_bitstring(prefix, plen)}"
-        f" raw_count={raw} nodes_explored={nodes} elapsed_ms={elapsed}"
+        f" raw_count={len(sols)} nodes_explored={nodes} elapsed_ms={elapsed}"
         f" solutions={','.join(sols)}\n"
     )
     with open(path, "a", encoding="ascii") as f:
@@ -364,7 +341,7 @@ def _parse_shard_line(line: str, n: int, plen: int) -> tuple:
         if not is_circulant_hadamard(Sequence.from_string(text)):
             raise ValueError(f"checkpoint shard {bitstring}: row {text} is not a Hadamard row")
     prefix = int(bitstring[::-1], 2) if bitstring else 0
-    return prefix, raw, nodes, sols, elapsed
+    return prefix, nodes, sols, elapsed
 
 
 def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dict[int, tuple]]:
@@ -424,7 +401,12 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dic
 def _exhaustive_cap(override: int | None) -> int:
     if override is not None:
         return override
-    return int(os.environ.get(EXHAUSTIVE_CAP_ENV, DEFAULT_EXHAUSTIVE_CAP))
+    value = os.environ.get(EXHAUSTIVE_CAP_ENV)
+    if value is None:
+        return DEFAULT_EXHAUSTIVE_CAP
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"{EXHAUSTIVE_CAP_ENV} must be a non-negative decimal integer, got {value!r}")
+    return int(value)
 
 
 def run_search(
@@ -480,30 +462,25 @@ def run_search(
     done: dict[int, tuple] = {}
     if checkpoint is not None:
         plen, done = _load_checkpoint(checkpoint, n, label, plen)
-    dfs_weights = weights if (strategy != STRATEGY_EXHAUSTIVE) else None
     pending = [
-        (strategy, n, prefix, plen, dfs_weights)
+        (strategy, n, prefix, plen, weights)
         for prefix in range(1 << plen) if prefix not in done
     ]
 
     results = dict(done)
-    if jobs == 1:
-        for task in pending:
-            res = _run_shard(task)
+    parallel = jobs > 1 and bool(pending)
+    workers = min(jobs, len(pending), os.cpu_count() or 1)
+    with (
+        concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel
+        else contextlib.nullcontext()
+    ) as pool:
+        for res in (pool.map if parallel else map)(_run_shard, pending):
             results[res[0]] = res
             if checkpoint is not None:
                 _append_checkpoint_line(checkpoint, plen, res)
-    elif pending:
-        workers = min(jobs, len(pending), os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for res in pool.map(_run_shard, pending):
-                results[res[0]] = res
-                if checkpoint is not None:
-                    _append_checkpoint_line(checkpoint, plen, res)
 
-    raw = sum(r[1] for r in results.values())
-    nodes = sum(r[2] for r in results.values())
-    all_solutions = sorted(s for r in results.values() for s in r[3])
+    nodes = sum(r[1] for r in results.values())
+    all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:
         if not is_circulant_hadamard(Sequence.from_string(text)):
             raise RuntimeError(f"internal error: emitted row {text} failed exact re-verification")
@@ -513,7 +490,7 @@ def run_search(
         schema_version=SCHEMA_VERSION,
         n=n,
         strategy=label,
-        raw_count=raw,
+        raw_count=len(all_solutions),
         canonical_count=len(canonical),
         solutions=tuple(all_solutions[:list_cap]),
         nodes_explored=nodes,
@@ -534,23 +511,32 @@ def report_to_dict(report: SearchReport) -> dict:
     return data
 
 
+# The JSON shape each SearchReport field type must arrive in: booleans
+# and floats are not counts.
+_JSON_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[str, ...]": (
+        "a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)
+    ),
+}
+
+
 def report_from_dict(data: dict) -> SearchReport:
+    """Parse a report object; ValueError unless every field has its JSON type."""
+    if not isinstance(data, dict):
+        raise ValueError("report must be a JSON object")
     missing = [key for key in _REPORT_KEYS if key not in data]
     if missing:
         raise ValueError(f"report is missing required fields: {', '.join(missing)}")
-    if not isinstance(data["solutions"], (list, tuple)):
-        raise ValueError("report field 'solutions' must be a list")
-    return SearchReport(
-        schema_version=int(data["schema_version"]),
-        n=int(data["n"]),
-        strategy=str(data["strategy"]),
-        raw_count=int(data["raw_count"]),
-        canonical_count=int(data["canonical_count"]),
-        solutions=tuple(str(s) for s in data["solutions"]),
-        nodes_explored=int(data["nodes_explored"]),
-        elapsed_ms=int(data["elapsed_ms"]),
-        cap=int(data["cap"]),
-    )
+    values = {}
+    for field in dataclasses.fields(SearchReport):
+        kind, accepts = _JSON_KINDS[field.type]
+        value = data[field.name]
+        if not accepts(value):
+            raise ValueError(f"report field {field.name!r} must be {kind}, got {value!r:.60}")
+        values[field.name] = tuple(value) if isinstance(value, list) else value
+    return SearchReport(**values)
 
 
 def revalidate_report(report: SearchReport) -> list[str]:

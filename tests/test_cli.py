@@ -175,11 +175,31 @@ def test_report_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("key, value", [("raw_count", 8.9), ("schema_version", 1.7), ("cap", True)])
+def test_report_with_a_non_integer_count_is_invalid_input(capsys, tmp_path, key, value):
+    out_file = tmp_path / "report.json"
+    run(capsys, "search", "--n", "4", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    data[key] = value
+    out_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "report", "--in", str(out_file))
+    assert code == 2
+    assert out == "" and f"report field '{key}' must be an integer" in err
+
+
 def test_search_cap_refusal(capsys, monkeypatch):
     monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "8")
     code, _, err = run(capsys, "search", "--n", "12")
     assert code == 3
     assert "cap" in err
+
+
+@pytest.mark.parametrize("value", ("abc", "-1"))
+def test_search_invalid_cap_env_is_invalid_input(capsys, monkeypatch, value):
+    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", value)
+    code, out, err = run(capsys, "search", "--n", "1")
+    assert code == 2
+    assert out == "" and "CHM_MAX_EXHAUSTIVE_N" in err
 
 
 def test_search_weight_on_non_square(capsys):

@@ -1,9 +1,11 @@
 """Enumeration strategies, canonical forms, checkpoints, cross-validation."""
 
 import dataclasses
+import math
 import os
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -240,7 +242,8 @@ def test_dfs_kernel_matches_reference_on_every_prefix(n):
     for plen in sorted({min(2, n), min(8, n)}):
         for weights in weight_options:
             for prefix in range(1 << plen):
-                assert search._dfs_shard(n, prefix, plen, weights) == reference_dfs_shard(
+                nodes, rows = search._dfs_shard(n, prefix, plen, weights)
+                assert (len(rows), nodes, rows) == reference_dfs_shard(
                     n, prefix, plen, weights
                 ), (plen, weights, prefix)
 
@@ -251,7 +254,48 @@ def test_dfs_kernel_matches_reference_on_order_36_shards():
     for prefix in (rng.getrandbits(20), rng.getrandbits(20)):
         expected = reference_dfs_shard(36, prefix, 20, weights)
         assert expected[1] > 1000  # shards that get well past the prefix
-        assert search._dfs_shard(36, prefix, 20, weights) == expected, prefix
+        nodes, rows = search._dfs_shard(36, prefix, 20, weights)
+        assert (len(rows), nodes, rows) == expected, prefix
+
+
+# ---------------------------------------------------------------------------
+# the full-enumeration walker against a naive filter
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_walker_matches_naive_filter_on_every_prefix(n):
+    rows = [
+        (bits, is_circulant_hadamard(Sequence(tuple(-1 if (bits >> i) & 1 else 1 for i in range(n)))))
+        for bits in range(1 << n)
+    ]
+    weight_options = [None]
+    if expected_minus_counts(n) is not None:
+        weight_options.append(expected_minus_counts(n))
+    for plen in sorted({min(2, n), min(8, n)}):
+        low = (1 << plen) - 1
+        for weights in weight_options:
+            candidates = Counter()
+            hadamard = {}
+            for bits, perfect in rows:
+                if weights is None or bits.bit_count() in weights:
+                    candidates[bits & low] += 1
+                    if perfect:
+                        hadamard.setdefault(bits & low, []).append(bits)
+            for prefix in range(1 << plen):
+                nodes, found = search._walk_shard(n, prefix, plen, weights)
+                assert nodes == candidates[prefix], (plen, weights, prefix)
+                assert sorted(found) == hadamard.get(prefix, []), (plen, weights, prefix)
+
+
+@pytest.mark.parametrize("n", (1, 4, 9, 16))
+def test_walkers_visit_every_candidate_row_once(n, tmp_path):
+    weights = expected_minus_counts(n)
+    expected = {
+        STRATEGY_EXHAUSTIVE: 1 << n,
+        STRATEGY_WEIGHT: sum(math.comb(n, w) for w in set(weights)),
+    }
+    for strategy, nodes in expected.items():
+        for kwargs in ({}, {"jobs": 2}, {"checkpoint": str(tmp_path / f"{strategy}.txt")}):
+            assert run_search(n, strategy, **kwargs).nodes_explored == nodes, (strategy, kwargs)
 
 
 def test_packed_fields_decode_to_the_partial_autocorrelations():
@@ -296,6 +340,23 @@ def test_exhaustive_cap_env_is_honored(monkeypatch):
         run_search(25, STRATEGY_WEIGHT)  # shares the full-enumeration cap
     with pytest.raises(CapExceeded):
         run_search(40, STRATEGY_DFS)  # DFS cap 36
+
+
+@pytest.mark.parametrize(
+    "value", ("abc", "-1", "", " 8", "8.0", "\u00b2"),
+    ids=["letters", "negative", "empty", "leading_space", "decimal_point", "superscript_two"],
+)
+def test_exhaustive_cap_env_must_be_a_non_negative_integer(monkeypatch, value):
+    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", value)
+    with pytest.raises(ValueError, match="CHM_MAX_EXHAUSTIVE_N must be a non-negative decimal integer"):
+        run_search(1, STRATEGY_EXHAUSTIVE)
+
+
+def test_exhaustive_cap_env_zero_refuses_every_order(monkeypatch):
+    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "0")
+    with pytest.raises(CapExceeded):
+        run_search(1, STRATEGY_EXHAUSTIVE)
+    assert run_search(1, STRATEGY_DFS).raw_count == 2  # the DFS has its own cap
 
 
 def test_explicit_cap_argument_overrides_env(monkeypatch):
@@ -524,6 +585,40 @@ def test_report_solutions_must_be_a_list():
     data = report_to_dict(run_search(4, STRATEGY_EXHAUSTIVE))
     data["solutions"] = "-+++"
     with pytest.raises(ValueError):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key, value, kind",
+    [
+        ("raw_count", 8.9, "an integer"),
+        ("schema_version", 1.7, "an integer"),
+        ("schema_version", 1.0, "an integer"),
+        ("cap", True, "an integer"),
+        ("n", "4", "an integer"),
+        ("nodes_explored", None, "an integer"),
+        ("elapsed_ms", [0], "an integer"),
+        ("canonical_count", False, "an integer"),
+        ("strategy", 3, "a string"),
+        ("strategy", ["exhaustive"], "a string"),
+        ("solutions", "-+++", "a list of strings"),
+        ("solutions", ["-+++", 1], "a list of strings"),
+        ("solutions", {"-+++": 1}, "a list of strings"),
+    ],
+    ids=["float_raw_count", "float_schema_version", "integral_float", "bool_cap", "string_n",
+         "null_nodes", "list_elapsed", "bool_canonical_count", "number_strategy",
+         "list_strategy", "string_solutions", "non_string_row", "object_solutions"],
+)
+def test_report_fields_must_have_their_json_type(key, value, kind):
+    data = report_to_dict(run_search(4, STRATEGY_EXHAUSTIVE))
+    data[key] = value
+    with pytest.raises(ValueError, match=f"report field '{key}' must be {kind}"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("data", ([], "report", 4, None), ids=["list", "string", "number", "null"])
+def test_report_must_be_an_object(data):
+    with pytest.raises(ValueError, match="JSON object"):
         report_from_dict(data)
 
 
