@@ -116,7 +116,10 @@ def _cmd_analyze(args) -> int:
         modes = verdict.per_mode
         overall = verdict.overall
     else:
-        k = int(args.k)
+        try:
+            k = int(args.k)
+        except ValueError:
+            raise ValueError(f'--k takes "all" or a mode index, got {args.k!r}') from None
         if not 0 <= k < seq.n:
             raise ValueError(f"k must lie in [0, {seq.n - 1}], got {k}")
         modes = (verdict.per_mode[k],)
@@ -211,7 +214,10 @@ def _cmd_basis_rank(args) -> int:
 # lemma (numbered necessary-condition checks)
 
 def _cmd_lemma(args) -> int:
-    which = sorted({int(w) for w in args.which.split(",") if w.strip()})
+    try:
+        which = sorted({int(w) for w in args.which.split(",") if w.strip()})
+    except ValueError:
+        which = []
     if not which or any(w not in (1, 2, 3) for w in which):
         raise ValueError("--which takes a comma-separated subset of 1,2,3")
     seq = sequences.Sequence.from_string(args.seq) if args.seq else None

@@ -21,9 +21,11 @@ on what they find:
                            at even n and cuts every odd order at depth 1.
 
 Work is split into independent subtrees by fixing the first few entries
-(2^P prefixes with 2^P >= 4*jobs; at least 2^8 for a new checkpoint,
+(2^P prefixes with 2^P >= 4*jobs up to 2^8; 2^8 for a new checkpoint,
 and the header's P when resuming one), so results merge
-deterministically regardless of scheduling.  Every shard returns its
+deterministically regardless of scheduling.  A checkpoint file must read
+exactly as it was written: the header, then one line per finished
+shard; anything else is refused.  Every shard returns its
 node count and its rows, whatever the strategy; counts of rows are
 always the length of a listing.  Every row a strategy emits is
 re-verified with the exact integer autocorrelation before it is reported.
@@ -270,76 +272,54 @@ def _run_shard(task: tuple) -> tuple[int, int, tuple[str, ...], int]:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint files: a small header plus one line per completed shard.
+# Checkpoint files: the header below, then one line per completed shard.
 # The mandated shard token is ``prefix=<bitstring>``; the remaining
 # fields on the line carry the shard tallies so a resumed run can merge
-# finished work without redoing it.
+# finished work without redoing it.  The writer fills in these format
+# strings and the reader matches the same strings, each field a capture
+# group (their literal text holds no regex metacharacter).
 
-def _prefix_len(n: int, jobs: int, checkpointing: bool) -> int:
-    plen = (4 * jobs - 1).bit_length()
-    if checkpointing:
-        plen = max(plen, 8)
-    return min(plen, n)
-
-
-_BITS_TO_SIGNS = str.maketrans("01", "+-")
-
-
-def _prefix_bitstring(prefix: int, plen: int) -> str:
-    return "".join("1" if (prefix >> i) & 1 else "0" for i in range(plen))
+_HEADER = "# circhad search checkpoint v1\nn={n}\nstrategy={strategy}\nprefix_bits={prefix_bits}\n"
+_SHARD = "prefix={} raw_count={} nodes_explored={} elapsed_ms={} solutions={}"
+_HEADER_RE = re.compile(_HEADER.format(n="([0-9]+)", strategy="([-+a-z]+)", prefix_bits="([0-9]+)"))
+_SHARD_LINE = re.compile(_SHARD.format("([01]*)", "([0-9]+)", "([0-9]+)", "([0-9]+)", "([-+,]*)"))
+_BITS_SIGNS = str.maketrans("01+-", "+-01")  # bits to signs and back
 
 
-def _write_checkpoint_header(path: str, n: int, label: str, plen: int) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        f.write("# circhad search checkpoint v1\n")
-        f.write(f"n={n}\n")
-        f.write(f"strategy={label}\n")
-        f.write(f"prefix_bits={plen}\n")
-
-
-def _append_checkpoint_line(path: str, plen: int, result: tuple) -> None:
+def _shard_line(plen: int, result: tuple) -> str:
     prefix, nodes, sols, elapsed = result
-    line = (
-        f"prefix={_prefix_bitstring(prefix, plen)}"
-        f" raw_count={len(sols)} nodes_explored={nodes} elapsed_ms={elapsed}"
-        f" solutions={','.join(sols)}\n"
-    )
-    with open(path, "a", encoding="ascii") as f:
-        f.write(line)
+    bitstring = _bits_to_string(prefix, plen).translate(_BITS_SIGNS)
+    return _SHARD.format(bitstring, len(sols), nodes, elapsed, ",".join(sols)) + "\n"
 
 
-_SHARD_LINE = re.compile(
-    r"prefix=([01]*) raw_count=([0-9]+) nodes_explored=([0-9]+)"
-    r" elapsed_ms=([0-9]+) solutions=([-+,]*)"
-)
-
-
-def _parse_shard_line(line: str, n: int, plen: int) -> tuple:
+def _parse_shard_line(path: str, line: str, n: int, plen: int) -> tuple:
     """One ``prefix=...`` line as a shard result; ValueError if it does not hold."""
     match = _SHARD_LINE.fullmatch(line)
     if match is None:
         raise ValueError(
-            f"checkpoint line {line!r} does not read prefix=<bits> raw_count=<count>"
-            " nodes_explored=<count> elapsed_ms=<count> solutions=<rows>,"
+            f"checkpoint {path}: line {line!r} does not read prefix=<bits>"
+            " raw_count=<count> nodes_explored=<count> elapsed_ms=<count> solutions=<rows>,"
             " each count a non-negative integer"
         )
     bitstring, raw, nodes, elapsed, listing = match.groups()
     if len(bitstring) != plen:
         raise ValueError(
-            f"checkpoint prefix width {len(bitstring)} does not match its header ({plen})"
+            f"checkpoint {path}: prefix width {len(bitstring)} does not match its header ({plen})"
         )
     raw, nodes, elapsed = int(raw), int(nodes), int(elapsed)
     sols = tuple(filter(None, listing.split(",")))
     if raw != len(sols):
-        raise ValueError(f"checkpoint shard {bitstring}: raw_count {raw} but {len(sols)} rows listed")
-    head = bitstring.translate(_BITS_TO_SIGNS)
+        raise ValueError(
+            f"checkpoint {path}: shard {bitstring}: raw_count {raw} but {len(sols)} rows listed"
+        )
+    head = bitstring.translate(_BITS_SIGNS)
     for text in sols:
         if len(text) != n or not text.startswith(head):
             raise ValueError(
-                f"checkpoint shard {bitstring}: row {text!r} is not {n} signs starting {head!r}"
+                f"checkpoint {path}: shard {bitstring}: row {text!r} is not {n} signs starting {head!r}"
             )
         if not is_circulant_hadamard(Sequence.from_string(text)):
-            raise ValueError(f"checkpoint shard {bitstring}: row {text} is not a Hadamard row")
+            raise ValueError(f"checkpoint {path}: shard {bitstring}: row {text} is not a Hadamard row")
     prefix = int(bitstring[::-1], 2) if bitstring else 0
     return prefix, nodes, sols, elapsed
 
@@ -347,15 +327,18 @@ def _parse_shard_line(line: str, n: int, plen: int) -> tuple:
 def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dict[int, tuple]]:
     """Parse completed shard lines; create the file with a header if new.
 
-    Returns the prefix width and the finished shards.  A file with a
-    header keeps the width written there, so a resume does not depend on
-    ``--jobs``; a new file gets ``plen``.  Every shard line is checked
-    against the header and its own listing; anything that does not hold
-    raises ValueError.
+    Returns the prefix width and the finished shards.  The file must read
+    exactly as ``run_search`` writes it: the header at offset 0, then
+    shard lines only.  A file with a header keeps the width written
+    there, so a resume does not depend on ``--jobs``; a new file gets
+    ``plen``.  Every shard line is checked against the header and its own
+    listing; anything that does not hold raises a ValueError naming the
+    file.
 
     A crash mid-append leaves an unterminated last line.  The file is cut
     back to its last newline, so that shard is redone and the next append
-    starts on a line of its own.
+    starts on a line of its own.  A file that holds no more than the
+    start of the header this run would write is begun afresh.
     """
     try:
         with open(path, "r+b") as f:
@@ -364,33 +347,32 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dic
             if end < len(data):
                 f.truncate(end)
     except FileNotFoundError:
-        end = 0
-    if end == 0:
-        _write_checkpoint_header(path, n, label, plen)
+        data, end = b"", 0
+    fresh = _HEADER.format(n=n, strategy=label, prefix_bits=plen)
+    if fresh.encode("ascii").startswith(data[:end]):
+        with open(path, "w", encoding="ascii") as f:
+            f.write(fresh)
         return plen, {}
-    header: dict[str, str] = {}
-    shard_lines = []
-    for line in data[:end].decode("ascii").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("prefix="):
-            shard_lines.append(line)
-        else:
-            key, _, value = line.partition("=")
-            header[key] = value
-    if int(header.get("n", -1)) != n or header.get("strategy") != label:
+    try:
+        text = data[:end].decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"checkpoint {path}: byte {exc.start} is not ASCII") from None
+    header = _HEADER_RE.match(text)
+    if header is None:
+        layout = _HEADER.format(n="<order>", strategy="<strategy>", prefix_bits="<width>")
+        raise ValueError(f"checkpoint {path} does not start with the header {layout!r}")
+    written_n, strategy, width = header.groups()
+    if int(written_n) != n or strategy != label:
         raise ValueError(
-            f"checkpoint was written for n={header.get('n')} strategy={header.get('strategy')}, "
+            f"checkpoint {path} was written for n={written_n} strategy={strategy}, "
             f"not n={n} strategy={label}"
         )
-    width = header.get("prefix_bits", "")
-    if not width.isdigit() or int(width) > n:
-        raise ValueError(f"checkpoint prefix_bits {width!r} is not in 0..{n}; cannot resume")
+    if int(width) > n:
+        raise ValueError(f"checkpoint {path}: prefix_bits {width} is not in 0..{n}; cannot resume")
     plen = int(width)
     done = {}
-    for line in shard_lines:
-        shard = _parse_shard_line(line, n, plen)
+    for line in text[header.end():].split("\n")[:-1]:
+        shard = _parse_shard_line(path, line, n, plen)
         done[shard[0]] = shard
     return plen, done
 
@@ -398,9 +380,7 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dic
 # ---------------------------------------------------------------------------
 # Orchestration.
 
-def _exhaustive_cap(override: int | None) -> int:
-    if override is not None:
-        return override
+def _exhaustive_cap() -> int:
     value = os.environ.get(EXHAUSTIVE_CAP_ENV)
     if value is None:
         return DEFAULT_EXHAUSTIVE_CAP
@@ -417,7 +397,6 @@ def run_search(
     weight_filter: bool = False,
     list_cap: int = DEFAULT_LIST_CAP,
     checkpoint: str | None = None,
-    exhaustive_cap: int | None = None,
 ) -> SearchReport:
     """Enumerate all circulant Hadamard first rows of order n.
 
@@ -448,7 +427,7 @@ def run_search(
             )
 
     if strategy in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT):
-        cap = _exhaustive_cap(exhaustive_cap)
+        cap = _exhaustive_cap()
         if n > cap:
             raise CapExceeded(
                 f"order {n} exceeds the full-enumeration cap {cap}"
@@ -458,7 +437,10 @@ def run_search(
         raise CapExceeded(f"order {n} exceeds the DFS cap {MAX_DFS_ORDER}")
 
     label = strategy + "+weight" if weight_filter else strategy
-    plen = _prefix_len(n, jobs, checkpoint is not None)
+    # 2^P >= 4*jobs shards, capped at the 2^8 a new checkpoint always
+    # uses: the pool never has more workers than cores, so a wider split
+    # only adds per-shard overhead.
+    plen = min(n, 8, 8 if checkpoint is not None else (4 * jobs - 1).bit_length())
     done: dict[int, tuple] = {}
     if checkpoint is not None:
         plen, done = _load_checkpoint(checkpoint, n, label, plen)
@@ -473,11 +455,15 @@ def run_search(
     with (
         concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel
         else contextlib.nullcontext()
-    ) as pool:
+    ) as pool, (
+        open(checkpoint, "a", encoding="ascii") if checkpoint is not None
+        else contextlib.nullcontext()
+    ) as log:
         for res in (pool.map if parallel else map)(_run_shard, pending):
             results[res[0]] = res
-            if checkpoint is not None:
-                _append_checkpoint_line(checkpoint, plen, res)
+            if log is not None:
+                log.write(_shard_line(plen, res))
+                log.flush()
 
     nodes = sum(r[1] for r in results.values())
     all_solutions = sorted(s for r in results.values() for s in r[2])
@@ -604,7 +590,7 @@ class CrossValidation:
     problems: tuple[str, ...]
 
 
-def cross_validate(n: int, jobs: int = 1, exhaustive_cap: int | None = None) -> CrossValidation:
+def cross_validate(n: int) -> CrossValidation:
     """Run every applicable strategy and check they agree solution-for-solution.
 
     Each found row is additionally pushed through the exact matrix
@@ -620,10 +606,9 @@ def cross_validate(n: int, jobs: int = 1, exhaustive_cap: int | None = None) -> 
     )
     from .spectra import spectral_verdict
 
-    reports = [run_search(n, STRATEGY_EXHAUSTIVE, jobs, exhaustive_cap=exhaustive_cap)]
-    reports.append(run_search(n, STRATEGY_DFS, jobs))
+    reports = [run_search(n, STRATEGY_EXHAUSTIVE), run_search(n, STRATEGY_DFS)]
     if expected_minus_counts(n) is not None:
-        reports.append(run_search(n, STRATEGY_WEIGHT, jobs, exhaustive_cap=exhaustive_cap))
+        reports.append(run_search(n, STRATEGY_WEIGHT))
 
     problems = []
     baseline = reports[0]

@@ -102,6 +102,12 @@ def test_analyze_rejects_unsupported_order(capsys):
     assert "divisible by 4" in err
 
 
+def test_analyze_non_integer_mode_names_the_flag(capsys):
+    code, out, err = run(capsys, "analyze", "--seq", "-+++", "--k", "abc")
+    assert code == 2
+    assert out == "" and "--k" in err and "invalid literal" not in err
+
+
 # ---------------------------------------------------------------------------
 # search / report
 
@@ -223,6 +229,17 @@ def test_search_malformed_checkpoint_line_is_invalid_input(capsys, tmp_path):
     assert out == "" and "does not read" in err
 
 
+def test_search_checkpoint_with_malformed_header_is_invalid_input(capsys, tmp_path):
+    cp = tmp_path / "cp.txt"
+    argv = ("search", "--n", "4", "--strategy", "exhaustive", "--checkpoint", str(cp))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    cp.write_text(cp.read_text().replace("n=4\n", "n=abc\n", 1))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and str(cp) in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # congruence / basis-rank / lemma
 
@@ -293,6 +310,12 @@ def test_lemma_with_sequence(capsys):
 def test_lemma_requires_valid_selector(capsys):
     code, _, err = run(capsys, "lemma", "--n", "4", "--which", "5")
     assert code == 2
+
+
+def test_lemma_non_integer_selector_gets_the_selector_message(capsys):
+    code, out, err = run(capsys, "lemma", "--n", "4", "--which", "1,x")
+    assert code == 2
+    assert out == "" and "--which takes a comma-separated subset of 1,2,3" in err
 
 
 def test_lemma_check3_unsupported_order(capsys):

@@ -359,11 +359,6 @@ def test_exhaustive_cap_env_zero_refuses_every_order(monkeypatch):
     assert run_search(1, STRATEGY_DFS).raw_count == 2  # the DFS has its own cap
 
 
-def test_explicit_cap_argument_overrides_env(monkeypatch):
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "4")
-    assert run_search(8, STRATEGY_EXHAUSTIVE, exhaustive_cap=8).raw_count == 0
-
-
 # ---------------------------------------------------------------------------
 # determinism across jobs
 
@@ -516,19 +511,85 @@ def test_checkpoint_torn_last_line_is_dropped_on_resume(tmp_path, torn):
 def test_checkpoint_torn_header_starts_afresh(tmp_path):
     cp = tmp_path / "cp.txt"
     full = run_search(4, STRATEGY_EXHAUSTIVE)
-    cp.write_text("# circhad search chec")
+    for torn in ("# circhad search chec", "# circhad search checkpoint v1\nn=4\nstrat"):
+        cp.write_text(torn)
+        assert same_but_elapsed(run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp)), full)
+        assert cp.read_text().startswith("# circhad search checkpoint v1\nn=4\n")
+
+
+# The order-4 exhaustive checkpoint byte for byte (elapsed_ms masked):
+# one row per shard, shards in ascending prefix order, bit i of the
+# prefix at position i.
+ORDER_FOUR_CHECKPOINT = """\
+# circhad search checkpoint v1
+n=4
+strategy=exhaustive
+prefix_bits=4
+prefix=0000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-+++
+prefix=0100 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+-++
+prefix=1100 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=0010 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=++-+
+prefix=1010 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=0110 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=1110 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=---+
+prefix=0001 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+++-
+prefix=1001 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=0101 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=1101 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=--+-
+prefix=0011 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=1011 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-+--
+prefix=0111 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+---
+prefix=1111 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+"""
+
+
+def masked_bytes(path):
+    return re.sub(rb"elapsed_ms=[0-9]+", b"elapsed_ms=0", path.read_bytes())
+
+
+def test_checkpoint_bytes_are_pinned_fresh_and_after_a_resume(tmp_path):
+    cp = tmp_path / "cp.txt"
+    full = run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    assert masked_bytes(cp) == ORDER_FOUR_CHECKPOINT.encode("ascii")
+    lines = cp.read_bytes().splitlines(True)
+    cp.write_bytes(b"".join(lines[:11]) + lines[11][:20])  # cut mid-line
     assert same_but_elapsed(run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp)), full)
-    assert cp.read_text().startswith("# circhad search checkpoint v1\nn=4\n")
+    assert masked_bytes(cp) == ORDER_FOUR_CHECKPOINT.encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "edit, strategy",
+    [
+        (lambda head, shards: [head[0], b"n=abc\n", *head[2:], *shards], STRATEGY_EXHAUSTIVE),
+        (lambda head, shards: head + shards + [b"strategy=pruned-dfs\n"], STRATEGY_DFS),
+        (lambda head, shards: head + shards + [b"n=4\n"], STRATEGY_EXHAUSTIVE),
+        (lambda head, shards: head + shards[:8] + [b"\n"] + shards[8:], STRATEGY_EXHAUSTIVE),
+        (lambda head, shards: head + shards[:8] + [b"# note\n"] + shards[8:], STRATEGY_EXHAUSTIVE),
+        (lambda head, shards: head + shards[:8] + [b"# caf\xc3\xa9\n"] + shards[8:],
+         STRATEGY_EXHAUSTIVE),
+    ],
+    ids=["header_n_not_a_number", "strategy_line_appended", "n_line_appended",
+         "blank_line", "comment_line", "non_ascii_byte"],
+)
+def test_checkpoint_must_read_exactly_as_written(tmp_path, edit, strategy):
+    cp = tmp_path / "cp.txt"
+    run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    lines = cp.read_bytes().splitlines(True)
+    cp.write_bytes(b"".join(edit(lines[:4], lines[4:])))
+    with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp}")):
+        run_search(4, strategy, checkpoint=str(cp))
 
 
 # ---------------------------------------------------------------------------
 # bounded process pool
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and maps serially."""
+    """Stands in for ProcessPoolExecutor: records its size and tasks and maps serially."""
 
-    def __init__(self, max_workers, sizes):
+    def __init__(self, max_workers, sizes, tasks=None):
         sizes.append(max_workers)
+        self.tasks = [] if tasks is None else tasks
 
     def __enter__(self):
         return self
@@ -537,6 +598,8 @@ class RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.tasks.extend(items)
         return map(fn, items)
 
 
@@ -563,6 +626,17 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     monkeypatch.setattr(search.os, "cpu_count", lambda: 16)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=8, checkpoint=cp), base)
     assert sizes == [3, 1, 2]
+
+
+def test_shard_split_is_bounded_whatever_jobs(monkeypatch):
+    sizes, tasks = [], []
+    monkeypatch.setattr(
+        search.concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes, tasks),
+    )
+    base = run_search(16, STRATEGY_EXHAUSTIVE, jobs=1)
+    assert same_but_elapsed(run_search(16, STRATEGY_EXHAUSTIVE, jobs=100000), base)
+    assert len(sizes) == 1 and 0 < len(tasks) <= 256
 
 
 # ---------------------------------------------------------------------------
