@@ -39,9 +39,9 @@ _K_ZERO_NOTE = (
 
 def _load_sequences(args) -> list[sequences.Sequence]:
     rows = []
-    if getattr(args, "seq", None):
+    if args.seq:
         rows.append(sequences.Sequence.from_string(args.seq))
-    if getattr(args, "seq_file", None):
+    if args.seq_file:
         with open(args.seq_file, encoding="ascii") as f:
             for line in f:
                 line = line.strip()
@@ -60,22 +60,14 @@ def _fields_payload(result, drop: tuple[str, ...] = ()) -> dict:
 # ---------------------------------------------------------------------------
 # verify
 
-def _check1_payload(n: int) -> dict:
-    return _fields_payload(sequences.even_order_check(n), drop=("n",))
-
-
-def _check2_payload(seq: sequences.Sequence) -> dict:
-    return _fields_payload(sequences.square_weight_check(seq), drop=("n",))
-
-
 def _verify_payload(seq: sequences.Sequence) -> dict:
     hadamard = sequences.is_circulant_hadamard(seq)
     matrix = sequences.has_orthogonal_rows(seq)
     return {
         "sequence": seq.to_string(),
         "n": seq.n,
-        "even_order": _check1_payload(seq.n),
-        "square_weight": _check2_payload(seq),
+        "even_order": _fields_payload(sequences.even_order_check(seq.n), drop=("n",)),
+        "square_weight": _fields_payload(sequences.square_weight_check(seq), drop=("n",)),
         "is_circulant_hadamard": hadamard,
         "matrix_identity": matrix,
         "passed": hadamard,
@@ -226,15 +218,17 @@ def _cmd_lemma(args) -> int:
         raise ValueError("give --n or --seq")
     if seq is not None and args.n is not None and seq.n != args.n:
         raise ValueError(f"--n {args.n} disagrees with the sequence length {seq.n}")
+    if n < 1:
+        raise ValueError(f"order must be positive, got --n {n}")
 
     payload: dict = {"n": n}
     failed = False
     if 1 in which:
-        payload["check1"] = _check1_payload(n)
+        payload["check1"] = _fields_payload(sequences.even_order_check(n), drop=("n",))
         failed = failed or not payload["check1"]["passed"]
     if 2 in which:
         if seq is not None:
-            payload["check2"] = _check2_payload(seq)
+            payload["check2"] = _fields_payload(sequences.square_weight_check(seq), drop=("n",))
             failed = failed or not payload["check2"]["passed"]
         else:
             expected = sequences.expected_minus_counts(n)

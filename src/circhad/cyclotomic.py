@@ -5,6 +5,9 @@ multiplying the e-th power of the primitive n-th root.  Equality and the
 zero test are canonical: an element is zero exactly when its coefficient
 polynomial reduces to zero modulo the n-th cyclotomic polynomial, which
 is a decision procedure independent of any particular spanning set.
+One monic long division does both jobs: it builds the cyclotomic
+polynomial from x^n - 1 and the polynomials of the proper divisors of n,
+and its remainder on an element is that element's canonical residue.
 
 The module also provides the first-quadrant cosine basis used for
 spectral analysis: the real numbers 1, 2cos(2*pi/n), 2cos(4*pi/n), ...
@@ -48,27 +51,23 @@ def euler_phi(n: int) -> int:
 # Integer polynomials, dense tuples with the constant term first.
 
 def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Quotient and remainder of integer polynomials.
+    """Quotient and remainder of integer polynomials by a monic divisor.
 
-    Division steps must be exact over the integers (always the case for
-    the monic divisors used here); a non-exact step raises.
+    Every divisor used here is a cyclotomic polynomial, hence monic, so
+    every division step is exact over the integers.
     """
-    lead = den[-1]
+    assert den[-1] == 1
     deg_d = len(den) - 1
     work = list(num)
     if len(work) <= deg_d:
         return (), tuple(work)
     quot = [0] * (len(work) - deg_d)
     for i in range(len(work) - 1, deg_d - 1, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        if c % lead:
-            raise ArithmeticError("polynomial division is not exact over the integers")
-        f = c // lead
-        quot[i - deg_d] = f
-        for j, d in enumerate(den):
-            work[i - deg_d + j] -= f * d
+        f = work[i]
+        if f:
+            quot[i - deg_d] = f
+            for j, d in enumerate(den):
+                work[i - deg_d + j] -= f * d
     return tuple(quot), tuple(work[:deg_d])
 
 
@@ -92,29 +91,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
             assert not any(rem)
     return poly
-
-
-@functools.lru_cache(maxsize=None)
-def _reduction_vectors(n: int) -> tuple[tuple[int, ...], ...]:
-    """Residue of each root power modulo the n-th cyclotomic polynomial.
-
-    Entry e is the coefficient vector (length phi(n)) of x^e reduced mod
-    the cyclotomic polynomial; reducing an arbitrary element is then a
-    single integer linear combination of these vectors.
-    """
-    phi_poly = cyclotomic_polynomial(n)
-    deg = len(phi_poly) - 1
-    vectors = []
-    cur = [0] * deg
-    cur[0] = 1
-    for _ in range(n):
-        vectors.append(tuple(cur))
-        carry = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if carry:
-            for i in range(deg):
-                cur[i] -= carry * phi_poly[i]
-    return tuple(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +182,11 @@ class CycloElement:
         return self.power_map(-1)
 
     def residue(self) -> tuple[int, ...]:
-        """Canonical representative modulo the n-th cyclotomic polynomial."""
-        vectors = _reduction_vectors(self.n)
-        deg = len(vectors[0])
-        out = [0] * deg
-        for e, a in enumerate(self.coeffs):
-            if a:
-                vec = vectors[e]
-                for i in range(deg):
-                    out[i] += a * vec[i]
-        return tuple(out)
+        """Canonical representative modulo the n-th cyclotomic polynomial.
+
+        The remainder of the same long division that builds the polynomial.
+        """
+        return _poly_divmod(self.coeffs, cyclotomic_polynomial(self.n))[1]
 
     def is_zero(self) -> bool:
         """Canonical zero test: the residue vanishes identically."""

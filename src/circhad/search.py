@@ -531,8 +531,8 @@ def revalidate_report(report: SearchReport) -> list[str]:
     Every listed row is re-checked with the exact autocorrelation test
     and the independent matrix product, and count consistency is checked
     against the listing cap.  The listing must be strictly ascending (as
-    ``run_search`` writes it), the strategy label known and the counts
-    non-negative.
+    ``run_search`` writes it), the strategy label known, the order
+    positive and the counts and ``elapsed_ms`` non-negative.
     """
     from .sequences import has_orthogonal_rows  # local import to keep startup light
 
@@ -541,7 +541,9 @@ def revalidate_report(report: SearchReport) -> list[str]:
         problems.append(f"unsupported schema_version {report.schema_version}")
     if report.strategy not in _REPORT_STRATEGIES:
         problems.append(f"unknown strategy {report.strategy!r}")
-    for key in ("raw_count", "canonical_count", "nodes_explored", "cap"):
+    if report.n < 1:
+        problems.append(f"n is {report.n}, not a positive order")
+    for key in ("raw_count", "canonical_count", "nodes_explored", "elapsed_ms", "cap"):
         if getattr(report, key) < 0:
             problems.append(f"{key} is negative")
     if len(report.solutions) > report.cap:

@@ -318,6 +318,13 @@ def test_lemma_non_integer_selector_gets_the_selector_message(capsys):
     assert out == "" and "--which takes a comma-separated subset of 1,2,3" in err
 
 
+@pytest.mark.parametrize("order", ["0", "-4"])
+def test_lemma_rejects_a_non_positive_order_before_any_check(capsys, order):
+    code, out, err = run(capsys, "lemma", "--n", order, "--which", "2")
+    assert code == 2
+    assert out == "" and f"order must be positive, got --n {order}" in err
+
+
 def test_lemma_check3_unsupported_order(capsys):
     code, _, err = run(capsys, "lemma", "--n", "8", "--which", "3")
     assert code == 2

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import pytest
 import sympy
@@ -207,6 +208,18 @@ def test_residue_matches_numeric_evaluation():
         lhs = approx_complex(a)
         rhs = sum(c * w**e for e, c in enumerate(res))
         assert abs(lhs - rhs) < 1e-8
+
+
+def test_residue_is_sympys_remainder_modulo_the_cyclotomic_polynomial():
+    x = sympy.Symbol("x")
+    rng = random.Random(1)
+    for n in [*range(1, 61), 64, 100, 144]:
+        phi = sympy.Poly(sympy.cyclotomic_poly(n, x), x)
+        for _ in range(3):
+            coeffs = tuple(rng.randint(-9, 9) for _ in range(n))
+            rem = sympy.Poly(coeffs[::-1], x).rem(phi).all_coeffs()[::-1]
+            expected = tuple(int(c) for c in rem) + (0,) * (euler_phi(n) - len(rem))
+            assert CycloElement(n, coeffs).residue() == expected, (n, coeffs)
 
 
 # ---------------------------------------------------------------------------

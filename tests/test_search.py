@@ -758,9 +758,12 @@ def tampered(**changes):
         (tampered(nodes_explored=-1), "nodes_explored is negative"),
         (tampered(cap=-1), "cap is negative"),
         (tampered(cap=3), "more than the cap"),
+        (tampered(n=-5, solutions=[], raw_count=0, canonical_count=0), "not a positive order"),
+        (tampered(n=0, solutions=[], raw_count=0, canonical_count=0), "not a positive order"),
+        (tampered(elapsed_ms=-7), "elapsed_ms is negative"),
     ],
     ids=["duplicate", "descending", "strategy", "raw_count", "canonical_count",
-         "nodes_explored", "cap", "over_cap"],
+         "nodes_explored", "cap", "over_cap", "n_negative", "n_zero", "elapsed_ms"],
 )
 def test_revalidate_flags_malformed_reports(data, problem):
     problems = revalidate_report(report_from_dict(data))
