@@ -19,6 +19,7 @@ exit 0 when the query itself is well-formed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -274,7 +275,9 @@ def _cmd_lemma(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing leaves the parser as it was.
     parser = argparse.ArgumentParser(
         prog="circhad",
         description="Exact verification, analysis and search for circulant Hadamard rows.",

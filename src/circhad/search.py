@@ -5,12 +5,12 @@ visits sign rows directly and keeps only those whose circulant matrix is
 exactly Hadamard.  Three strategies are provided and must always agree
 on what they find:
 
-* ``exhaustive``        -- all 2^n rows (bit-mask walk, exact popcount math);
+* ``exhaustive``        -- all 2^n rows (bit-sliced walk, exact counts);
 * ``weight-constrained``-- only rows carrying one of the two admissible
                            -1 counts for a perfect-square order; the same
                            walker and row test as ``exhaustive``, fed
-                           the prefix OR-ed with each admissible choice
-                           of -1 positions instead of every suffix;
+                           the prefix with each admissible choice of -1
+                           positions instead of every suffix;
 * ``pruned-dfs``        -- left-to-right sign assignment, backtracking as
                            soon as any partial autocorrelation provably
                            cannot reach zero (magnitude or parity).  All
@@ -31,8 +31,15 @@ always the length of a listing.  Every row a strategy emits is
 re-verified with the exact integer autocorrelation before it is reported.
 
 Rows are represented internally as bit masks (bit i set means entry i is
--1); r[t] = n - 2*popcount(b XOR rotate(b, t)), still exact integer
-arithmetic, just cheaper than the sum form.
+-1), and r[t] = n - 2*c_t with c_t the number of positions i where
+h[i] != h[i+t mod n].  The full enumerations test rows bit-sliced, in
+blocks of up to 2^16: a block is n ints ("planes"), bit j of plane i
+being entry i of row j.  For each shift t <= n/2 the n XORs of plane i
+with plane i+t are added in a bit-sliced ripple counter, which holds
+every row's c_t at once, and the rows with c_t = n/2 are kept as a mask;
+a block is done when its mask is empty.  This is the same exact integer
+arithmetic, a few hundred big-integer operations per block instead of a
+Python loop per row.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import functools
-import itertools
 import math
 import os
 import re
@@ -116,32 +122,119 @@ def canonicalize(seq: Sequence) -> Sequence:
 # match ``prefix`` and returns (nodes visited, solution bit masks):
 # ``_walk_shard`` for both full enumerations, ``_dfs_shard`` for the
 # pruned DFS.
+#
+# The walker's blocks (see the module docstring) are (full, planes): full
+# has one bit per row of the block, planes[i] bit j set when row j has
+# -1 at position i.
+
+_BLOCK_BITS = 16  # at most 2^16 rows per block: planes of 8 KiB each
+
+
+@functools.cache
+def _stripes(b: int) -> tuple[int, ...]:
+    """Planes of b free positions over all their 2^b rows: bit j of plane k is bit k of j.
+
+    Plane k repeats 2^k zeros then 2^k ones; the period is doubled by
+    shift and OR, since a big-integer division here costs milliseconds.
+    """
+    planes = []
+    for k in range(b):
+        plane, period = ((1 << (1 << k)) - 1) << (1 << k), 2 << k
+        while period < 1 << b:
+            plane |= plane << period
+            period <<= 1
+        planes.append(plane)
+    return tuple(planes)
+
+
+@functools.cache
+def _placements(n: int, a: int, k: int) -> tuple[int, ...]:
+    """Planes of positions a..n-1 over the C(n-a, k) ways to put k -1s there.
+
+    Rows come in ``itertools.combinations(range(a, n), k)`` order: those
+    with a -1 at position a, then those without.
+    """
+    if k == 0 or k == n - a:
+        return (min(k, 1),) * (n - a)
+    split = math.comb(n - a - 1, k - 1)
+    with_a, without_a = _placements(n, a + 1, k - 1), _placements(n, a + 1, k)
+    return ((1 << split) - 1,) + tuple(w | (o << split) for w, o in zip(with_a, without_a))
+
+
+def _exhaustive_blocks(n: int, prefix: int, plen: int):
+    """(full, planes) blocks of every row on the prefix, in ascending row order."""
+    b = min(n - plen, _BLOCK_BITS)
+    full = (1 << (1 << b)) - 1
+    for high in range(1 << (n - plen - b)):
+        fixed = prefix | (high << (plen + b))
+        planes = [full * (fixed >> i & 1) for i in range(n)]
+        planes[plen:plen + b] = _stripes(b)
+        yield full, planes
+
+
+def _weight_blocks(n: int, a: int, k: int, fixed: int):
+    """(full, planes) blocks of the rows with k -1s after position a, fixed before it.
+
+    A placement set too large for one block is split on position a, in
+    ``itertools.combinations`` order.
+    """
+    rows = math.comb(n - a, k)
+    if rows <= 1 << _BLOCK_BITS:
+        full = (1 << rows) - 1
+        yield full, [full * (fixed >> i & 1) for i in range(a)] + list(_placements(n, a, k))
+    else:
+        yield from _weight_blocks(n, a + 1, k - 1, fixed | 1 << a)
+        yield from _weight_blocks(n, a + 1, k, fixed)
+
+
+def _zero_shift_mask(planes: list[int], t: int, full: int) -> int:
+    """The block rows with r_t = 0.
+
+    r_t = n - 2*c, c the number of positions i with h[i] != h[i+t mod n];
+    the difference planes are added in a bit-sliced ripple counter
+    (level k holds bit k of every row's c) and compared with n/2.  At
+    odd n every r_t is odd, so no row qualifies.
+    """
+    n = len(planes)
+    if n & 1:
+        return 0
+    counter = [0] * n.bit_length()
+    for i in range(n):
+        carry = planes[i] ^ planes[(i + t) % n]
+        for k, level in enumerate(counter):
+            counter[k] = level ^ carry
+            carry &= level
+            if not carry:
+                break
+    half = n >> 1
+    mask = full
+    for k, level in enumerate(counter):
+        mask &= level if half >> k & 1 else full ^ level
+    return mask
+
 
 def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
     """Test every row on the prefix, or only those with an admissible -1 count."""
     if weights is None:
-        rows = range(prefix, 1 << n, 1 << plen)
-        nodes = len(rows)
+        blocks = _exhaustive_blocks(n, prefix, plen)
+        nodes = 1 << (n - plen)
     else:
-        free = range(plen, n)
         needs = [w - prefix.bit_count() for w in sorted(set(weights))]
-        needs = [k for k in needs if 0 <= k <= len(free)]
-        rows = (
-            prefix | sum(1 << i for i in combo)
-            for k in needs for combo in itertools.combinations(free, k)
-        )
-        nodes = sum(math.comb(len(free), k) for k in needs)
-    mask = (1 << n) - 1
-    half = n // 2
+        needs = [k for k in needs if 0 <= k <= n - plen]
+        blocks = (block for k in needs for block in _weight_blocks(n, plen, k, prefix))
+        nodes = sum(math.comb(n - plen, k) for k in needs)
     sols = []
-    for bits in rows:
+    for full, planes in blocks:
+        alive = full
         # r[t] = r[n-t], so the shifts 0 < t <= n/2 decide the row.
-        for t in range(1, half + 1):
-            rot = ((bits >> t) | (bits << (n - t))) & mask
-            if 2 * (bits ^ rot).bit_count() != n:
+        for t in range(1, n // 2 + 1):
+            alive &= _zero_shift_mask(planes, t, full)
+            if not alive:
                 break
-        else:
-            sols.append(bits)
+        while alive:
+            j = (alive & -alive).bit_length() - 1
+            sols.append(sum(1 << i for i, plane in enumerate(planes) if plane >> j & 1))
+            alive &= alive - 1
     return nodes, sols
 
 
@@ -532,7 +625,10 @@ def revalidate_report(report: SearchReport) -> list[str]:
     and the independent matrix product, and count consistency is checked
     against the listing cap.  The listing must be strictly ascending (as
     ``run_search`` writes it), the strategy label known, the order
-    positive and the counts and ``elapsed_ms`` non-negative.
+    positive and the counts and ``elapsed_ms`` non-negative.  A full
+    enumeration must report the node count its order fixes: 2^n for
+    ``exhaustive``, the rows of the admissible -1 counts for
+    ``weight-constrained`` (a perfect-square order).
     """
     from .sequences import has_orthogonal_rows  # local import to keep startup light
 
@@ -554,6 +650,23 @@ def revalidate_report(report: SearchReport) -> list[str]:
         problems.append("raw_count is smaller than the number of listed solutions")
     if report.raw_count <= report.cap and report.raw_count != len(report.solutions):
         problems.append("raw_count disagrees with the untruncated solution list")
+    if report.strategy in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT) and report.n >= 1:
+        weights = expected_minus_counts(report.n)
+        # Both visit a node count fixed by n, between 2^(n/4) and 2^n
+        # (C(n, w) >= 2^w for w <= n/2, and the smaller admissible weight
+        # is at least n/4 from n = 4 on), so a count whose bit length
+        # rules n out is flagged before 2^n or C(n, w) is built.
+        size = report.nodes_explored.bit_length()
+        if report.strategy == STRATEGY_WEIGHT and weights is None:
+            problems.append(f"strategy {STRATEGY_WEIGHT} needs a perfect-square order, not {report.n}")
+        elif not report.n <= 4 * size <= 4 * (report.n + 1) or report.nodes_explored != (
+            1 << report.n if report.strategy == STRATEGY_EXHAUSTIVE
+            else sum(math.comb(report.n, w) for w in set(weights))
+        ):
+            problems.append(
+                f"nodes_explored {report.nodes_explored} is not the number of rows"
+                f" every {report.strategy} run of order {report.n} visits"
+            )
     seen_canonical = set()
     for text in report.solutions:
         try:

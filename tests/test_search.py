@@ -1,6 +1,7 @@
 """Enumeration strategies, canonical forms, checkpoints, cross-validation."""
 
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -26,6 +27,7 @@ from circhad.search import (
 )
 from circhad.sequences import (
     Sequence,
+    autocorrelation,
     expected_minus_counts,
     has_orthogonal_rows,
     is_circulant_hadamard,
@@ -259,7 +261,77 @@ def test_dfs_kernel_matches_reference_on_order_36_shards():
 
 
 # ---------------------------------------------------------------------------
-# the full-enumeration walker against a naive filter
+# the bit-sliced full-enumeration walker against the per-row loop and a
+# naive filter
+
+def reference_walk_shard(n, prefix, plen, weights):
+    """The full enumeration written row by row, one rotated-XOR popcount per shift."""
+    if weights is None:
+        rows = range(prefix, 1 << n, 1 << plen)
+        nodes = len(rows)
+    else:
+        free = range(plen, n)
+        needs = [w - prefix.bit_count() for w in sorted(set(weights))]
+        needs = [k for k in needs if 0 <= k <= len(free)]
+        rows = (
+            prefix | sum(1 << i for i in combo)
+            for k in needs for combo in itertools.combinations(free, k)
+        )
+        nodes = sum(math.comb(len(free), k) for k in needs)
+    mask = (1 << n) - 1
+    sols = []
+    for bits in rows:
+        for t in range(1, n // 2 + 1):
+            rot = ((bits >> t) | (bits << (n - t))) & mask
+            if 2 * (bits ^ rot).bit_count() != n:
+                break
+        else:
+            sols.append(bits)
+    return nodes, sols
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_zero_shift_mask_matches_autocorrelation_on_every_row(n):
+    planes = list(search._stripes(n))
+    full = (1 << (1 << n)) - 1
+    correlations = [
+        autocorrelation(Sequence(tuple(-1 if (j >> i) & 1 else 1 for i in range(n))))
+        for j in range(1 << n)
+    ]
+    for t in range(n):
+        expected = sum(1 << j for j, r in enumerate(correlations) if r[t] == 0)
+        assert search._zero_shift_mask(planes, t, full) == expected, t
+
+
+@pytest.mark.parametrize("n", range(16, 25))
+def test_zero_shift_mask_matches_autocorrelation_on_random_blocks(n):
+    rng = random.Random(n)
+    lanes = 512
+    full = (1 << lanes) - 1
+    planes = [rng.getrandbits(lanes) for _ in range(n)]
+    correlations = [
+        autocorrelation(Sequence(tuple(-1 if (p >> j) & 1 else 1 for p in planes)))
+        for j in range(lanes)
+    ]
+    for t in range(n):
+        expected = sum(1 << j for j, r in enumerate(correlations) if r[t] == 0)
+        # r_t = n (mod 4) at even n, so only n = 0 (mod 4) has zero shifts.
+        assert bool(expected) == (n % 4 == 0 and t > 0), t
+        assert search._zero_shift_mask(planes, t, full) == expected, t
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_walker_matches_reference_on_every_prefix(n):
+    weight_options = [None]
+    if expected_minus_counts(n) is not None:
+        weight_options.append(expected_minus_counts(n))
+    for plen in sorted({0, min(2, n), min(8, n)}):
+        for weights in weight_options:
+            for prefix in range(1 << plen):
+                assert search._walk_shard(n, prefix, plen, weights) == reference_walk_shard(
+                    n, prefix, plen, weights
+                ), (plen, weights, prefix)
+
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_walker_matches_naive_filter_on_every_prefix(n):
@@ -761,9 +833,25 @@ def tampered(**changes):
         (tampered(n=-5, solutions=[], raw_count=0, canonical_count=0), "not a positive order"),
         (tampered(n=0, solutions=[], raw_count=0, canonical_count=0), "not a positive order"),
         (tampered(elapsed_ms=-7), "elapsed_ms is negative"),
+        (tampered(n=16, solutions=[], raw_count=0, canonical_count=0, nodes_explored=5),
+         "nodes_explored 5 is not the number of rows every exhaustive run of order 16 visits"),
+        (tampered(nodes_explored=15), "nodes_explored 15 is not"),
+        (tampered(nodes_explored=17), "nodes_explored 17 is not"),
+        (tampered(strategy="weight-constrained", n=9, solutions=[], raw_count=0,
+                  canonical_count=0, nodes_explored=0),
+         "nodes_explored 0 is not the number of rows every weight-constrained run of order 9 visits"),
+        (tampered(strategy="weight-constrained", nodes_explored=7), "nodes_explored 7 is not"),
+        (tampered(strategy="weight-constrained", n=8, solutions=[], raw_count=0,
+                  canonical_count=0, nodes_explored=112), "needs a perfect-square order, not 8"),
+        (tampered(n=10**9, solutions=[], raw_count=0, canonical_count=0, nodes_explored=2**4000),
+         "every exhaustive run of order 1000000000 visits"),
+        (tampered(strategy="weight-constrained", n=10**18, solutions=[], raw_count=0,
+                  canonical_count=0), "every weight-constrained run of order 10"),
     ],
     ids=["duplicate", "descending", "strategy", "raw_count", "canonical_count",
-         "nodes_explored", "cap", "over_cap", "n_negative", "n_zero", "elapsed_ms"],
+         "nodes_explored", "cap", "over_cap", "n_negative", "n_zero", "elapsed_ms",
+         "exhaustive_truncated", "exhaustive_short", "exhaustive_long", "weight_truncated",
+         "weight_short", "weight_non_square", "exhaustive_huge_order", "weight_huge_order"],
 )
 def test_revalidate_flags_malformed_reports(data, problem):
     problems = revalidate_report(report_from_dict(data))
