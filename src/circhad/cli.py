@@ -53,6 +53,46 @@ def _load_sequences(args) -> list[sequences.Sequence]:
     return rows
 
 
+def _json_text(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, without the stdlib's per-item pass.
+
+    With an indent the stdlib encodes in pure Python, one generator step
+    per list entry; a payload's longest lists (``cVector``, ``J``) are
+    flat integer lists, joined here by one ``str.join``.  ``bool`` is an
+    ``int`` subclass printed as ``true``/``false``, so only lists whose
+    entries are all exactly ``int`` take that path.  Keys must be
+    strings; any scalar but a string, ``int``, ``bool`` or ``None`` goes
+    to ``json.dumps``, which prints it (or refuses it) as the stdlib would.
+    """
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_json_text(v, inner) for v in obj)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()
+        )
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(obj)
+
+
 def _fields_payload(result, drop: tuple[str, ...] = ()) -> dict:
     """The fields of a result dataclass, in declaration order, as a JSON object."""
     return {f.name: getattr(result, f.name) for f in fields(result) if f.name not in drop}
@@ -80,7 +120,7 @@ def _cmd_verify(args) -> int:
     payloads = [_verify_payload(seq) for seq in rows]
     if args.format == "json":
         out = payloads[0] if len(payloads) == 1 else payloads
-        print(json.dumps(out, indent=2))
+        print(_json_text(out))
     else:
         for p in payloads:
             print(f"sequence {p['sequence']} (n={p['n']})")
@@ -131,7 +171,7 @@ def _cmd_analyze(args) -> int:
         ],
         "overall": overall,
     }
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
     return EXIT_PASS if overall else EXIT_FAIL
 
 
@@ -148,7 +188,7 @@ def _cmd_search(args) -> int:
         checkpoint=args.checkpoint,
     )
     payload = search.report_to_dict(report)
-    text = json.dumps(payload, indent=2)
+    text = _json_text(payload)
     print(text)
     if args.out:
         with open(args.out, "w", encoding="ascii") as f:
@@ -162,7 +202,7 @@ def _cmd_report(args) -> int:
     report = search.report_from_dict(data)
     problems = search.revalidate_report(report)
     print(
-        json.dumps(
+        _json_text(
             {
                 "n": report.n,
                 "strategy": report.strategy,
@@ -170,8 +210,7 @@ def _cmd_report(args) -> int:
                 "solutions_checked": len(report.solutions),
                 "valid": not problems,
                 "problems": problems,
-            },
-            indent=2,
+            }
         )
     )
     return EXIT_PASS if not problems else EXIT_FAIL
@@ -183,7 +222,7 @@ def _cmd_report(args) -> int:
 def _cmd_congruence(args) -> int:
     c = args.c if args.c is not None else args.n // 2
     sol = congruences.solve_linear_congruence(args.k, c, args.n)
-    print(json.dumps(_fields_payload(sol), indent=2))
+    print(_json_text(_fields_payload(sol)))
     return EXIT_PASS
 
 
@@ -193,7 +232,7 @@ def _cmd_congruence(args) -> int:
 def _cmd_basis_rank(args) -> int:
     report = cyclotomic.real_basis_rank(args.n)
     if args.format == "json":
-        print(json.dumps(_fields_payload(report), indent=2))
+        print(_json_text(_fields_payload(report)))
     else:
         print("n,basis_size,rank,euler_half,independent")
         print(
@@ -243,7 +282,7 @@ def _cmd_lemma(args) -> int:
         payload["check3"] = _fields_payload(congruences.half_period_report(n), drop=("n",))
 
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(f"n={n}")
         if "check1" in payload:

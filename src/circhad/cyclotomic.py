@@ -9,6 +9,12 @@ One monic long division does both jobs: it builds the cyclotomic
 polynomial from x^n - 1 and the polynomials of the proper divisors of n,
 and its remainder on an element is that element's canonical residue.
 
+The power map g of an element, for g dividing n, lies in the subfield
+generated by the primitive (n/g)-th root w_n^g.  ``fold`` gives it as an
+order-n/g element (coefficients summed by residue mod n/g), so the zero
+test of every power map (``zero_at_powers``) is one division per divisor
+g modulo the cyclotomic polynomial of order n/g, not of order n.
+
 The module also provides the first-quadrant cosine basis used for
 spectral analysis: the real numbers 1, 2cos(2*pi/n), 2cos(4*pi/n), ...
 up to index n/4 - 1.  Real (conjugation-symmetric) elements fold onto
@@ -62,11 +68,14 @@ def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int,
     if len(work) <= deg_d:
         return (), tuple(work)
     quot = [0] * (len(work) - deg_d)
+    # Cyclotomic polynomials are sparse (x^48 - x^24 + 1 for order 144),
+    # so each step subtracts only the divisor's nonzero terms.
+    terms = [(j, d) for j, d in enumerate(den) if d]
     for i in range(len(work) - 1, deg_d - 1, -1):
         f = work[i]
         if f:
             quot[i - deg_d] = f
-            for j, d in enumerate(den):
+            for j, d in terms:
                 work[i - deg_d + j] -= f * d
     return tuple(quot), tuple(work[:deg_d])
 
@@ -164,17 +173,34 @@ class CycloElement:
             out[k * e % n] += a
         return CycloElement(n, tuple(out))
 
+    def fold(self, m: int) -> CycloElement:
+        """The power map n/m read as an order-m element, for m dividing n.
+
+        Coefficient r sums the coefficients at every e = r (mod m): the
+        root power n/m is a primitive m-th root, so
+        sum_e a_e w_n^(e*n/m) = sum_r fold[r] w_m^r.  Built as one
+        column sum over the n/m consecutive length-m slices.
+        """
+        n = self.n
+        if m < 1 or n % m:
+            raise ValueError(f"fold order {m} does not divide {n}")
+        c = self.coeffs
+        return CycloElement(m, tuple(map(sum, zip(*[c[i : i + m] for i in range(0, n, m)]))))
+
     def zero_at_powers(self) -> Iterator[bool]:
         """Lazily yield, for k = 0..n-1, whether ``power_map(k)`` is zero.
 
-        The root power k is a Galois conjugate of the root power gcd(k, n),
-        so one canonical zero test per divisor of n decides every k.
+        The root power k is a Galois conjugate of the root power g =
+        gcd(k, n), a primitive (n/g)-th root, so one canonical zero test
+        per divisor g decides every k, made in the subfield of order n/g
+        on ``fold(n // g)``: a division modulo the cyclotomic polynomial
+        of order n/g instead of order n.
         """
         by_divisor: dict[int, bool] = {}
         for k in range(self.n):
             g = math.gcd(k, self.n)
             if g not in by_divisor:
-                by_divisor[g] = self.power_map(g).is_zero()
+                by_divisor[g] = self.fold(self.n // g).is_zero()
             yield by_divisor[g]
 
     def conjugate(self) -> CycloElement:

@@ -110,10 +110,14 @@ def is_circulant_hadamard(seq: Sequence) -> bool:
 
 
 def build_circulant(seq: Sequence) -> tuple[tuple[int, ...], ...]:
-    """The circulant matrix: row i is the row cyclically shifted i places right."""
+    """The circulant matrix: row i is the row cyclically shifted i places right.
+
+    Entry (i, j) is h[(j - i) mod n]; each row is one rotation slice
+    ``h[n-i:] + h[:n-i]`` of the first.
+    """
     h = seq.entries
     n = len(h)
-    return tuple(tuple(h[(j - i) % n] for j in range(n)) for i in range(n))
+    return tuple(h[n - i :] + h[: n - i] for i in range(n))
 
 
 def has_orthogonal_rows(seq: Sequence) -> bool:

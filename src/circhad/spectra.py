@@ -11,7 +11,11 @@ pair sum over those classes.
 Only the mode-1 table is counted: mode k's is its power map k (class d
 moves to k*d mod n).  One canonical zero test per divisor g of n decides
 flatness for every mode, as the root power k is a Galois conjugate of
-the root power g = gcd(k, n) (both are primitive roots of order n/g).
+the root power g = gcd(k, n) (both are primitive roots of order n/g);
+the test runs in that subfield, on the mode-1 table folded mod n/g.
+The same fold gives every mode's table in class order: with k = g*k'
+and u the inverse of k' mod n/g, mode k counts fold[u*l/g mod n/g] in
+class l when g divides l, and nothing otherwise.
 
 Mode k = 0 is deliberately evaluated with the same pair-sum form as
 every other mode, so it passes only when 4*|J|^2 = n.  The k = 0
@@ -22,6 +26,8 @@ views agree on every order where candidates exist.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,18 +156,35 @@ def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
     """Evaluate every mode of an index set in exact cyclotomic arithmetic.
 
     Mode k's pair sum is the power map k of mode 1's; 4 times it minus n
-    is zero-tested once per divisor of n (see the module docstring).  The
-    cosine coordinates and the constant-coordinate law are reported
-    alongside.  Mode 0 uses the same pair-sum form (see the module
-    docstring for the weight convention this implies).
+    is zero-tested once per divisor of n.  The cosine coordinates and the
+    constant-coordinate law are reported alongside, read from the fold
+    of the mode-1 table for the divisor gcd(k, n) (see the module
+    docstring for both).  Mode 0 uses the same pair-sum form (see the
+    module docstring for the weight convention this implies).
     """
     n = index_set.n
     if n % 4:
         raise ValueError("spectral verdicts need an order divisible by 4")
+    quarter, half = n // 4, n // 2
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
+    folds: dict[int, tuple[int, ...]] = {}
     modes = []
     for k, flat in enumerate((pair_sum * 4 - from_integer(n, n)).zero_at_powers()):
-        coeffs = basis_coefficients(DifferenceCounts(n, k, pair_sum.power_map(k).coeffs))
+        if k > half:
+            # Mode n-k has mode k's table, as the mode-1 counts are symmetric.
+            coeffs = modes[n - k].coefficients
+        else:
+            g = math.gcd(k, n)
+            m = n // g
+            if g not in folds:
+                folds[g] = pair_sum.fold(m).coeffs
+            fold = folds[g]
+            u = pow(k // g, -1, m)
+            # The mode-k table up to class n/2, the last one a coordinate
+            # reads: coordinate l is counts[l] - counts[n/2 - l].
+            table = [0] * (half + 1)
+            table[::g] = [fold[u * j % m] for j in range(half // g + 1)]
+            coeffs = RealBasisVector(n, tuple(map(operator.sub, table[:quarter], table[half:quarter:-1])))
         modes.append(
             ModeVerdict(
                 k=k,

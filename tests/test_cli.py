@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from circhad import cli
 from circhad.cli import main
 
 
@@ -342,3 +345,78 @@ def test_unknown_flag(capsys):
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# the indent-2 JSON writer against the stdlib
+
+awkward_text = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ\u00e9\u2028\u20ac\U0001f600'))
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**200), 10**200)
+    | awkward_text
+    | st.text()
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(awkward_text | st.text(), inner)
+    | st.lists(st.integers() | st.booleans()),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@example([1, True, 2])
+@example((False, 0, -1))
+@example({"": [], "a": {}, "b": (), "c": [[]], "d": [{}]})
+@example([10**199 + 7, -(10**200 - 1), 0])
+@example({'q"\\\n\u00e9\U0001f600': None})
+def test_json_writer_prints_what_the_stdlib_prints(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_every_json_payload_prints_as_the_stdlib_would(capsys, monkeypatch, tmp_path):
+    payloads = []
+    writer = cli._json_text
+
+    def recording(obj, indent=""):
+        if not indent:
+            payloads.append(obj)
+        return writer(obj, indent)
+
+    monkeypatch.setattr(cli, "_json_text", recording)
+    report = tmp_path / "r.json"
+    rows = tmp_path / "rows.txt"
+    rows.write_text("-+++\n++++\n")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "schema_version": 1, "n": 4, "strategy": "exhaustive", "raw_count": 1,
+        "canonical_count": 1, "solutions": ["++++"], "nodes_explored": 16,
+        "elapsed_ms": 0, "cap": 1024,
+    }))
+    row36 = "--+-+-+++-+--+++++++--+-+----+++++-+"
+    invocations = [
+        ("verify", "--seq", row36, "--format", "json"),
+        ("verify", "--seq-file", str(rows), "--format", "json"),
+        ("analyze", "--seq", row36),
+        ("analyze", "--seq", "-+++", "--k", "2"),
+        ("search", "--n", "4", "--out", str(report)),
+        ("report", "--in", str(report)),
+        ("report", "--in", str(bad)),
+        ("congruence", "--n", "36", "--k", "8"),
+        ("congruence", "--n", "12", "--k", "0", "--c", "0"),
+        ("basis-rank", "--n", "36", "--format", "json"),
+        ("lemma", "--n", "36", "--format", "json"),
+        ("lemma", "--seq", "-+++", "--format", "json"),
+    ]
+    for argv in invocations:
+        payloads.clear()
+        main(list(argv))
+        out = capsys.readouterr().out
+        assert len(payloads) == 1, argv
+        assert out == json.dumps(payloads[0], indent=2) + "\n", argv
+    assert report.read_text() == json.dumps(json.loads(report.read_text()), indent=2) + "\n"

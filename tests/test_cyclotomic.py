@@ -156,6 +156,63 @@ def test_power_map_examples():
     assert list(subgroup_sum(12, 3).zero_at_powers()) == [k % 3 != 0 for k in range(12)]
 
 
+@given(orders.flatmap(elements))
+def test_fold_is_the_power_map_read_in_the_subfield(a):
+    # power_map(g) puts coefficient e at g*(e mod n/g): only multiples of g are hit.
+    n = a.n
+    for g in (d for d in range(1, n + 1) if n % d == 0):
+        image = a.power_map(g).coeffs
+        assert a.fold(n // g).coeffs == image[::g]
+        assert not any(c for e, c in enumerate(image) if e % g)
+
+
+def test_fold_needs_a_divisor_of_the_order():
+    for m in (0, -3, 5, 24):
+        with pytest.raises(ValueError):
+            root_power(12, 1).fold(m)
+
+
+def stretched(n, poly, g):
+    """The polynomial poly(x^g) as an order-n element (x^n = 1)."""
+    coeffs = [0] * n
+    for e, c in enumerate(poly):
+        coeffs[e * g % n] += c
+    return CycloElement(n, tuple(coeffs))
+
+
+def constructed_zeros(n, rng):
+    """Elements that vanish under the power maps of chosen divisor classes.
+
+    A multiple of the cyclotomic polynomial of order n/g taken at x^g
+    vanishes under power map k whenever k is prime to n/g; an integer
+    combination of the cosets of the subgroup of order s vanishes under
+    power map k whenever s does not divide k.
+    """
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    g, s = rng.choice(divisors), rng.choice(divisors)
+    multiplier = CycloElement(n, tuple(rng.randint(-2, 2) for _ in range(n)))
+    yield multiplier * stretched(n, cyclotomic_polynomial(n // g), g)
+    step = n // s
+    weights = [rng.randint(-3, 3) for _ in range(step)]
+    yield CycloElement(n, tuple(weights[e % step] for e in range(n)))
+
+
+def test_zero_at_powers_on_constructed_zeros_at_every_order_up_to_150():
+    # Random elements are almost never zero under any power map; these
+    # are, and so is each with one coefficient changed, only elsewhere.
+    vanishing = 0
+    for n in range(1, 151):
+        rng = random.Random(n)
+        for a in constructed_zeros(n, rng):
+            bumped = list(a.coeffs)
+            bumped[rng.randrange(n)] += rng.choice((-1, 1))
+            for b in (a, CycloElement(n, tuple(bumped))):
+                expected = [b.power_map(k).is_zero() for k in range(n)]
+                assert list(b.zero_at_powers()) == expected, (n, b)
+                vanishing += sum(expected)
+    assert vanishing > 10_000
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 

@@ -110,6 +110,15 @@ def test_matrix_layout_examples():
     assert build_circulant(Sequence((a, b))) == ((a, b), (b, a))
 
 
+def test_matrix_layout_is_the_index_formula():
+    rng = random.Random(64)
+    for n in range(1, 65):
+        h = tuple(rng.choice((-1, 1)) for _ in range(n))
+        assert build_circulant(Sequence(h)) == tuple(
+            tuple(h[(j - i) % n] for j in range(n)) for i in range(n)
+        )
+
+
 def test_hadamard_equals_matrix_oracle_exhaustively_small():
     # Every sequence up to order 12: the autocorrelation test and the
     # exact matrix product must give the same verdict.

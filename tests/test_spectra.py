@@ -1,5 +1,6 @@
 """Difference tables, cosine coefficients, index map, spectral verdicts."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circhad import spectra
+from circhad.cli import main
 from circhad.cyclotomic import CycloElement, from_integer, reduce_to_real_basis
-from circhad.sequences import IndexSet, Sequence, is_circulant_hadamard, minus_indices
+from circhad.sequences import (
+    IndexSet,
+    Sequence,
+    autocorrelation,
+    is_circulant_hadamard,
+    minus_indices,
+)
 from circhad.spectra import (
     ModeVerdict,
     SpectralVerdict,
@@ -283,3 +291,69 @@ def test_spectral_verdict_counts_one_table_and_one_zero_test_per_divisor(monkeyp
     spectral_verdict(IndexSet.from_iterable(36, range(15)))
     assert tables == [1]
     assert len(zero_tests) == 9  # the divisors of 36
+
+
+@pytest.mark.parametrize("n", (100, 144))
+def test_cli_output_at_benchmark_orders_matches_recount(n, capsys):
+    # The orders and row weight of the benchmark's spectral workload:
+    # analyze (every mode, then one mode of each gcd class) and verify
+    # against json.dumps of payloads built from the per-mode recount.
+    rng = random.Random(n)
+    root = math.isqrt(n)
+    members = sorted(rng.sample(range(n), (n - root) // 2))
+    row = "".join("-" if i in members else "+" for i in range(n))
+    reference = recount_verdict(IndexSet(n, tuple(members)))
+
+    def cli_run(*argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    def analyze_text(modes, overall):
+        payload = {
+            "n": n,
+            "J": members,
+            "perK": [
+                {
+                    "k": m.k,
+                    "c0pass": m.constant_term_ok,
+                    "cVector": list(m.coefficients.coeffs),
+                    "lambdaSqEqualsN": m.mag_sq_equals_order,
+                }
+                for m in modes
+            ],
+            "overall": overall,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    assert cli_run("analyze", "--seq", row) == (
+        0 if reference.overall else 1,
+        analyze_text(reference.per_mode, reference.overall),
+    )
+    for g in (d for d in range(1, n + 1) if n % d == 0):
+        k = rng.choice([k for k in range(n) if math.gcd(k, n) == g])
+        mode = reference.per_mode[k]
+        assert cli_run("analyze", "--seq", row, "--k", str(k)) == (
+            0 if mode.mag_sq_equals_order else 1,
+            analyze_text([mode], mode.mag_sq_equals_order),
+        )
+
+    hadamard = not any(autocorrelation(Sequence.from_string(row))[1:])
+    verify = {
+        "sequence": row,
+        "n": n,
+        "even_order": {"passed": True, "trivial_exception": False},
+        "square_weight": {
+            "passed": True,
+            "is_square": True,
+            "minus_count": len(members),
+            "expected": [(n - root) // 2, (n + root) // 2],
+            "case": "minus",
+        },
+        "is_circulant_hadamard": hadamard,
+        "matrix_identity": hadamard,
+        "passed": hadamard,
+    }
+    assert cli_run("verify", "--seq", row, "--format", "json") == (
+        0 if hadamard else 1,
+        json.dumps(verify, indent=2) + "\n",
+    )
