@@ -39,7 +39,9 @@ with plane i+t are added in a bit-sliced ripple counter, which holds
 every row's c_t at once, and the rows with c_t = n/2 are kept as a mask;
 a block is done when its mask is empty.  This is the same exact integer
 arithmetic, a few hundred big-integer operations per block instead of a
-Python loop per row.
+Python loop per row.  Both full enumerations take their blocks from one
+generator and count as nodes the rows of the blocks walked, so a skipped
+block leaves the total short, which a resume and ``report`` check.
 """
 
 from __future__ import annotations
@@ -57,9 +59,14 @@ from typing import NamedTuple
 
 from .sequences import (
     Sequence,
+    even_order_check,
     expected_minus_counts,
+    has_orthogonal_rows,
     is_circulant_hadamard,
+    minus_indices,
+    square_weight_check,
 )
+from .spectra import spectral_verdict
 
 SCHEMA_VERSION = 1
 DEFAULT_LIST_CAP = 1024
@@ -123,9 +130,10 @@ def canonicalize(seq: Sequence) -> Sequence:
 # ``_walk_shard`` for both full enumerations, ``_dfs_shard`` for the
 # pruned DFS.
 #
-# The walker's blocks (see the module docstring) are (full, planes): full
-# has one bit per row of the block, planes[i] bit j set when row j has
-# -1 at position i.
+# The walker's blocks (see the module docstring) come from ``_blocks``
+# and are (full, planes): full has one bit per row of the block, so its
+# bit length is the block's node count, and planes[i] bit j is set when
+# row j has -1 at position i.
 
 _BLOCK_BITS = 16  # at most 2^16 rows per block: planes of 8 KiB each
 
@@ -148,43 +156,34 @@ def _stripes(b: int) -> tuple[int, ...]:
 
 
 @functools.cache
-def _placements(n: int, a: int, k: int) -> tuple[int, ...]:
-    """Planes of positions a..n-1 over the C(n-a, k) ways to put k -1s there.
+def _placements(b: int, k: int) -> tuple[int, ...]:
+    """Planes of b free positions over the C(b, k) ways to put k -1s there.
 
-    Rows come in ``itertools.combinations(range(a, n), k)`` order: those
-    with a -1 at position a, then those without.
+    Rows come in ``itertools.combinations(range(b), k)`` order: those
+    with a -1 at the first position, then those without.
     """
-    if k == 0 or k == n - a:
-        return (min(k, 1),) * (n - a)
-    split = math.comb(n - a - 1, k - 1)
-    with_a, without_a = _placements(n, a + 1, k - 1), _placements(n, a + 1, k)
-    return ((1 << split) - 1,) + tuple(w | (o << split) for w, o in zip(with_a, without_a))
+    if k == 0 or k == b:
+        return (min(k, 1),) * b
+    split = math.comb(b - 1, k - 1)
+    with_first, without_first = _placements(b - 1, k - 1), _placements(b - 1, k)
+    return ((1 << split) - 1,) + tuple(w | (o << split) for w, o in zip(with_first, without_first))
 
 
-def _exhaustive_blocks(n: int, prefix: int, plen: int):
-    """(full, planes) blocks of every row on the prefix, in ascending row order."""
-    b = min(n - plen, _BLOCK_BITS)
-    full = (1 << (1 << b)) - 1
-    for high in range(1 << (n - plen - b)):
-        fixed = prefix | (high << (plen + b))
-        planes = [full * (fixed >> i & 1) for i in range(n)]
-        planes[plen:plen + b] = _stripes(b)
-        yield full, planes
+def _blocks(n: int, a: int, k: int | None, fixed: int):
+    """(full, planes) blocks of the rows fixed before position a, free from it on.
 
-
-def _weight_blocks(n: int, a: int, k: int, fixed: int):
-    """(full, planes) blocks of the rows with k -1s after position a, fixed before it.
-
-    A placement set too large for one block is split on position a, in
-    ``itertools.combinations`` order.
+    The free positions take every sign (k None) or exactly k -1s.  A set
+    too large for one block is split on position a, the rows with a -1
+    there first, which keeps ``itertools.combinations`` order.
     """
-    rows = math.comb(n - a, k)
+    rows = 1 << (n - a) if k is None else math.comb(n - a, k)
     if rows <= 1 << _BLOCK_BITS:
         full = (1 << rows) - 1
-        yield full, [full * (fixed >> i & 1) for i in range(a)] + list(_placements(n, a, k))
+        free = _stripes(n - a) if k is None else _placements(n - a, k)
+        yield full, [full if fixed >> i & 1 else 0 for i in range(a)] + list(free)
     else:
-        yield from _weight_blocks(n, a + 1, k - 1, fixed | 1 << a)
-        yield from _weight_blocks(n, a + 1, k, fixed)
+        yield from _blocks(n, a + 1, None if k is None else k - 1, fixed | 1 << a)
+        yield from _blocks(n, a + 1, k, fixed)
 
 
 def _zero_shift_mask(planes: list[int], t: int, full: int) -> int:
@@ -215,16 +214,14 @@ def _zero_shift_mask(planes: list[int], t: int, full: int) -> int:
 
 def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
     """Test every row on the prefix, or only those with an admissible -1 count."""
-    if weights is None:
-        blocks = _exhaustive_blocks(n, prefix, plen)
-        nodes = 1 << (n - plen)
-    else:
-        needs = [w - prefix.bit_count() for w in sorted(set(weights))]
-        needs = [k for k in needs if 0 <= k <= n - plen]
-        blocks = (block for k in needs for block in _weight_blocks(n, plen, k, prefix))
-        nodes = sum(math.comb(n - plen, k) for k in needs)
+    counts: list[int | None] = [None]
+    if weights is not None:
+        counts = [w - prefix.bit_count() for w in sorted(set(weights))]
+        counts = [k for k in counts if 0 <= k <= n - plen]
+    nodes = 0
     sols = []
-    for full, planes in blocks:
+    for full, planes in (block for k in counts for block in _blocks(n, plen, k, prefix)):
+        nodes += full.bit_length()
         alive = full
         # r[t] = r[n-t], so the shifts 0 < t <= n/2 decide the row.
         for t in range(1, n // 2 + 1):
@@ -482,6 +479,13 @@ def _exhaustive_cap() -> int:
     return int(value)
 
 
+def _order_rows(n: int, strategy: str) -> int:
+    """The rows every full enumeration of order n visits: 2^n, or those of the admissible -1 counts."""
+    if strategy == STRATEGY_EXHAUSTIVE:
+        return 1 << n
+    return sum(math.comb(n, w) for w in set(expected_minus_counts(n)))
+
+
 def run_search(
     n: int,
     strategy: str,
@@ -559,6 +563,11 @@ def run_search(
                 log.flush()
 
     nodes = sum(r[1] for r in results.values())
+    if done and strategy != STRATEGY_DFS and nodes != (rows := _order_rows(n, strategy)):
+        raise ValueError(
+            f"checkpoint {checkpoint}: node counts add up to {nodes},"
+            f" not the {rows} rows every {strategy} run of order {n} visits"
+        )
     all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:
         if not is_circulant_hadamard(Sequence.from_string(text)):
@@ -630,8 +639,6 @@ def revalidate_report(report: SearchReport) -> list[str]:
     ``exhaustive``, the rows of the admissible -1 counts for
     ``weight-constrained`` (a perfect-square order).
     """
-    from .sequences import has_orthogonal_rows  # local import to keep startup light
-
     problems = []
     if report.schema_version != SCHEMA_VERSION:
         problems.append(f"unsupported schema_version {report.schema_version}")
@@ -651,17 +658,15 @@ def revalidate_report(report: SearchReport) -> list[str]:
     if report.raw_count <= report.cap and report.raw_count != len(report.solutions):
         problems.append("raw_count disagrees with the untruncated solution list")
     if report.strategy in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT) and report.n >= 1:
-        weights = expected_minus_counts(report.n)
         # Both visit a node count fixed by n, between 2^(n/4) and 2^n
         # (C(n, w) >= 2^w for w <= n/2, and the smaller admissible weight
         # is at least n/4 from n = 4 on), so a count whose bit length
         # rules n out is flagged before 2^n or C(n, w) is built.
         size = report.nodes_explored.bit_length()
-        if report.strategy == STRATEGY_WEIGHT and weights is None:
+        if report.strategy == STRATEGY_WEIGHT and expected_minus_counts(report.n) is None:
             problems.append(f"strategy {STRATEGY_WEIGHT} needs a perfect-square order, not {report.n}")
-        elif not report.n <= 4 * size <= 4 * (report.n + 1) or report.nodes_explored != (
-            1 << report.n if report.strategy == STRATEGY_EXHAUSTIVE
-            else sum(math.comb(report.n, w) for w in set(weights))
+        elif not report.n <= 4 * size <= 4 * (report.n + 1) or (
+            report.nodes_explored != _order_rows(report.n, report.strategy)
         ):
             problems.append(
                 f"nodes_explored {report.nodes_explored} is not the number of rows"
@@ -713,14 +718,6 @@ def cross_validate(n: int) -> CrossValidation:
     -1-minority canonical form) the full spectral verdict.  Refuses runs
     past the exhaustive cap rather than silently downgrading.
     """
-    from .sequences import (
-        even_order_check,
-        has_orthogonal_rows,
-        minus_indices,
-        square_weight_check,
-    )
-    from .spectra import spectral_verdict
-
     reports = [run_search(n, STRATEGY_EXHAUSTIVE), run_search(n, STRATEGY_DFS)]
     if expected_minus_counts(n) is not None:
         reports.append(run_search(n, STRATEGY_WEIGHT))

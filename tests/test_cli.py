@@ -1,6 +1,7 @@
 """CLI surface: wire formats, exit codes, file round trips."""
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given
@@ -241,6 +242,21 @@ def test_search_checkpoint_with_malformed_header_is_invalid_input(capsys, tmp_pa
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and str(cp) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("strategy", ("exhaustive", "weight-constrained"))
+def test_search_resume_whose_node_counts_do_not_add_up_is_invalid_input(capsys, tmp_path, strategy):
+    cp, out_file = tmp_path / "cp.txt", tmp_path / "r.json"
+    argv = ("search", "--n", "4", "--strategy", strategy, "--checkpoint", str(cp))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    text = cp.read_text()
+    first = re.search(r"^prefix=\S+ raw_count=\d+ nodes_explored=(\d+) ", text, re.M)
+    cp.write_text(text[:first.start(1)] + "999" + text[first.end(1):])
+    code, out, err = run(capsys, *argv, "--out", str(out_file))
+    assert code == 2
+    assert out == "" and str(cp) in err and "node counts add up to" in err
+    assert not out_file.exists()
 
 
 # ---------------------------------------------------------------------------

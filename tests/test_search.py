@@ -370,6 +370,53 @@ def test_walkers_visit_every_candidate_row_once(n, tmp_path):
             assert run_search(n, strategy, **kwargs).nodes_explored == nodes, (strategy, kwargs)
 
 
+@pytest.mark.parametrize("block_bits", (2, 3))
+@pytest.mark.parametrize("n", range(1, 13))
+def test_split_blocks_walk_every_row_once(monkeypatch, n, block_bits):
+    # Blocks of at most 4 or 8 rows, so both the exhaustive and the
+    # weighted side split on several positions.
+    monkeypatch.setattr(search, "_BLOCK_BITS", block_bits)
+    weight_options = [None]
+    if expected_minus_counts(n) is not None:
+        weight_options.append(expected_minus_counts(n))
+    for plen in sorted({0, min(2, n)}):
+        for weights in weight_options:
+            for prefix in range(1 << plen):
+                nodes, rows = search._walk_shard(n, prefix, plen, weights)
+                expected_nodes, expected_rows = reference_walk_shard(n, prefix, plen, weights)
+                assert nodes == expected_nodes, (plen, weights, prefix)
+                assert sorted(rows) == sorted(expected_rows), (plen, weights, prefix)
+                assert len(set(rows)) == len(rows), (plen, weights, prefix)
+
+
+def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
+    real = search._blocks
+
+    def drop_first_block(*args):
+        # Put the real generator back first, so only the first block of
+        # the first shard goes missing.
+        monkeypatch.setattr(search, "_blocks", real)
+        blocks = real(*args)
+        next(blocks)
+        yield from blocks
+
+    monkeypatch.setattr(search, "_blocks", drop_first_block)
+    report = run_search(20, STRATEGY_EXHAUSTIVE)
+    assert report.nodes_explored == (1 << 20) - (1 << search._BLOCK_BITS)
+    assert any("nodes_explored" in p for p in revalidate_report(report))
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_weighted_walk_splits_blocks_past_the_default_cap(monkeypatch, jobs):
+    # C(25 - P, w - popcount), w = 10 or 15, exceeds one block for every prefix
+    # width P used here, so this is the weighted split at full size.
+    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "25")
+    report = run_search(25, STRATEGY_WEIGHT, jobs=jobs)
+    assert report.nodes_explored == 2 * math.comb(25, 10) == 6537520
+    assert report.raw_count == 0
+    assert revalidate_report(report) == []
+
+
 def test_packed_fields_decode_to_the_partial_autocorrelations():
     n = 36
     start, guard, steps = search._packed_tables(n)
