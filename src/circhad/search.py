@@ -23,11 +23,14 @@ on what they find:
 Work is split into independent subtrees by fixing the first few entries
 (2^P prefixes with 2^P >= 4*jobs up to 2^8; 2^8 for a new checkpoint,
 and the header's P when resuming one), so results merge
-deterministically regardless of scheduling.  A checkpoint file must read
-exactly as it was written: the header, then one line per finished
-shard; anything else is refused.  Every shard returns its
-node count and its rows, whatever the strategy; counts of rows are
-always the length of a listing.  Every row a strategy emits is
+deterministically regardless of scheduling.  A process pool is sent the
+pending shards in batches, about 8 per worker, so a split into many
+short shards does not pay one pool round trip per shard; results still
+come back, and are logged one line per shard, in prefix order.  A
+checkpoint file must read exactly as it was written: the header, then
+one line per finished shard; anything else is refused.  Every shard
+returns its node count and its rows, whatever the strategy; counts of
+rows are always the length of a listing.  Every row a strategy emits is
 re-verified with the exact integer autocorrelation before it is reported.
 
 Rows are represented internally as bit masks (bit i set means entry i is
@@ -556,7 +559,14 @@ def run_search(
         open(checkpoint, "a", encoding="ascii") if checkpoint is not None
         else contextlib.nullcontext()
     ) as log:
-        for res in (pool.map if parallel else map)(_run_shard, pending):
+        # The pool takes shards in batches, about 8 per worker: a round
+        # trip through it costs more than a short shard.  Results still
+        # come back in prefix order, and each shard gets its own line.
+        shards = (
+            pool.map(_run_shard, pending, chunksize=max(1, len(pending) // (8 * workers)))
+            if parallel else map(_run_shard, pending)
+        )
+        for res in shards:
             results[res[0]] = res
             if log is not None:
                 log.write(_shard_line(plen, res))

@@ -52,11 +52,13 @@ def difference_counts(index_set: IndexSet, k: int) -> DifferenceCounts:
     n = index_set.n
     if not 0 <= k < n:
         raise ValueError(f"mode index k must lie in [0, {n - 1}], got {k}")
+    # The pairs (s, t) with s - t = d mod n are the members J shares with
+    # J rotated by d: one AND of n-bit masks per d, not one step per pair.
+    mask = sum(1 << s for s in index_set.members)
+    doubled = mask | mask << n
     counts = [0] * n
-    members = index_set.members
-    for s in members:
-        for t in members:
-            counts[(k * (s - t)) % n] += 1
+    for d in range(n):
+        counts[k * d % n] += (mask & doubled >> d).bit_count()
     return DifferenceCounts(n=n, k=k, counts=tuple(counts))
 
 

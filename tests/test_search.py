@@ -704,11 +704,12 @@ def test_checkpoint_must_read_exactly_as_written(tmp_path, edit, strategy):
 # bounded process pool
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size and tasks and maps serially."""
+    """Stands in for ProcessPoolExecutor: records size, tasks and batch size; maps serially."""
 
-    def __init__(self, max_workers, sizes, tasks=None):
+    def __init__(self, max_workers, sizes, tasks=None, chunksizes=None):
         sizes.append(max_workers)
         self.tasks = [] if tasks is None else tasks
+        self.chunksizes = [] if chunksizes is None else chunksizes
 
     def __enter__(self):
         return self
@@ -716,9 +717,10 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         items = list(items)
         self.tasks.extend(items)
+        self.chunksizes.append(chunksize)
         return map(fn, items)
 
 
@@ -756,6 +758,45 @@ def test_shard_split_is_bounded_whatever_jobs(monkeypatch):
     base = run_search(16, STRATEGY_EXHAUSTIVE, jobs=1)
     assert same_but_elapsed(run_search(16, STRATEGY_EXHAUSTIVE, jobs=100000), base)
     assert len(sizes) == 1 and 0 < len(tasks) <= 256
+
+
+def test_pool_takes_about_eight_batches_per_worker(monkeypatch, tmp_path):
+    sizes, chunksizes = [], []
+    monkeypatch.setattr(
+        search.concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes, chunksizes=chunksizes),
+    )
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    cp = str(tmp_path / "cp.txt")
+    base = run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp)  # a new file: 256 shards
+    lines = open(cp).read().splitlines(True)
+    with open(cp, "w") as f:
+        f.writelines(lines[: 4 + 128])  # the header and half the shards
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp), base)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)  # 256 shards, 3 workers
+    serial = run_search(12, STRATEGY_EXHAUSTIVE)
+    assert same_but_elapsed(run_search(12, STRATEGY_EXHAUSTIVE, jobs=2), serial)  # 8 shards
+    assert (sizes, chunksizes) == ([2, 2, 3, 2], [16, 8, 10, 1])
+
+    # A finished checkpoint leaves nothing to run, so no pool is built.
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp), base)
+    assert len(sizes) == 4
+
+
+def test_real_pool_checkpoint_matches_serial_and_resumes_mid_batch(tmp_path):
+    serial, pooled = tmp_path / "serial.ckpt", tmp_path / "pooled.ckpt"
+    full = run_search(16, STRATEGY_DFS, weight_filter=True, checkpoint=str(serial))
+    pooled_report = run_search(16, STRATEGY_DFS, jobs=2, weight_filter=True, checkpoint=str(pooled))
+    assert same_but_elapsed(pooled_report, full)
+    assert masked_bytes(pooled) == masked_bytes(serial)
+
+    # Cut where no batch of 16 ends: the header, 37 shard lines and a torn line.
+    lines = pooled.read_bytes().splitlines(True)
+    pooled.write_bytes(b"".join(lines[: 4 + 37]) + lines[4 + 37][:30])
+    resumed = run_search(16, STRATEGY_DFS, jobs=2, weight_filter=True, checkpoint=str(pooled))
+    assert same_but_elapsed(resumed, full)
+    assert masked_bytes(pooled) == masked_bytes(serial)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from circhad.sequences import (
     minus_indices,
 )
 from circhad.spectra import (
+    DifferenceCounts,
     ModeVerdict,
     SpectralVerdict,
     basis_coefficients,
@@ -44,6 +45,34 @@ def random_index_set(rng, n, size=None):
 
 # ---------------------------------------------------------------------------
 # difference tables
+
+def reference_difference_counts(index_set, k):
+    """Reference: the table counted one ordered pair (s, t) at a time."""
+    n = index_set.n
+    counts = [0] * n
+    for s in index_set.members:
+        for t in index_set.members:
+            counts[(k * (s - t)) % n] += 1
+    return DifferenceCounts(n=n, k=k, counts=tuple(counts))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_table_matches_pair_count_on_every_subset(n):
+    for bits in range(1 << n):
+        J = IndexSet(n, tuple(i for i in range(n) if bits >> i & 1))
+        for k in range(n):
+            assert difference_counts(J, k) == reference_difference_counts(J, k)
+
+
+@pytest.mark.parametrize("n", (16, 20, 36, 64, 100, 144))
+def test_table_matches_pair_count_on_seeded_sets(n):
+    rng = random.Random(n)
+    root = math.isqrt(n)
+    sizes = (0, 1, (n - root) // 2, (n + root) // 2, n - 1, n, rng.randint(0, n))
+    for J in (random_index_set(rng, n, size) for size in sizes):
+        for k in range(n):
+            assert difference_counts(J, k) == reference_difference_counts(J, k)
+
 
 def test_singleton_table():
     t = difference_counts(IndexSet(4, (2,)), 1)
