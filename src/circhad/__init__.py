@@ -70,6 +70,7 @@ from .spectra import (
     constant_term_check,
     difference_counts,
     index_map_check,
+    mode_verdict,
     spectral_verdict,
 )
 

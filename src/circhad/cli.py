@@ -144,18 +144,17 @@ def _cmd_verify(args) -> int:
 def _cmd_analyze(args) -> int:
     seq = sequences.Sequence.from_string(args.seq)
     index_set = sequences.minus_indices(seq)
-    verdict = spectra.spectral_verdict(index_set)
     if args.k == "all":
-        modes = verdict.per_mode
-        overall = verdict.overall
+        verdict = spectra.spectral_verdict(index_set)
+        modes, overall = verdict.per_mode, verdict.overall
     else:
         try:
             k = int(args.k)
         except ValueError:
-            raise ValueError(f'--k takes "all" or a mode index, got {args.k!r}') from None
-        if not 0 <= k < seq.n:
-            raise ValueError(f"k must lie in [0, {seq.n - 1}], got {k}")
-        modes = (verdict.per_mode[k],)
+            if seq.n % 4 == 0:
+                raise ValueError(f'--k takes "all" or a mode index, got {args.k!r}') from None
+            k = 0  # mode_verdict refuses the order before it reads k
+        modes = (spectra.mode_verdict(index_set, k),)
         overall = modes[0].mag_sq_equals_order
     payload = {
         "n": seq.n,
@@ -198,7 +197,10 @@ def _cmd_search(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.infile, encoding="ascii") as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except RecursionError:
+            raise ValueError(f"report {args.infile}: JSON nested too deeply") from None
     report = search.report_from_dict(data)
     problems = search.revalidate_report(report)
     print(

@@ -23,12 +23,13 @@ on what they find:
 Work is split into independent subtrees by fixing the first few entries
 (2^P prefixes with 2^P >= 4*jobs up to 2^8; 2^8 for a new checkpoint,
 and the header's P when resuming one), so results merge
-deterministically regardless of scheduling.  A process pool is sent the
-pending shards in batches, about 8 per worker, so a split into many
-short shards does not pay one pool round trip per shard; results still
-come back, and are logged one line per shard, in prefix order.  A
-checkpoint file must read exactly as it was written: the header, then
-one line per finished shard; anything else is refused.  Every shard
+deterministically regardless of scheduling.  A process pool, built only
+when at least two workers would run, is sent the pending shards in
+batches, about 8 per worker, so a split into many short shards does
+not pay one pool round trip per shard; results still come back, and
+are logged one line per shard, in prefix order.  A checkpoint file
+must read exactly as it was written: the header, then one line per
+finished shard; anything else is refused.  Every shard
 returns its node count and its rows, whatever the strategy; counts of
 rows are always the length of a listing.  Every row a strategy emits is
 re-verified with the exact integer autocorrelation before it is reported.
@@ -550,8 +551,9 @@ def run_search(
     ]
 
     results = dict(done)
-    parallel = jobs > 1 and bool(pending)
+    # A one-worker pool would only add its start-up and round trips.
     workers = min(jobs, len(pending), os.cpu_count() or 1)
+    parallel = workers > 1
     with (
         concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel
         else contextlib.nullcontext()

@@ -8,14 +8,20 @@ by the residue class of k*(s - t); the squared eigenvalue modulus of the
 associated row is, up to the weight convention at k = 0, four times the
 pair sum over those classes.
 
-Only the mode-1 table is counted: mode k's is its power map k (class d
-moves to k*d mod n).  One canonical zero test per divisor g of n decides
-flatness for every mode, as the root power k is a Galois conjugate of
-the root power g = gcd(k, n) (both are primitive roots of order n/g);
-the test runs in that subfield, on the mode-1 table folded mod n/g.
-The same fold gives every mode's table in class order: with k = g*k'
-and u the inverse of k' mod n/g, mode k counts fold[u*l/g mod n/g] in
-class l when g divides l, and nothing otherwise.
+Only the mode-1 table is counted, by rotations of one bit mask.  Every
+other quantity of mode k comes from one fold of it: with g = gcd(k, n),
+the mode-1 table folded mod n/g.  The root power k is a Galois
+conjugate of the root power g (both are primitive roots of order n/g),
+so one canonical zero test of 4*fold - n in that subfield decides
+flatness for every mode with that gcd.  The same fold gives mode k's
+table in class order: with k = g*k' and u the inverse of k' mod n/g,
+mode k counts fold[u*l/g mod n/g] in class l when g divides l, and
+nothing otherwise.  One private helper reads that remap, one the cosine
+coordinates counts[l] - counts[n/2 - l]; ``difference_counts`` (k != 1),
+``basis_coefficients``, ``mode_verdict`` and ``spectral_verdict`` all go
+through them, so a table is never recounted per mode.  ``spectral_verdict``
+folds each divisor once; ``mode_verdict`` counts, folds and zero-tests
+once for its one mode.
 
 Mode k = 0 is deliberately evaluated with the same pair-sum form as
 every other mode, so it passes only when 4*|J|^2 = n.  The k = 0
@@ -56,10 +62,26 @@ def difference_counts(index_set: IndexSet, k: int) -> DifferenceCounts:
     # J rotated by d: one AND of n-bit masks per d, not one step per pair.
     mask = sum(1 << s for s in index_set.members)
     doubled = mask | mask << n
-    counts = [0] * n
-    for d in range(n):
-        counts[k * d % n] += (mask & doubled >> d).bit_count()
+    counts = [(mask & doubled >> d).bit_count() for d in range(n)]
+    if k != 1:
+        counts = _mode_table(CycloElement(n, tuple(counts)).fold(n // math.gcd(k, n)).coeffs, n, k, n)
     return DifferenceCounts(n=n, k=k, counts=tuple(counts))
+
+
+def _mode_table(fold: tuple[int, ...], n: int, k: int, size: int) -> list[int]:
+    """Mode k's counts in classes 0..size-1, from the mode-1 table folded mod n/gcd(k, n)."""
+    m = len(fold)
+    g = n // m
+    u = pow(k // g, -1, m)
+    table = [0] * size
+    table[::g] = [fold[u * j % m] for j in range((size - 1) // g + 1)]
+    return table
+
+
+def _coordinates(counts, n: int) -> RealBasisVector:
+    """Cosine-basis coordinates of a mode table: coordinate l is counts[l] - counts[n/2 - l]."""
+    quarter, half = n // 4, n // 2
+    return RealBasisVector(n, tuple(map(operator.sub, counts[:quarter], counts[half:quarter:-1])))
 
 
 def basis_coefficients(table: DifferenceCounts) -> RealBasisVector:
@@ -67,15 +89,10 @@ def basis_coefficients(table: DifferenceCounts) -> RealBasisVector:
 
     Exactly agrees with reducing the pair-sum element through the
     cyclotomic module (the conjugate pair at l carries one cosine unit,
-    and classes past the quarter fold back with a sign).
+    and classes past the quarter fold back with a sign).  The order must
+    be divisible by 4.
     """
-    n = table.n
-    if n % 4:
-        raise ValueError("cosine-basis coordinates need an order divisible by 4")
-    half = n // 2
-    return RealBasisVector(
-        n, tuple(table.counts[l] - table.counts[half - l] for l in range(n // 4))
-    )
+    return _coordinates(table.counts, table.n)
 
 
 @dataclass(frozen=True)
@@ -92,8 +109,9 @@ def index_map_check(index_set: IndexSet, k: int) -> IndexMapVerdict:
     """Verify that multiplying the mode merges difference classes d into k*d mod n.
 
     The mode-k count of class l must equal the sum of mode-1 counts over
-    all classes d with k*d = l (mod n): the mode-k table is counted
-    directly and checked against the power map k of the mode-1 table.
+    all classes d with k*d = l (mod n): the mode-k table, read from the
+    fold of the mode-1 table as every verdict reads it, is checked
+    against ``CycloElement.power_map(k)`` of the mode-1 table.
     """
     n = index_set.n
     if not 1 <= k < n:
@@ -127,7 +145,7 @@ def constant_term_check(index_set: IndexSet, k: int) -> ConstantTermVerdict:
     if n % 4:
         raise ValueError("the constant-coordinate law needs an order divisible by 4")
     table = difference_counts(index_set, k)
-    lhs = 4 * (table.counts[0] - table.counts[n // 2])
+    lhs = 4 * basis_coefficients(table).coeffs[0]
     required = Fraction(4 * table.counts[0] - n, 4)
     return ConstantTermVerdict(
         n=n, k=k, passed=lhs == n, lhs=lhs, required_half_count=required
@@ -154,47 +172,49 @@ class SpectralVerdict:
     overall: bool
 
 
+def _divisor_fold(pair_sum: CycloElement, g: int) -> tuple[tuple[int, ...], bool]:
+    """The mode-1 table folded mod n/g, and whether 4*fold - n is zero in that subfield."""
+    folded = pair_sum.fold(pair_sum.n // g)
+    return folded.coeffs, (folded * 4 - from_integer(folded.n, pair_sum.n)).is_zero()
+
+
+def _mode_verdict(n: int, k: int, fold: tuple[int, ...], flat: bool) -> ModeVerdict:
+    """Mode k's verdict from its divisor's fold and that fold's zero test."""
+    coeffs = _coordinates(_mode_table(fold, n, k, n // 2 + 1), n)
+    return ModeVerdict(k, 4 * coeffs.coeffs[0] == n, coeffs, flat)
+
+
+def mode_verdict(index_set: IndexSet, k: int) -> ModeVerdict:
+    """One mode of ``spectral_verdict``: one table count, one fold and one zero test."""
+    n = index_set.n
+    if n % 4:
+        raise ValueError("spectral verdicts need an order divisible by 4")
+    if not 0 <= k < n:
+        raise ValueError(f"k must lie in [0, {n - 1}], got {k}")
+    pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
+    return _mode_verdict(n, k, *_divisor_fold(pair_sum, math.gcd(k, n)))
+
+
 def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
     """Evaluate every mode of an index set in exact cyclotomic arithmetic.
 
     Mode k's pair sum is the power map k of mode 1's; 4 times it minus n
-    is zero-tested once per divisor of n.  The cosine coordinates and the
-    constant-coordinate law are reported alongside, read from the fold
-    of the mode-1 table for the divisor gcd(k, n) (see the module
-    docstring for both).  Mode 0 uses the same pair-sum form (see the
+    is zero-tested once per divisor g of n, on the mode-1 table folded
+    mod n/g.  The cosine coordinates and the constant-coordinate law of
+    every mode with gcd(k, n) = g are read from that same fold (see the
+    module docstring).  Mode 0 uses the same pair-sum form (see the
     module docstring for the weight convention this implies).
     """
     n = index_set.n
     if n % 4:
         raise ValueError("spectral verdicts need an order divisible by 4")
-    quarter, half = n // 4, n // 2
+    half = n // 2
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
-    folds: dict[int, tuple[int, ...]] = {}
-    modes = []
-    for k, flat in enumerate((pair_sum * 4 - from_integer(n, n)).zero_at_powers()):
-        if k > half:
-            # Mode n-k has mode k's table, as the mode-1 counts are symmetric.
-            coeffs = modes[n - k].coefficients
-        else:
-            g = math.gcd(k, n)
-            m = n // g
-            if g not in folds:
-                folds[g] = pair_sum.fold(m).coeffs
-            fold = folds[g]
-            u = pow(k // g, -1, m)
-            # The mode-k table up to class n/2, the last one a coordinate
-            # reads: coordinate l is counts[l] - counts[n/2 - l].
-            table = [0] * (half + 1)
-            table[::g] = [fold[u * j % m] for j in range(half // g + 1)]
-            coeffs = RealBasisVector(n, tuple(map(operator.sub, table[:quarter], table[half:quarter:-1])))
-        modes.append(
-            ModeVerdict(
-                k=k,
-                constant_term_ok=4 * coeffs.coeffs[0] == n,
-                coefficients=coeffs,
-                mag_sq_equals_order=flat,
-            )
-        )
+    folds = {g: _divisor_fold(pair_sum, g) for g in range(1, n + 1) if n % g == 0}
+    modes = [_mode_verdict(n, k, *folds[math.gcd(k, n)]) for k in range(half + 1)]
+    # Mode n-k has mode k's table, as the mode-1 counts are symmetric.
+    modes += [ModeVerdict(n - m.k, m.constant_term_ok, m.coefficients, m.mag_sq_equals_order)
+              for m in reversed(modes[1:half])]
     return SpectralVerdict(
         n=n,
         index_set=index_set,

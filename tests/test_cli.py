@@ -104,6 +104,11 @@ def test_analyze_rejects_unsupported_order(capsys):
     code, _, err = run(capsys, "analyze", "--seq", "-+++++")
     assert code == 2
     assert "divisible by 4" in err
+    # The order is refused before --k is read, whatever it says.
+    for k in ("1", "9", "abc"):
+        code, out, err = run(capsys, "analyze", "--seq", "-+++++", "--k", k)
+        assert code == 2
+        assert out == "" and err == "error: spectral verdicts need an order divisible by 4\n"
 
 
 def test_analyze_non_integer_mode_names_the_flag(capsys):
@@ -183,6 +188,14 @@ def test_report_malformed_file(capsys, tmp_path):
     bad.write_text("not json")
     code, _, _ = run(capsys, "report", "--in", str(bad))
     assert code == 2
+
+
+def test_report_refuses_deeply_nested_json(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, out, err = run(capsys, "report", "--in", str(deep))
+    assert code == 2
+    assert out == "" and err == f"error: report {deep}: JSON nested too deeply\n"
 
 
 @pytest.mark.parametrize("key, value", [("raw_count", 8.9), ("schema_version", 1.7), ("cap", True)])

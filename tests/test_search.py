@@ -736,9 +736,10 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     base = run_search(12, STRATEGY_DFS, checkpoint=cp)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)
+    # With one core there is one worker, and a one-worker pool is not built.
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)
-    assert sizes == [3, 1]
+    assert sizes == [3]
 
     # Two shards left to run: two workers, however many jobs and cores.
     lines = open(cp).read().splitlines(True)
@@ -746,7 +747,28 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
         f.writelines(lines[:-2])
     monkeypatch.setattr(search.os, "cpu_count", lambda: 16)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=8, checkpoint=cp), base)
-    assert sizes == [3, 1, 2]
+    assert sizes == [3, 2]
+
+
+def test_one_shard_resume_builds_no_pool(monkeypatch, tmp_path):
+    sizes = []
+    monkeypatch.setattr(
+        search.concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes),
+    )
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    full = tmp_path / "full.ckpt"
+    base = run_search(16, STRATEGY_DFS, weight_filter=True, checkpoint=str(full))
+    cut = full.read_bytes().splitlines(True)[:-1]
+    resumed = {}
+    for jobs in (1, 2):
+        cp = tmp_path / f"jobs{jobs}.ckpt"
+        cp.write_bytes(b"".join(cut))
+        report = run_search(16, STRATEGY_DFS, jobs=jobs, weight_filter=True, checkpoint=str(cp))
+        assert same_but_elapsed(report, base)
+        resumed[jobs] = masked_bytes(cp)
+    assert sizes == []
+    assert resumed[2] == resumed[1] == masked_bytes(full)
 
 
 def test_shard_split_is_bounded_whatever_jobs(monkeypatch):

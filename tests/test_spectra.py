@@ -27,6 +27,7 @@ from circhad.spectra import (
     constant_term_check,
     difference_counts,
     index_map_check,
+    mode_verdict,
     spectral_verdict,
 )
 
@@ -169,6 +170,20 @@ def test_index_map_mode_range():
         index_map_check(J16, 0)
 
 
+def test_index_map_catches_a_wrong_remap(monkeypatch):
+    # The fold remap and CycloElement.power_map are separate implementations.
+    real_remap = spectra._mode_table
+
+    def shifted_remap(fold, n, k, size):
+        table = real_remap(fold, n, k, size)
+        return table[1:] + table[:1]
+
+    monkeypatch.setattr(spectra, "_mode_table", shifted_remap)
+    v = index_map_check(J16, 3)
+    assert not v.passed and v.mismatches
+    assert all(direct != remapped for _, direct, remapped in v.mismatches)
+
+
 @given(st.integers(0, 10**6), st.integers(2, 24))
 @settings(max_examples=120)
 def test_index_map_holds_everywhere(pick, n):
@@ -282,7 +297,9 @@ def recount_verdict(index_set):
 def test_spectral_verdict_matches_recount_on_every_subset(n):
     for bits in range(1 << n):
         J = IndexSet(n, tuple(i for i in range(n) if bits >> i & 1))
-        assert spectral_verdict(J) == recount_verdict(J)
+        verdict = spectral_verdict(J)
+        assert verdict == recount_verdict(J)
+        assert tuple(mode_verdict(J, k) for k in range(n)) == verdict.per_mode
 
 
 @pytest.mark.parametrize("n", (16, 36, 64, 100, 144))
@@ -297,29 +314,71 @@ def test_spectral_verdict_matches_recount_on_seeded_sets(n):
     for J in sets:
         verdict = spectral_verdict(J)
         assert verdict == recount_verdict(J)
+        assert tuple(mode_verdict(J, k) for k in range(n)) == verdict.per_mode
     flat = [mode.mag_sq_equals_order for mode in spectral_verdict(sets[0]).per_mode]
     assert flat == [k % m == 0 for k in range(n)]
 
 
-def test_spectral_verdict_counts_one_table_and_one_zero_test_per_divisor(monkeypatch):
-    tables = []
-    zero_tests = []
+def count_spectral_calls(monkeypatch):
+    """Record every table count (its mode), fold (its order), zero test and full verdict."""
+    calls = {"tables": [], "folds": [], "zero_tests": 0, "verdicts": 0}
     real_counts = spectra.difference_counts
+    real_fold = CycloElement.fold
     real_is_zero = CycloElement.is_zero
+    real_verdict = spectra.spectral_verdict
 
     def counting_table(index_set, k):
-        tables.append(k)
+        calls["tables"].append(k)
         return real_counts(index_set, k)
 
+    def counting_fold(element, m):
+        calls["folds"].append(m)
+        return real_fold(element, m)
+
     def counting_zero_test(element):
-        zero_tests.append(element)
+        calls["zero_tests"] += 1
         return real_is_zero(element)
 
+    def counting_verdict(index_set):
+        calls["verdicts"] += 1
+        return real_verdict(index_set)
+
     monkeypatch.setattr(spectra, "difference_counts", counting_table)
+    monkeypatch.setattr(CycloElement, "fold", counting_fold)
     monkeypatch.setattr(CycloElement, "is_zero", counting_zero_test)
+    monkeypatch.setattr(spectra, "spectral_verdict", counting_verdict)
+    return calls
+
+
+def test_spectral_verdict_counts_one_table_and_one_zero_test_per_divisor(monkeypatch):
+    calls = count_spectral_calls(monkeypatch)
     spectral_verdict(IndexSet.from_iterable(36, range(15)))
-    assert tables == [1]
-    assert len(zero_tests) == 9  # the divisors of 36
+    assert calls["tables"] == [1]
+    # One fold and one zero test per divisor of 36.
+    assert sorted(calls["folds"]) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    assert calls["zero_tests"] == 9
+
+
+@pytest.mark.parametrize("n, k", [(4, 0), (4, 3), (36, 8), (144, 35), (144, 72)])
+def test_one_mode_counts_one_table_one_fold_and_one_zero_test(monkeypatch, capsys, n, k):
+    rng = random.Random(n + k)
+    J = random_index_set(rng, n, (n - math.isqrt(n)) // 2)
+    expected = spectral_verdict(J).per_mode[k]
+    row = "".join("-" if i in J.members else "+" for i in range(n))
+    calls = count_spectral_calls(monkeypatch)
+    assert mode_verdict(J, k) == expected
+    assert main(["analyze", "--seq", row, "--k", str(k)]) == (0 if expected.mag_sq_equals_order else 1)
+    assert json.loads(capsys.readouterr().out)["perK"][0]["cVector"] == list(expected.coefficients.coeffs)
+    m = n // math.gcd(k, n)
+    assert calls == {"tables": [1, 1], "folds": [m, m], "zero_tests": 2, "verdicts": 0}
+
+
+def test_mode_verdict_checks_order_then_mode():
+    with pytest.raises(ValueError, match="divisible by 4"):
+        mode_verdict(IndexSet(6, (0,)), 6)
+    for k in (-1, 16):
+        with pytest.raises(ValueError, match=rf"k must lie in \[0, 15\], got {k}"):
+            mode_verdict(J16, k)
 
 
 @pytest.mark.parametrize("n", (100, 144))
