@@ -198,10 +198,13 @@ def _cmd_search(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.infile, encoding="ascii") as f:
         try:
-            data = json.load(f)
+            report = search.report_from_dict(json.load(f))
         except RecursionError:
             raise ValueError(f"report {args.infile}: JSON nested too deeply") from None
-    report = search.report_from_dict(data)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"report {args.infile}: byte {exc.start} is not ASCII") from None
+        except ValueError as exc:  # not JSON, or not a report
+            raise ValueError(f"report {args.infile}: {exc}") from None
     problems = search.revalidate_report(report)
     print(
         _json_text(

@@ -37,15 +37,23 @@ re-verified with the exact integer autocorrelation before it is reported.
 Rows are represented internally as bit masks (bit i set means entry i is
 -1), and r[t] = n - 2*c_t with c_t the number of positions i where
 h[i] != h[i+t mod n].  The full enumerations test rows bit-sliced, in
-blocks of up to 2^16: a block is n ints ("planes"), bit j of plane i
-being entry i of row j.  For each shift t <= n/2 the n XORs of plane i
-with plane i+t are added in a bit-sliced ripple counter, which holds
-every row's c_t at once, and the rows with c_t = n/2 are kept as a mask;
-a block is done when its mask is empty.  This is the same exact integer
-arithmetic, a few hundred big-integer operations per block instead of a
-Python loop per row.  Both full enumerations take their blocks from one
-generator and count as nodes the rows of the blocks walked, so a skipped
-block leaves the total short, which a resume and ``report`` check.
+blocks of up to 2^16: a block fixes its first a entries and holds each
+free position as an int ("plane"), bit j of a plane being that entry of
+row j.  Every block of a shard on the same free positions and -1 count
+has the same planes, so for each shift t <= n/2 the pairs (i, i+t mod n)
+split three ways.  Free pairs (both ends free) are summed once per shard
+into a bit-sliced counter, which holds every row's count at once, and
+reused by all those blocks.  Fixed pairs (both ends fixed) add one
+constant, a popcount of the fixed bits against their rotation, taken
+off the n/2 target.  Boundary pairs, at most 2t, add a free plane or its
+complement, by the fixed entry; only these are added per block.  The
+rows whose total is the target are kept as a mask, and a block is done
+when its mask is empty.  At odd n every r_t is odd, so no counter is
+built at all.  This is the same exact integer arithmetic, a few hundred
+big-integer operations per block instead of a Python loop per row.  Both
+full enumerations take their blocks from one generator and count as
+nodes the rows of the blocks walked, so a skipped block leaves the total
+short, which a resume and ``report`` check.
 """
 
 from __future__ import annotations
@@ -135,9 +143,11 @@ def canonicalize(seq: Sequence) -> Sequence:
 # pruned DFS.
 #
 # The walker's blocks (see the module docstring) come from ``_blocks``
-# and are (full, planes): full has one bit per row of the block, so its
-# bit length is the block's node count, and planes[i] bit j is set when
-# row j has -1 at position i.
+# and are (full, a, k, fixed): the rows agree with ``fixed`` before
+# position a and run through the free planes of n - a positions (every
+# sign, k None, or k -1s) from it on, plane m bit j set when row j has -1
+# at position a + m.  full has one bit per row of the block, so its bit
+# length is the block's node count.
 
 _BLOCK_BITS = 16  # at most 2^16 rows per block: planes of 8 KiB each
 
@@ -174,7 +184,7 @@ def _placements(b: int, k: int) -> tuple[int, ...]:
 
 
 def _blocks(n: int, a: int, k: int | None, fixed: int):
-    """(full, planes) blocks of the rows fixed before position a, free from it on.
+    """(full, a, k, fixed) blocks of the rows fixed before position a, free from it on.
 
     The free positions take every sign (k None) or exactly k -1s.  A set
     too large for one block is split on position a, the rows with a -1
@@ -182,59 +192,124 @@ def _blocks(n: int, a: int, k: int | None, fixed: int):
     """
     rows = 1 << (n - a) if k is None else math.comb(n - a, k)
     if rows <= 1 << _BLOCK_BITS:
-        full = (1 << rows) - 1
-        free = _stripes(n - a) if k is None else _placements(n - a, k)
-        yield full, [full if fixed >> i & 1 else 0 for i in range(a)] + list(free)
+        yield (1 << rows) - 1, a, k, fixed
     else:
         yield from _blocks(n, a + 1, None if k is None else k - 1, fixed | 1 << a)
         yield from _blocks(n, a + 1, k, fixed)
 
 
-def _zero_shift_mask(planes: list[int], t: int, full: int) -> int:
-    """The block rows with r_t = 0.
+class _Pairs(NamedTuple):
+    """The pairs (i, i+t mod n), i = 0..n-1, of one shift t, split at a fixed width."""
 
-    r_t = n - 2*c, c the number of positions i with h[i] != h[i+t mod n];
-    the difference planes are added in a bit-sliced ripple counter
-    (level k holds bit k of every row's c) and compared with n/2.  At
-    odd n every r_t is odd, so no row qualifies.
+    t: int
+    fixed: int                              # bit i set when both ends are fixed
+    boundary: tuple[tuple[int, int], ...]   # (free plane, fixed position)
+    free: tuple[tuple[int, int], ...]       # (free plane, free plane)
+
+
+@functools.cache
+def _pair_classes(n: int, a: int) -> tuple[_Pairs, ...]:
+    """The pairs of the shifts t = 1..n/2 at order n when positions below a are fixed."""
+    classes = []
+    for t in range(1, n // 2 + 1):
+        fixed, boundary, free = 0, [], []
+        for i in range(n):
+            j = (i + t) % n
+            if i < a and j < a:
+                fixed |= 1 << i
+            elif i < a:
+                boundary.append((j - a, i))
+            elif j < a:
+                boundary.append((i - a, j))
+            else:
+                free.append((i - a, j - a))
+        classes.append(_Pairs(t, fixed, tuple(boundary), tuple(free)))
+    return tuple(classes)
+
+
+def _tally(planes: list[int], counter: list[int]) -> list[int]:
+    """A bit-sliced counter plus the planes: level k holds bit k of every row's count.
+
+    The sum must fit in len(counter) levels; ``planes`` is used up.
+    Three planes of one weight become one of that weight and a carry
+    into the next (a full adder, five big-integer operations), so m
+    planes cost about 5m operations.
     """
-    n = len(planes)
-    if n & 1:
+    out = []
+    column = planes
+    for level in counter:
+        if level:
+            column.append(level)
+        carries = []
+        while len(column) > 2:
+            x, y, z = column.pop(), column.pop(), column.pop()
+            u = x ^ y
+            column.append(u ^ z)
+            carries.append(x & y | u & z)
+        if len(column) == 2:
+            x, y = column
+            column = [x ^ y]
+            carries.append(x & y)
+        out.append(column[0] if column else 0)
+        column = carries
+    return out
+
+
+def _free_counter(n: int, pairs: _Pairs, free: tuple[int, ...]) -> list[int]:
+    """The counter of one shift's pairs with both ends free."""
+    return _tally([free[i] ^ free[j] for i, j in pairs.free], [0] * n.bit_length())
+
+
+def _zero_shift_mask(n: int, pairs: _Pairs, fixed: int, free: tuple[int, ...], full: int,
+                     counter: list[int]) -> int:
+    """The block rows with c_t = n/2, that is r_t = 0 (n even), given the shift's free counter.
+
+    The counter has n.bit_length() levels, so no count of the at most n
+    pairs overflows it.
+    """
+    t = pairs.t
+    target = (n >> 1) - ((fixed ^ (fixed >> t | fixed << (n - t))) & pairs.fixed).bit_count()
+    if target < 0:
         return 0
-    counter = [0] * n.bit_length()
-    for i in range(n):
-        carry = planes[i] ^ planes[(i + t) % n]
-        for k, level in enumerate(counter):
-            counter[k] = level ^ carry
-            carry &= level
-            if not carry:
-                break
-    half = n >> 1
+    boundary = [free[m] ^ full if fixed >> p & 1 else free[m] for m, p in pairs.boundary]
     mask = full
-    for k, level in enumerate(counter):
-        mask &= level if half >> k & 1 else full ^ level
+    for k, level in enumerate(_tally(boundary, counter)):
+        mask &= level if target >> k & 1 else full ^ level
     return mask
 
 
 def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
-    """Test every row on the prefix, or only those with an admissible -1 count."""
+    """Test every row on the prefix, or only those with an admissible -1 count.
+
+    The free counter of a shift is built for the first block on its
+    planes (a, k) that reaches that shift, and reused by the others.
+    """
     counts: list[int | None] = [None]
     if weights is not None:
         counts = [w - prefix.bit_count() for w in sorted(set(weights))]
         counts = [k for k in counts if 0 <= k <= n - plen]
+    blocks = (block for k in counts for block in _blocks(n, plen, k, prefix))
+    if n & 1 and n > 1:
+        # Every r_t is odd, so no row qualifies and no counter is built.
+        return sum(full.bit_length() for full, *_ in blocks), []
     nodes = 0
     sols = []
-    for full, planes in (block for k in counts for block in _blocks(n, plen, k, prefix)):
+    shared: dict[tuple, list[int]] = {}  # (a, k, t) -> free counter, for this shard only
+    for full, a, k, fixed in blocks:
         nodes += full.bit_length()
+        free = _stripes(n - a) if k is None else _placements(n - a, k)
         alive = full
         # r[t] = r[n-t], so the shifts 0 < t <= n/2 decide the row.
-        for t in range(1, n // 2 + 1):
-            alive &= _zero_shift_mask(planes, t, full)
+        for pairs in _pair_classes(n, a):
+            counter = shared.get((a, k, pairs.t))
+            if counter is None:
+                counter = shared[a, k, pairs.t] = _free_counter(n, pairs, free)
+            alive &= _zero_shift_mask(n, pairs, fixed, free, full, counter)
             if not alive:
                 break
         while alive:
             j = (alive & -alive).bit_length() - 1
-            sols.append(sum(1 << i for i, plane in enumerate(planes) if plane >> j & 1))
+            sols.append(fixed | sum(1 << (a + m) for m, plane in enumerate(free) if plane >> j & 1))
             alive &= alive - 1
     return nodes, sols
 

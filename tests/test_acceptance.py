@@ -86,6 +86,23 @@ def test_criterion_3_order_thirty_six_empty(tmp_path):
     _criterion(3, "order 36: pruned DFS + weight filter finds nothing (opt-in)", ok)
 
 
+@pytest.mark.skipif(
+    not os.environ.get("CHM_RUN_LONG"),
+    reason="order-36 long run is opt-in; set CHM_RUN_LONG=1",
+)
+def test_criterion_3_order_thirty_six_weighted_walk(tmp_path, monkeypatch):
+    # The same order decided by the bit-sliced walker, which shares no
+    # code with the DFS: every row with 15 or 21 entries -1, each tested.
+    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "36")
+    checkpoint = str(tmp_path / "walk36.checkpoint")
+    before = os.times()
+    report = run_search(36, STRATEGY_WEIGHT, jobs=os.cpu_count() or 1, checkpoint=checkpoint)
+    cpu = sum(os.times()[:4]) - sum(before[:4])  # this process and its finished workers
+    print(f"order-36 weighted walk: {report.nodes_explored} rows in {report.elapsed_ms} ms, {cpu:.1f} s CPU")
+    ok = report.raw_count == 0 and report.nodes_explored == 2 * math.comb(36, 15) == 11135805120
+    _criterion(3, "order 36: weighted bit-sliced walk finds nothing (opt-in)", ok)
+
+
 def test_criterion_4_small_orders_lemma_sweep():
     start = time.monotonic()
     ok = True

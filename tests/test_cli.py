@@ -180,14 +180,15 @@ def test_report_flags_duplicate_rows(capsys, tmp_path):
 
 def test_report_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"n\": 4}")
-    code, _, err = run(capsys, "report", "--in", str(bad))
-    assert code == 2
-    assert "missing required fields" in err
-
-    bad.write_text("not json")
-    code, _, _ = run(capsys, "report", "--in", str(bad))
-    assert code == 2
+    missing = "schema_version, strategy, raw_count, canonical_count, solutions, nodes_explored, elapsed_ms, cap"
+    for content, message in (
+        (b'{"n": 4}', f"report is missing required fields: {missing}"),
+        (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+        (b'{"n": "\xc3\xa9"}', "byte 7 is not ASCII"),
+    ):
+        bad.write_bytes(content)
+        code, out, err = run(capsys, "report", "--in", str(bad))
+        assert (code, out, err) == (2, "", f"error: report {bad}: {message}\n"), content
 
 
 def test_report_refuses_deeply_nested_json(capsys, tmp_path):

@@ -290,17 +290,39 @@ def reference_walk_shard(n, prefix, plen, weights):
     return nodes, sols
 
 
+def _signs(bits, n):
+    return Sequence(tuple(-1 if (bits >> i) & 1 else 1 for i in range(n)))
+
+
+def _shift_masks(n, a, fixed, free, full):
+    """The walker's zero-shift mask at each t = 1..n/2, free counter built afresh."""
+    return {
+        pairs.t: search._zero_shift_mask(n, pairs, fixed, free, full, search._free_counter(n, pairs, free))
+        for pairs in search._pair_classes(n, a)
+    }
+
+
 @pytest.mark.parametrize("n", range(1, 15))
 def test_zero_shift_mask_matches_autocorrelation_on_every_row(n):
-    planes = list(search._stripes(n))
-    full = (1 << (1 << n)) - 1
-    correlations = [
-        autocorrelation(Sequence(tuple(-1 if (j >> i) & 1 else 1 for i in range(n))))
-        for j in range(1 << n)
-    ]
-    for t in range(n):
-        expected = sum(1 << j for j, r in enumerate(correlations) if r[t] == 0)
-        assert search._zero_shift_mask(planes, t, full) == expected, t
+    correlations = [autocorrelation(_signs(bits, n)) for bits in range(1 << n)]
+    if n & 1:
+        # Every r_t of an odd order is odd, which is why the walker
+        # builds no counter there.
+        assert all(r[t] % 2 for r in correlations for t in range(1, n))
+        return
+    # Every fixed width, with the fixed entries all +1, all -1 and two
+    # seeded mixtures, over every row of the free positions.
+    rng = random.Random(n)
+    for a in range(n + 1):
+        free = search._stripes(n - a)
+        full = (1 << (1 << (n - a))) - 1
+        for fixed in sorted({0, (1 << a) - 1, rng.getrandbits(a), rng.getrandbits(a)}):
+            rows = [fixed | j << a for j in range(1 << (n - a))]
+            masks = _shift_masks(n, a, fixed, free, full)
+            assert sorted(masks) == list(range(1, n // 2 + 1))
+            for t, mask in masks.items():
+                expected = sum(1 << j for j, bits in enumerate(rows) if correlations[bits][t] == 0)
+                assert mask == expected, (a, fixed, t)
 
 
 @pytest.mark.parametrize("n", range(16, 25))
@@ -308,16 +330,21 @@ def test_zero_shift_mask_matches_autocorrelation_on_random_blocks(n):
     rng = random.Random(n)
     lanes = 512
     full = (1 << lanes) - 1
-    planes = [rng.getrandbits(lanes) for _ in range(n)]
-    correlations = [
-        autocorrelation(Sequence(tuple(-1 if (p >> j) & 1 else 1 for p in planes)))
-        for j in range(lanes)
-    ]
-    for t in range(n):
-        expected = sum(1 << j for j, r in enumerate(correlations) if r[t] == 0)
-        # r_t = n (mod 4) at even n, so only n = 0 (mod 4) has zero shifts.
-        assert bool(expected) == (n % 4 == 0 and t > 0), t
-        assert search._zero_shift_mask(planes, t, full) == expected, t
+    for a in (0, rng.randrange(1, n), n):
+        fixed = rng.getrandbits(a)
+        free = [rng.getrandbits(lanes) for _ in range(n - a)]
+        correlations = [
+            autocorrelation(_signs(fixed | sum((p >> j & 1) << (a + m) for m, p in enumerate(free)), n))
+            for j in range(lanes)
+        ]
+        expected = {
+            t: sum(1 << j for j, r in enumerate(correlations) if r[t] == 0) for t in range(1, n // 2 + 1)
+        }
+        # r_t = n (mod 4) at even n, so only n = 0 (mod 4) has zero shifts,
+        # and no odd order has one; a block with free positions has some.
+        assert any(expected.values()) == (n % 4 == 0) or a == n, a
+        if n % 2 == 0:
+            assert _shift_masks(n, a, fixed, free, full) == expected, a
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -370,23 +397,82 @@ def test_walkers_visit_every_candidate_row_once(n, tmp_path):
             assert run_search(n, strategy, **kwargs).nodes_explored == nodes, (strategy, kwargs)
 
 
-@pytest.mark.parametrize("block_bits", (2, 3))
-@pytest.mark.parametrize("n", range(1, 13))
+def reference_in_block_order(n, prefix, plen, weights):
+    """``reference_walk_shard`` with its rows in the order the walker's blocks visit them.
+
+    The weighted reference already follows ``itertools.combinations``
+    order.  An exhaustive shard too large for one block is split on
+    positions plen..a-1, the rows with a -1 there first, and each block
+    runs through its free positions in ascending order.
+    """
+    nodes, rows = reference_walk_shard(n, prefix, plen, weights)
+    if weights is None:
+        a = max(plen, n - search._BLOCK_BITS)
+        rows.sort(key=lambda bits: ([-(bits >> i & 1) for i in range(plen, a)], bits >> a))
+    return nodes, rows
+
+
+@pytest.mark.parametrize("block_bits", (2, 3, 4))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_split_blocks_walk_every_row_once(monkeypatch, n, block_bits):
-    # Blocks of at most 4 or 8 rows, so both the exhaustive and the
-    # weighted side split on several positions.
+    # Blocks of at most 4, 8 or 16 rows, so both the exhaustive and the
+    # weighted side split on several positions, and one shard holds many
+    # blocks on the same free planes (weighted: of several -1 counts and
+    # free widths), each reusing the free counters the first one built.
     monkeypatch.setattr(search, "_BLOCK_BITS", block_bits)
-    weight_options = [None]
+    rng = random.Random(n * 10 + block_bits)
+    weight_options = [None, tuple(sorted(rng.sample(range(n + 1), min(3, n + 1))))]
     if expected_minus_counts(n) is not None:
         weight_options.append(expected_minus_counts(n))
     for plen in sorted({0, min(2, n)}):
         for weights in weight_options:
             for prefix in range(1 << plen):
-                nodes, rows = search._walk_shard(n, prefix, plen, weights)
-                expected_nodes, expected_rows = reference_walk_shard(n, prefix, plen, weights)
-                assert nodes == expected_nodes, (plen, weights, prefix)
-                assert sorted(rows) == sorted(expected_rows), (plen, weights, prefix)
-                assert len(set(rows)) == len(rows), (plen, weights, prefix)
+                assert search._walk_shard(n, prefix, plen, weights) == reference_in_block_order(
+                    n, prefix, plen, weights
+                ), (plen, weights, prefix)
+
+
+@pytest.mark.parametrize(
+    "n, plen, block_bits", [(36, 20, 16), (36, 18, 4), (36, 22, 2), (25, 12, 3), (27, 14, 16)]
+)
+def test_deep_weighted_shards_match_reference(monkeypatch, n, plen, block_bits):
+    # Seeded shards of order 36 that get well past the prefix, with blocks
+    # split and sharing free planes, and odd orders, where no row is tested.
+    monkeypatch.setattr(search, "_BLOCK_BITS", block_bits)
+    weights = expected_minus_counts(n) or (n // 2 - 1, n // 2 + 2)
+    rng = random.Random(n * 100 + plen)
+    for _ in range(2):
+        prefix = rng.getrandbits(plen)
+        expected = reference_in_block_order(n, prefix, plen, weights)
+        assert expected[0] > 1000, prefix
+        assert search._walk_shard(n, prefix, plen, weights) == expected, prefix
+
+
+def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypatch):
+    monkeypatch.setattr(search, "_BLOCK_BITS", 3)
+    real = search._free_counter
+    built = []
+
+    def recording(n, pairs, free):
+        built.append((n, pairs, free))
+        return real(n, pairs, free)
+
+    monkeypatch.setattr(search, "_free_counter", recording)
+    for n, plen, weights in ((16, 2, None), (16, 2, (6, 10)), (12, 0, (4, 5, 6))):
+        for prefix in range(1 << plen):
+            for _ in range(2):
+                built.clear()
+                assert search._walk_shard(n, prefix, plen, weights) == reference_in_block_order(
+                    n, prefix, plen, weights
+                )
+                # Each (free planes, shift) once per call, built afresh by
+                # the next call.
+                assert built and len(set(built)) == len(built), (n, prefix, weights)
+    built.clear()
+    for n, plen in ((3, 2), (9, 2), (15, 4), (25, 14)):
+        for weights in (None, expected_minus_counts(n)):
+            assert search._walk_shard(n, 1, plen, weights) == reference_in_block_order(n, 1, plen, weights)
+    assert built == []
 
 
 def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
