@@ -44,10 +44,17 @@ def _load_sequences(args) -> list[sequences.Sequence]:
         rows.append(sequences.Sequence.from_string(args.seq))
     if args.seq_file:
         with open(args.seq_file, encoding="ascii") as f:
-            for line in f:
-                line = line.strip()
-                if line and not line.startswith("#"):
+            try:
+                text = f.read()  # one decode of the whole file, so offsets are the file's
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{args.seq_file}: byte {exc.start} is not ASCII") from None
+        for number, line in enumerate(text.split("\n"), 1):
+            line = line.strip()
+            if line and not line.startswith("#"):
+                try:
                     rows.append(sequences.Sequence.from_string(line))
+                except ValueError as exc:
+                    raise ValueError(f"{args.seq_file} line {number}: {exc}") from None
     if not rows:
         raise ValueError("no sequence given; use --seq or --seq-file")
     return rows

@@ -51,9 +51,11 @@ rows whose total is the target are kept as a mask, and a block is done
 when its mask is empty.  At odd n every r_t is odd, so no counter is
 built at all.  This is the same exact integer arithmetic, a few hundred
 big-integer operations per block instead of a Python loop per row.  Both
-full enumerations take their blocks from one generator and count as
-nodes the rows of the blocks walked, so a skipped block leaves the total
-short, which a resume and ``report`` check.
+full enumerations take their blocks from one generator and their planes
+from one recursion, which split rows alike (on the first free position,
+a -1 there first), so both walk a shard's rows in one order.  Both count
+as nodes the rows of the blocks walked, so a skipped block leaves the
+total short, which a resume and ``report`` check.
 """
 
 from __future__ import annotations
@@ -153,33 +155,17 @@ _BLOCK_BITS = 16  # at most 2^16 rows per block: planes of 8 KiB each
 
 
 @functools.cache
-def _stripes(b: int) -> tuple[int, ...]:
-    """Planes of b free positions over all their 2^b rows: bit j of plane k is bit k of j.
+def _planes(b: int, k: int | None) -> tuple[int, ...]:
+    """Planes of b free positions over their rows: every sign (k None) or k -1s.
 
-    Plane k repeats 2^k zeros then 2^k ones; the period is doubled by
-    shift and OR, since a big-integer division here costs milliseconds.
+    The rows split on the first position, those with a -1 there first,
+    and each half the same way on the rest, as ``_blocks`` splits; with k
+    -1s this is ``itertools.combinations(range(b), k)`` order.
     """
-    planes = []
-    for k in range(b):
-        plane, period = ((1 << (1 << k)) - 1) << (1 << k), 2 << k
-        while period < 1 << b:
-            plane |= plane << period
-            period <<= 1
-        planes.append(plane)
-    return tuple(planes)
-
-
-@functools.cache
-def _placements(b: int, k: int) -> tuple[int, ...]:
-    """Planes of b free positions over the C(b, k) ways to put k -1s there.
-
-    Rows come in ``itertools.combinations(range(b), k)`` order: those
-    with a -1 at the first position, then those without.
-    """
-    if k == 0 or k == b:
-        return (min(k, 1),) * b
-    split = math.comb(b - 1, k - 1)
-    with_first, without_first = _placements(b - 1, k - 1), _placements(b - 1, k)
+    if not b or k in (0, b):
+        return (int(k == b),) * b
+    split = 1 << (b - 1) if k is None else math.comb(b - 1, k - 1)
+    with_first, without_first = _planes(b - 1, None if k is None else k - 1), _planes(b - 1, k)
     return ((1 << split) - 1,) + tuple(w | (o << split) for w, o in zip(with_first, without_first))
 
 
@@ -188,7 +174,8 @@ def _blocks(n: int, a: int, k: int | None, fixed: int):
 
     The free positions take every sign (k None) or exactly k -1s.  A set
     too large for one block is split on position a, the rows with a -1
-    there first, which keeps ``itertools.combinations`` order.
+    there first, as ``_planes`` splits within a block, so a shard's rows
+    come in one order however many blocks hold them.
     """
     rows = 1 << (n - a) if k is None else math.comb(n - a, k)
     if rows <= 1 << _BLOCK_BITS:
@@ -297,7 +284,7 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
     shared: dict[tuple, list[int]] = {}  # (a, k, t) -> free counter, for this shard only
     for full, a, k, fixed in blocks:
         nodes += full.bit_length()
-        free = _stripes(n - a) if k is None else _placements(n - a, k)
+        free = _planes(n - a, k)
         alive = full
         # r[t] = r[n-t], so the shifts 0 < t <= n/2 decide the row.
         for pairs in _pair_classes(n, a):
@@ -500,9 +487,10 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dic
     exactly as ``run_search`` writes it: the header at offset 0, then
     shard lines only.  A file with a header keeps the width written
     there, so a resume does not depend on ``--jobs``; a new file gets
-    ``plen``.  Every shard line is checked against the header and its own
-    listing; anything that does not hold raises a ValueError naming the
-    file.
+    ``plen``, the widest split a run makes; a wider header is refused, as
+    a run lists all its shards before any work.  Every shard line is
+    checked against the header and its own listing; anything that does
+    not hold raises a ValueError naming the file.
 
     A crash mid-append leaves an unterminated last line.  The file is cut
     back to its last newline, so that shard is redone and the next append
@@ -536,8 +524,8 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dic
             f"checkpoint {path} was written for n={written_n} strategy={strategy}, "
             f"not n={n} strategy={label}"
         )
-    if int(width) > n:
-        raise ValueError(f"checkpoint {path}: prefix_bits {width} is not in 0..{n}; cannot resume")
+    if int(width) > plen:
+        raise ValueError(f"checkpoint {path}: prefix_bits {width} is not in 0..{plen}; cannot resume")
     plen = int(width)
     done = {}
     for line in text[header.end():].split("\n")[:-1]:
@@ -724,7 +712,8 @@ def revalidate_report(report: SearchReport) -> list[str]:
     positive and the counts and ``elapsed_ms`` non-negative.  A full
     enumeration must report the node count its order fixes: 2^n for
     ``exhaustive``, the rows of the admissible -1 counts for
-    ``weight-constrained`` (a perfect-square order).
+    ``weight-constrained``.  Both weighted strategies need a
+    perfect-square order, as ``run_search`` does.
     """
     problems = []
     if report.schema_version != SCHEMA_VERSION:
@@ -744,15 +733,16 @@ def revalidate_report(report: SearchReport) -> list[str]:
         problems.append("raw_count is smaller than the number of listed solutions")
     if report.raw_count <= report.cap and report.raw_count != len(report.solutions):
         problems.append("raw_count disagrees with the untruncated solution list")
-    if report.strategy in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT) and report.n >= 1:
+    weighted = report.strategy in (STRATEGY_WEIGHT, STRATEGY_DFS + "+weight")
+    if weighted and report.n >= 1 and expected_minus_counts(report.n) is None:
+        problems.append(f"strategy {report.strategy} needs a perfect-square order, not {report.n}")
+    elif report.strategy in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT) and report.n >= 1:
         # Both visit a node count fixed by n, between 2^(n/4) and 2^n
         # (C(n, w) >= 2^w for w <= n/2, and the smaller admissible weight
         # is at least n/4 from n = 4 on), so a count whose bit length
         # rules n out is flagged before 2^n or C(n, w) is built.
         size = report.nodes_explored.bit_length()
-        if report.strategy == STRATEGY_WEIGHT and expected_minus_counts(report.n) is None:
-            problems.append(f"strategy {STRATEGY_WEIGHT} needs a perfect-square order, not {report.n}")
-        elif not report.n <= 4 * size <= 4 * (report.n + 1) or (
+        if not report.n <= 4 * size <= 4 * (report.n + 1) or (
             report.nodes_explored != _order_rows(report.n, report.strategy)
         ):
             problems.append(

@@ -60,6 +60,19 @@ def test_verify_seq_file(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_seq_file_refusals_name_the_file_and_line(capsys, tmp_path):
+    rows = tmp_path / "rows.txt"
+    for content, message in (
+        (b"-+++\n\n# comment\n+x++\n", " line 4: invalid sign character 'x' (expected '+' or '-')"),
+        (b"-+++\r\n+-+ +\r\n", " line 2: invalid sign character ' ' (expected '+' or '-')"),
+        (b"-+++\n+\xe9++\n", ": byte 6 is not ASCII"),
+        (b"-+++\n" * 3000 + b"\xff\n", ": byte 15000 is not ASCII"),
+    ):
+        rows.write_bytes(content)
+        code, out, err = run(capsys, "verify", "--seq-file", str(rows))
+        assert (code, out, err) == (2, "", f"error: {rows}{message}\n"), content
+
+
 def test_verify_trivial_order_one(capsys):
     code, out, _ = run(capsys, "verify", "--seq", "-")
     assert code == 0  # the 1x1 row is Hadamard; check 1 reports the exception
@@ -256,6 +269,19 @@ def test_search_checkpoint_with_malformed_header_is_invalid_input(capsys, tmp_pa
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and str(cp) in err and "Traceback" not in err
+
+
+def test_search_checkpoint_wider_than_any_split_is_invalid_input(capsys, tmp_path):
+    # A run lists every one of the header's 2^width shards before it
+    # starts, so no width beyond min(n, 8) is taken from a file.
+    cp = tmp_path / "cp.txt"
+    argv = ("search", "--n", "12", "--strategy", "exhaustive", "--checkpoint", str(cp))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    cp.write_text(cp.read_text().replace("prefix_bits=8\n", "prefix_bits=9\n", 1))
+    code, out, err = run(capsys, *argv)
+    message = f"error: checkpoint {cp}: prefix_bits 9 is not in 0..8; cannot resume\n"
+    assert (code, out, err) == (2, "", message)
 
 
 @pytest.mark.parametrize("strategy", ("exhaustive", "weight-constrained"))

@@ -265,19 +265,25 @@ def test_dfs_kernel_matches_reference_on_order_36_shards():
 # naive filter
 
 def reference_walk_shard(n, prefix, plen, weights):
-    """The full enumeration written row by row, one rotated-XOR popcount per shift."""
+    """The full enumeration written row by row, one rotated-XOR popcount per shift.
+
+    Rows come in the walker's order: those with a -1 at the first free
+    position, then those without, each half in that order on the rest
+    (for a fixed -1 count, ``itertools.combinations`` order).
+    """
+    free = range(plen, n)
     if weights is None:
-        rows = range(prefix, 1 << n, 1 << plen)
-        nodes = len(rows)
+        rows = [prefix]
+        for i in reversed(free):
+            rows = [bits | 1 << i for bits in rows] + rows
     else:
-        free = range(plen, n)
         needs = [w - prefix.bit_count() for w in sorted(set(weights))]
         needs = [k for k in needs if 0 <= k <= len(free)]
-        rows = (
+        rows = [
             prefix | sum(1 << i for i in combo)
             for k in needs for combo in itertools.combinations(free, k)
-        )
-        nodes = sum(math.comb(len(free), k) for k in needs)
+        ]
+    nodes = len(rows)
     mask = (1 << n) - 1
     sols = []
     for bits in rows:
@@ -292,6 +298,24 @@ def reference_walk_shard(n, prefix, plen, weights):
 
 def _signs(bits, n):
     return Sequence(tuple(-1 if (bits >> i) & 1 else 1 for i in range(n)))
+
+
+def _decode(planes, j):
+    """Row j of a block as a bit mask over its free positions."""
+    return sum((plane >> j & 1) << m for m, plane in enumerate(planes))
+
+
+@pytest.mark.parametrize("b", range(11))
+def test_planes_hold_each_row_once_in_split_order(b):
+    # -1 (bit 1) at an earlier position first: itertools.product over
+    # (1, 0) with the first position slowest, filtered by -1 count.
+    every = [sum(bit << m for m, bit in enumerate(signs)) for signs in itertools.product((1, 0), repeat=b)]
+    for k in (None, *range(b + 1)):
+        expected = [row for row in every if k is None or row.bit_count() == k]
+        planes = search._planes(b, k)
+        assert len(planes) == b
+        assert all(plane >> len(expected) == 0 for plane in planes), k
+        assert [_decode(planes, j) for j in range(len(expected))] == expected, k
 
 
 def _shift_masks(n, a, fixed, free, full):
@@ -314,10 +338,10 @@ def test_zero_shift_mask_matches_autocorrelation_on_every_row(n):
     # seeded mixtures, over every row of the free positions.
     rng = random.Random(n)
     for a in range(n + 1):
-        free = search._stripes(n - a)
+        free = search._planes(n - a, None)
         full = (1 << (1 << (n - a))) - 1
         for fixed in sorted({0, (1 << a) - 1, rng.getrandbits(a), rng.getrandbits(a)}):
-            rows = [fixed | j << a for j in range(1 << (n - a))]
+            rows = [fixed | _decode(free, j) << a for j in range(1 << (n - a))]
             masks = _shift_masks(n, a, fixed, free, full)
             assert sorted(masks) == list(range(1, n // 2 + 1))
             for t, mask in masks.items():
@@ -397,21 +421,6 @@ def test_walkers_visit_every_candidate_row_once(n, tmp_path):
             assert run_search(n, strategy, **kwargs).nodes_explored == nodes, (strategy, kwargs)
 
 
-def reference_in_block_order(n, prefix, plen, weights):
-    """``reference_walk_shard`` with its rows in the order the walker's blocks visit them.
-
-    The weighted reference already follows ``itertools.combinations``
-    order.  An exhaustive shard too large for one block is split on
-    positions plen..a-1, the rows with a -1 there first, and each block
-    runs through its free positions in ascending order.
-    """
-    nodes, rows = reference_walk_shard(n, prefix, plen, weights)
-    if weights is None:
-        a = max(plen, n - search._BLOCK_BITS)
-        rows.sort(key=lambda bits: ([-(bits >> i & 1) for i in range(plen, a)], bits >> a))
-    return nodes, rows
-
-
 @pytest.mark.parametrize("block_bits", (2, 3, 4))
 @pytest.mark.parametrize("n", range(1, 17))
 def test_split_blocks_walk_every_row_once(monkeypatch, n, block_bits):
@@ -427,7 +436,7 @@ def test_split_blocks_walk_every_row_once(monkeypatch, n, block_bits):
     for plen in sorted({0, min(2, n)}):
         for weights in weight_options:
             for prefix in range(1 << plen):
-                assert search._walk_shard(n, prefix, plen, weights) == reference_in_block_order(
+                assert search._walk_shard(n, prefix, plen, weights) == reference_walk_shard(
                     n, prefix, plen, weights
                 ), (plen, weights, prefix)
 
@@ -443,7 +452,7 @@ def test_deep_weighted_shards_match_reference(monkeypatch, n, plen, block_bits):
     rng = random.Random(n * 100 + plen)
     for _ in range(2):
         prefix = rng.getrandbits(plen)
-        expected = reference_in_block_order(n, prefix, plen, weights)
+        expected = reference_walk_shard(n, prefix, plen, weights)
         assert expected[0] > 1000, prefix
         assert search._walk_shard(n, prefix, plen, weights) == expected, prefix
 
@@ -462,7 +471,7 @@ def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypat
         for prefix in range(1 << plen):
             for _ in range(2):
                 built.clear()
-                assert search._walk_shard(n, prefix, plen, weights) == reference_in_block_order(
+                assert search._walk_shard(n, prefix, plen, weights) == reference_walk_shard(
                     n, prefix, plen, weights
                 )
                 # Each (free planes, shift) once per call, built afresh by
@@ -471,7 +480,7 @@ def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypat
     built.clear()
     for n, plen in ((3, 2), (9, 2), (15, 4), (25, 14)):
         for weights in (None, expected_minus_counts(n)):
-            assert search._walk_shard(n, 1, plen, weights) == reference_in_block_order(n, 1, plen, weights)
+            assert search._walk_shard(n, 1, plen, weights) == reference_walk_shard(n, 1, plen, weights)
     assert built == []
 
 
@@ -642,7 +651,7 @@ def test_checkpoint_resume_takes_prefix_width_from_header(tmp_path):
     assert {len(l.split()[0]) for l in shard_lines(cp)} == {len("prefix=") + 8}
 
 
-@pytest.mark.parametrize("width", ("13", "-1", "x", None))
+@pytest.mark.parametrize("width", ("13", "9", "-1", "x", None))
 def test_checkpoint_header_prefix_width_outside_the_order_is_rejected(tmp_path, width):
     cp = tmp_path / "cp.txt"
     run_search(12, STRATEGY_DFS, checkpoint=str(cp))
@@ -1039,6 +1048,10 @@ def tampered(**changes):
         (tampered(strategy="weight-constrained", nodes_explored=7), "nodes_explored 7 is not"),
         (tampered(strategy="weight-constrained", n=8, solutions=[], raw_count=0,
                   canonical_count=0, nodes_explored=112), "needs a perfect-square order, not 8"),
+        (tampered(strategy="pruned-dfs+weight", n=8, solutions=[], raw_count=0,
+                  canonical_count=0), "strategy pruned-dfs+weight needs a perfect-square order, not 8"),
+        (tampered(strategy="pruned-dfs+weight", n=12, solutions=[], raw_count=0,
+                  canonical_count=0), "strategy pruned-dfs+weight needs a perfect-square order, not 12"),
         (tampered(n=10**9, solutions=[], raw_count=0, canonical_count=0, nodes_explored=2**4000),
          "every exhaustive run of order 1000000000 visits"),
         (tampered(strategy="weight-constrained", n=10**18, solutions=[], raw_count=0,
@@ -1047,7 +1060,8 @@ def tampered(**changes):
     ids=["duplicate", "descending", "strategy", "raw_count", "canonical_count",
          "nodes_explored", "cap", "over_cap", "n_negative", "n_zero", "elapsed_ms",
          "exhaustive_truncated", "exhaustive_short", "exhaustive_long", "weight_truncated",
-         "weight_short", "weight_non_square", "exhaustive_huge_order", "weight_huge_order"],
+         "weight_short", "weight_non_square", "dfs_weight_non_square_8", "dfs_weight_non_square_12",
+         "exhaustive_huge_order", "weight_huge_order"],
 )
 def test_revalidate_flags_malformed_reports(data, problem):
     problems = revalidate_report(report_from_dict(data))
