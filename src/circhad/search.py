@@ -21,15 +21,15 @@ on what they find:
                            at even n and cuts every odd order at depth 1.
 
 Work is split into independent subtrees by fixing the first few entries
-(2^P prefixes with 2^P >= 4*jobs up to 2^8; 2^8 for a new checkpoint,
-and the header's P when resuming one), so results merge
+(2^P prefixes with 2^P >= 4*jobs up to 2^8; always 2^8, or 2^n below
+order 8, with a checkpoint), so results merge
 deterministically regardless of scheduling.  A process pool, built only
 when at least two workers would run, is sent the pending shards in
 batches, about 8 per worker, so a split into many short shards does
 not pay one pool round trip per shard; results still come back, and
 are logged one line per shard, in prefix order.  A checkpoint file
-must read exactly as it was written: the header, then one line per
-finished shard; anything else is refused.  Every shard
+must read exactly as this run writes it: its header, then one line per
+finished shard, each prefix once; anything else is refused.  Every shard
 returns its node count and its rows, whatever the strategy; counts of
 rows are always the length of a listing.  Every row a strategy emits is
 re-verified with the exact integer autocorrelation before it is reported.
@@ -431,13 +431,13 @@ def _run_shard(task: tuple) -> tuple[int, int, tuple[str, ...], int]:
 # Checkpoint files: the header below, then one line per completed shard.
 # The mandated shard token is ``prefix=<bitstring>``; the remaining
 # fields on the line carry the shard tallies so a resumed run can merge
-# finished work without redoing it.  The writer fills in these format
-# strings and the reader matches the same strings, each field a capture
-# group (their literal text holds no regex metacharacter).
+# finished work without redoing it.  The reader wants the header this
+# run writes, verbatim, and matches shard lines against the writer's
+# format string, each field a capture group (no regex metacharacter in
+# its literal text).
 
 _HEADER = "# circhad search checkpoint v1\nn={n}\nstrategy={strategy}\nprefix_bits={prefix_bits}\n"
 _SHARD = "prefix={} raw_count={} nodes_explored={} elapsed_ms={} solutions={}"
-_HEADER_RE = re.compile(_HEADER.format(n="([0-9]+)", strategy="([-+a-z]+)", prefix_bits="([0-9]+)"))
 _SHARD_LINE = re.compile(_SHARD.format("([01]*)", "([0-9]+)", "([0-9]+)", "([0-9]+)", "([-+,]*)"))
 _BITS_SIGNS = str.maketrans("01+-", "+-01")  # bits to signs and back
 
@@ -450,19 +450,22 @@ def _shard_line(plen: int, result: tuple) -> str:
 
 def _parse_shard_line(path: str, line: str, n: int, plen: int) -> tuple:
     """One ``prefix=...`` line as a shard result; ValueError if it does not hold."""
-    match = _SHARD_LINE.fullmatch(line)
-    if match is None:
+    try:
+        match = _SHARD_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError
+        bitstring, raw, nodes, elapsed, listing = match.groups()
+        raw, nodes, elapsed = int(raw), int(nodes), int(elapsed)
+    except ValueError:  # no match, or a count over sys.get_int_max_str_digits() digits
         raise ValueError(
             f"checkpoint {path}: line {line!r} does not read prefix=<bits>"
             " raw_count=<count> nodes_explored=<count> elapsed_ms=<count> solutions=<rows>,"
             " each count a non-negative integer"
-        )
-    bitstring, raw, nodes, elapsed, listing = match.groups()
+        ) from None
     if len(bitstring) != plen:
         raise ValueError(
             f"checkpoint {path}: prefix width {len(bitstring)} does not match its header ({plen})"
         )
-    raw, nodes, elapsed = int(raw), int(nodes), int(elapsed)
     sols = tuple(filter(None, listing.split(",")))
     if raw != len(sols):
         raise ValueError(
@@ -480,17 +483,16 @@ def _parse_shard_line(path: str, line: str, n: int, plen: int) -> tuple:
     return prefix, nodes, sols, elapsed
 
 
-def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dict[int, tuple]]:
+def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tuple]:
     """Parse completed shard lines; create the file with a header if new.
 
-    Returns the prefix width and the finished shards.  The file must read
-    exactly as ``run_search`` writes it: the header at offset 0, then
-    shard lines only.  A file with a header keeps the width written
-    there, so a resume does not depend on ``--jobs``; a new file gets
-    ``plen``, the widest split a run makes; a wider header is refused, as
-    a run lists all its shards before any work.  Every shard line is
-    checked against the header and its own listing; anything that does
-    not hold raises a ValueError naming the file.
+    Returns the finished shards.  The file must read exactly as
+    ``run_search`` writes it: at offset 0 the header this run writes,
+    for order n, strategy ``label`` and width ``plen``, then one shard
+    line per finished prefix, each prefix once.  A header that differs
+    in any field is refused, so a file from another run is never merged.
+    Every shard line is checked against the width and its own listing;
+    anything that does not hold raises a ValueError naming the file.
 
     A crash mid-append leaves an unterminated last line.  The file is cut
     back to its last newline, so that shard is redone and the next append
@@ -505,33 +507,24 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> tuple[int, dic
                 f.truncate(end)
     except FileNotFoundError:
         data, end = b"", 0
-    fresh = _HEADER.format(n=n, strategy=label, prefix_bits=plen)
-    if fresh.encode("ascii").startswith(data[:end]):
+    header = _HEADER.format(n=n, strategy=label, prefix_bits=plen)
+    if header.encode("ascii").startswith(data[:end]):
         with open(path, "w", encoding="ascii") as f:
-            f.write(fresh)
-        return plen, {}
+            f.write(header)
+        return {}
     try:
         text = data[:end].decode("ascii")
     except UnicodeDecodeError as exc:
         raise ValueError(f"checkpoint {path}: byte {exc.start} is not ASCII") from None
-    header = _HEADER_RE.match(text)
-    if header is None:
-        layout = _HEADER.format(n="<order>", strategy="<strategy>", prefix_bits="<width>")
-        raise ValueError(f"checkpoint {path} does not start with the header {layout!r}")
-    written_n, strategy, width = header.groups()
-    if int(written_n) != n or strategy != label:
-        raise ValueError(
-            f"checkpoint {path} was written for n={written_n} strategy={strategy}, "
-            f"not n={n} strategy={label}"
-        )
-    if int(width) > plen:
-        raise ValueError(f"checkpoint {path}: prefix_bits {width} is not in 0..{plen}; cannot resume")
-    plen = int(width)
+    if not text.startswith(header):
+        raise ValueError(f"checkpoint {path} does not start with the header this run writes, {header!r}")
     done = {}
-    for line in text[header.end():].split("\n")[:-1]:
+    for line in text[len(header):].split("\n")[:-1]:
         shard = _parse_shard_line(path, line, n, plen)
+        if shard[0] in done:
+            raise ValueError(f"checkpoint {path}: shard {line.split()[0]} is listed twice")
         done[shard[0]] = shard
-    return plen, done
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -541,9 +534,10 @@ def _exhaustive_cap() -> int:
     value = os.environ.get(EXHAUSTIVE_CAP_ENV)
     if value is None:
         return DEFAULT_EXHAUSTIVE_CAP
-    if not (value.isascii() and value.isdigit()):
-        raise ValueError(f"{EXHAUSTIVE_CAP_ENV} must be a non-negative decimal integer, got {value!r}")
-    return int(value)
+    with contextlib.suppress(ValueError):  # int() refuses over sys.get_int_max_str_digits() digits
+        if value.isascii() and value.isdigit():
+            return int(value)
+    raise ValueError(f"{EXHAUSTIVE_CAP_ENV} must be a non-negative decimal integer, got {value!r:.60}")
 
 
 def _order_rows(n: int, strategy: str) -> int:
@@ -601,13 +595,11 @@ def run_search(
         raise CapExceeded(f"order {n} exceeds the DFS cap {MAX_DFS_ORDER}")
 
     label = strategy + "+weight" if weight_filter else strategy
-    # 2^P >= 4*jobs shards, capped at the 2^8 a new checkpoint always
-    # uses: the pool never has more workers than cores, so a wider split
-    # only adds per-shard overhead.
+    # 2^P >= 4*jobs shards, capped at 2^8: the pool never has more
+    # workers than cores, so a wider split only adds per-shard overhead.
+    # A checkpointed run always splits at the cap, whatever --jobs.
     plen = min(n, 8, 8 if checkpoint is not None else (4 * jobs - 1).bit_length())
-    done: dict[int, tuple] = {}
-    if checkpoint is not None:
-        plen, done = _load_checkpoint(checkpoint, n, label, plen)
+    done = {} if checkpoint is None else _load_checkpoint(checkpoint, n, label, plen)
     pending = [
         (strategy, n, prefix, plen, weights)
         for prefix in range(1 << plen) if prefix not in done

@@ -123,15 +123,18 @@ def build_circulant(seq: Sequence) -> tuple[tuple[int, ...], ...]:
 def has_orthogonal_rows(seq: Sequence) -> bool:
     """Exact matrix-level check that H Ht = n I for the circulant matrix.
 
-    Deliberately computed as a full row-by-row inner product over the
-    materialized matrix, independent of the autocorrelation shortcut.
+    Deliberately computed as a full row-by-row inner product of the
+    matrix rows, independent of the autocorrelation shortcut.  Each row
+    is the rotation slice of ``build_circulant``, built only when its
+    product is taken, so memory stays O(n) and the first product that
+    is off stops the check.
     """
-    rows = build_circulant(seq)
-    n = seq.n
+    h = seq.entries
+    n = len(h)
     for i in range(n):
-        ri = rows[i]
+        ri = h[n - i :] + h[: n - i]
         for j in range(i, n):
-            dot = sum(a * b for a, b in zip(ri, rows[j]))
+            dot = sum(a * b for a, b in zip(ri, h[n - j :] + h[: n - j]))
             if dot != (n if i == j else 0):
                 return False
     return True

@@ -231,7 +231,7 @@ def test_search_cap_refusal(capsys, monkeypatch):
     assert "cap" in err
 
 
-@pytest.mark.parametrize("value", ("abc", "-1"))
+@pytest.mark.parametrize("value", ("abc", "-1", pytest.param("9" * 5000, id="5000_digits")))
 def test_search_invalid_cap_env_is_invalid_input(capsys, monkeypatch, value):
     monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", value)
     code, out, err = run(capsys, "search", "--n", "1")
@@ -272,15 +272,16 @@ def test_search_checkpoint_with_malformed_header_is_invalid_input(capsys, tmp_pa
 
 
 def test_search_checkpoint_wider_than_any_split_is_invalid_input(capsys, tmp_path):
-    # A run lists every one of the header's 2^width shards before it
-    # starts, so no width beyond min(n, 8) is taken from a file.
+    # A checkpointed run splits at min(n, 8) and reads only the header
+    # it writes, so a file of any other width is refused.
     cp = tmp_path / "cp.txt"
     argv = ("search", "--n", "12", "--strategy", "exhaustive", "--checkpoint", str(cp))
     code, _, _ = run(capsys, *argv)
     assert code == 0
     cp.write_text(cp.read_text().replace("prefix_bits=8\n", "prefix_bits=9\n", 1))
     code, out, err = run(capsys, *argv)
-    message = f"error: checkpoint {cp}: prefix_bits 9 is not in 0..8; cannot resume\n"
+    header = "# circhad search checkpoint v1\nn=12\nstrategy=exhaustive\nprefix_bits=8\n"
+    message = f"error: checkpoint {cp} does not start with the header this run writes, {header!r}\n"
     assert (code, out, err) == (2, "", message)
 
 

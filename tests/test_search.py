@@ -557,8 +557,9 @@ def test_exhaustive_cap_env_is_honored(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "value", ("abc", "-1", "", " 8", "8.0", "\u00b2"),
-    ids=["letters", "negative", "empty", "leading_space", "decimal_point", "superscript_two"],
+    "value", ("abc", "-1", "", " 8", "8.0", "\u00b2", "9" * 5000),
+    ids=["letters", "negative", "empty", "leading_space", "decimal_point", "superscript_two",
+         "past_int_digit_limit"],
 )
 def test_exhaustive_cap_env_must_be_a_non_negative_integer(monkeypatch, value):
     monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", value)
@@ -638,21 +639,23 @@ def shard_lines(path):
     return [l for l in open(path).read().splitlines() if l.startswith("prefix=")]
 
 
-def test_checkpoint_resume_takes_prefix_width_from_header(tmp_path):
+def test_checkpoint_resume_split_does_not_depend_on_jobs(tmp_path):
     cp = str(tmp_path / "cp.txt")
     base = run_search(12, STRATEGY_DFS, checkpoint=cp)
     lines = open(cp).read().splitlines(True)
     with open(cp, "w") as f:
         f.writelines(lines[:-2])
-    # jobs=128 alone would pick 9 prefix bits; the header says 8.
+    # Every checkpointed run splits at min(n, 8) prefix bits, whatever --jobs.
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=128, checkpoint=cp), base)
     assert "prefix_bits=8\n" in open(cp).read()
     assert len(shard_lines(cp)) == 256
     assert {len(l.split()[0]) for l in shard_lines(cp)} == {len("prefix=") + 8}
 
 
-@pytest.mark.parametrize("width", ("13", "9", "-1", "x", None))
+@pytest.mark.parametrize("width", ("13", "9", "7", "-1", "x", None))
 def test_checkpoint_header_prefix_width_outside_the_order_is_rejected(tmp_path, width):
+    # A checkpointed run writes and reads one width, min(n, 8): a wider or
+    # a narrower header is another run's file.
     cp = tmp_path / "cp.txt"
     run_search(12, STRATEGY_DFS, checkpoint=str(cp))
     text = cp.read_text()
@@ -660,6 +663,20 @@ def test_checkpoint_header_prefix_width_outside_the_order_is_rejected(tmp_path, 
     cp.write_text(text.replace("prefix_bits=8\n", replacement))
     with pytest.raises(ValueError, match="prefix_bits"):
         run_search(12, STRATEGY_DFS, checkpoint=str(cp))
+
+
+@pytest.mark.parametrize("n, strategy", [(12, STRATEGY_DFS), (4, STRATEGY_EXHAUSTIVE)])
+def test_checkpoint_shard_listed_twice_is_rejected(tmp_path, n, strategy):
+    # A second line for a prefix would be merged over the first: at n = 12
+    # the DFS, whose node count nothing can recount, would report it.
+    cp = tmp_path / "cp.txt"
+    run_search(n, strategy, checkpoint=str(cp))
+    first = shard_lines(cp)[0]
+    with open(cp, "a") as f:
+        f.write(first + "\n")
+    message = f"checkpoint {cp}: shard {first.split()[0]} is listed twice"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_search(n, strategy, checkpoint=str(cp))
 
 
 def order_four_checkpoint(tmp_path, prefix, line):
@@ -695,10 +712,12 @@ def order_four_checkpoint(tmp_path, prefix, line):
          "not a Hadamard row"),
         ("0000", "prefix=00x0 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
          "does not read"),
+        ("0000", f"prefix=0000 raw_count=0 nodes_explored={'9' * 5000} elapsed_ms=0 solutions=",
+         "does not read"),
     ],
     ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
          "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
-         "row_off_prefix", "row_not_hadamard", "prefix_not_bits"],
+         "row_off_prefix", "row_not_hadamard", "prefix_not_bits", "nodes_past_int_digit_limit"],
 )
 def test_checkpoint_shard_line_is_validated(tmp_path, prefix, line, problem):
     cp = order_four_checkpoint(tmp_path, prefix, line)

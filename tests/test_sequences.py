@@ -1,6 +1,7 @@
 """Sequence-level checks: autocorrelation, Hadamard tests, exact eigenvalues."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,19 @@ def test_hadamard_equals_matrix_oracle_randomized_larger():
         n = rng.randint(13, 32)
         s = Sequence(tuple(rng.choice((-1, 1)) for _ in range(n)))
         assert is_circulant_hadamard(s) == has_orthogonal_rows(s)
+
+
+def test_matrix_oracle_builds_rows_only_as_it_needs_them():
+    # The n x n matrix at n = 3000 would take about 72 MB.
+    rng = random.Random(3000)
+    s = Sequence(tuple(rng.choice((-1, 1)) for _ in range(3000)))
+    tracemalloc.start()
+    try:
+        verdict = has_orthogonal_rows(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict is False and peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
