@@ -159,7 +159,7 @@ def _cmd_analyze(args) -> int:
             k = int(args.k)
         except ValueError:
             if seq.n % 4 == 0:
-                raise ValueError(f'--k takes "all" or a mode index, got {args.k!r}') from None
+                raise ValueError(f'--k takes "all" or a mode index, got {args.k!r:.60}') from None
             k = 0  # mode_verdict refuses the order before it reads k
         modes = (spectra.mode_verdict(index_set, k),)
         overall = modes[0].mag_sq_equals_order

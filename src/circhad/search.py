@@ -15,10 +15,11 @@ on what they find:
                            soon as any partial autocorrelation provably
                            cannot reach zero (magnitude or parity).  All
                            n-1 partial sums live in one packed integer,
-                           so a node costs a few big-integer operations
-                           and one guard-bit test, with nothing to undo
-                           on the way back; the parity clause is implied
-                           at even n and cuts every odd order at depth 1.
+                           the next entry's -1 partners in two more, so a
+                           node costs a few big-integer operations and one
+                           guard-bit test, with nothing to undo on the way
+                           back; parity is implied at even n and cut by the
+                           per-depth bounds at odd n once h[1] is set.
 
 Work is split into independent subtrees by fixing the first few entries
 (2^P prefixes with 2^P >= 4*jobs up to 2^8; always 2^8, or 2^n below
@@ -304,14 +305,16 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
 # The pruned DFS keeps every partial autocorrelation in one integer.
 # Field t (bits 8t..8t+7, t = 1..n-1) holds 64 + r_t, the running sum of
 # the products h[i]*h[i+t mod n] whose two entries are both assigned;
-# bit 7 of each field is a guard bit.  The assigned prefix is kept twice
-# as a "dilated" integer, one bit per field: forward (field j set when
-# h[j] = -1) and reversed (field n-1-j set when h[j] = -1).  Assigning
-# h[d] = +1 adds to field t the products with h[d-t] (t <= d) and with
-# h[d+t-n] (t >= n-d), each 1 - 2*[that entry is -1], so the whole update
-# is P + ones - 2*((fwd << 8(n-d)) + (rev >> 8(n-1-d))); at t = n/2 both
+# bit 7 of each field is a guard bit.  At depth d the -1s among the
+# assigned partners of h[d] are kept as two integers, one bit per field:
+# ``near`` has field t set when h[d-t] = -1 (t <= d) and ``wrap`` has
+# field t set when h[d+t-n] = -1 (t >= n-d).  Assigning h[d] = +1 adds
+# to field t the products with both partners, each 1 - 2*[partner is
+# -1], so the whole update is P + ones - 2*(near + wrap); at t = n/2 both
 # terms land in one field, as they should.  Assigning -1 negates every
-# product, so that child is P minus the same delta.
+# product, so that child is P minus the same delta.  A child's partners
+# are (near << 8, wrap >> 8), with h[d] itself added at field 1 of near
+# and field n-1 of wrap when it is -1; at the leaf, wrap is the row.
 #
 # The number u_t of open terms of r_t depends only on the depth, so
 # |r_t| <= u_t for every t is one test per node: with lo holding 64 + u_t
@@ -319,7 +322,10 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
 # hi - P are all set exactly when r_t + u_t >= 0 and u_t - r_t >= 0 for
 # every t.  Fields never touched hold r_t = 0 <= u_t = n, and a touched
 # field is touched again at every later depth, so testing all fields is
-# the same as testing the touched ones.
+# the same as testing the touched ones.  The parity clause, r_t + u_t
+# even, holds at every node at even n and fails at odd n once h[1] is
+# assigned; so at odd n lo is 0 from depth 1 on, P + lo is then a field
+# in [64 - n, 64 + n] and no guard bit is set.
 
 _FIELD = 8
 _BIAS = 64
@@ -329,13 +335,9 @@ _GUARD = 128
 class _Step(NamedTuple):
     """Per-depth constants of the packed DFS (depth d assigns h[d])."""
 
-    ones: int       # number of terms each field gains
-    shift_fwd: int  # 8(n-d): forward prefix onto the wrapped shifts t >= n-d
-    shift_rev: int  # 8(n-1-d): reversed prefix onto the shifts t <= d
-    lo: int         # 128 + u_t - 64 in field t, u_t counted after depth d
-    hi: int         # 128 + u_t + 64 in field t
-    bit_fwd: int    # the dilated bits of entry d
-    bit_rev: int
+    ones: int  # number of terms each field gains
+    lo: int    # 128 + u_t - 64 in field t, u_t counted after depth d; 0 at odd n from d = 1
+    hi: int    # 128 + u_t + 64 in field t
 
 
 @functools.cache
@@ -355,12 +357,8 @@ def _packed_tables(n: int) -> tuple[int, int, tuple[_Step, ...]]:
         open_terms = [n - max(0, d - t + 1) - max(0, d - (n - t) + 1) for t in shifts]
         steps.append(_Step(
             ones=packed((d >= t) + (d >= n - t) for t in shifts),
-            shift_fwd=_FIELD * (n - d),
-            shift_rev=_FIELD * (n - 1 - d),
-            lo=packed(_GUARD + u - _BIAS for u in open_terms),
+            lo=0 if n & 1 and d else packed(_GUARD + u - _BIAS for u in open_terms),
             hi=packed(_GUARD + u + _BIAS for u in open_terms),
-            bit_fwd=1 << (_FIELD * d),
-            bit_rev=1 << (_FIELD * (n - 1 - d)),
         ))
     return packed([_BIAS] * (n - 1)), packed([_GUARD] * (n - 1)), tuple(steps)
 
@@ -372,43 +370,39 @@ def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) 
     wlo = min(weights) if weights else 0
     whi = max(weights) if weights else n
     wset = set(weights) if weights else range(n + 1)
-    # Each depth gets the range of -1 counts so far from which its + and
-    # its - child stay inside the weight bounds; a fixed prefix entry
-    # empties the range of the other sign.  The prefix thus goes through
-    # the same bound machinery, so an infeasible prefix costs exactly the
-    # nodes visited before the cut.  r_t + u_t = n (mod 2) at every
-    # node, so the parity clause never fires at even n and fails every
-    # node below the root at odd n.
+    # Either child of depth d stays inside the weight bounds when its -1
+    # count c has wlo - (n-d-1) <= c <= whi; a fixed prefix entry empties
+    # the range of the other sign.  The prefix thus goes through the same
+    # bound machinery, so an infeasible prefix costs exactly the nodes
+    # visited before the cut.
     rows = []
     for d, step in enumerate(steps):
         fixed = d < plen
         minus_fixed = fixed and (prefix >> d) & 1
-        reach = wlo - (n - d - 1)
         rows.append(step + (
-            reach, -1 if minus_fixed else whi,
-            reach - 1, -1 if fixed and not minus_fixed else whi - 1,
-            bool(n & 1 and d),
+            wlo - (n - d - 1), -1 if minus_fixed else whi, -1 if fixed and not minus_fixed else whi,
         ))
+    near_bit, wrap_bit = 1 << _FIELD, 1 << (_FIELD * (n - 1))
 
-    def walk(d: int, packed: int, fwd: int, rev: int, minus: int) -> None:
+    def walk(d: int, packed: int, near: int, wrap: int, minus: int) -> None:
         nonlocal nodes
         if d == n:
             if minus in wset:
-                sols.append(sum(1 << j for j in range(n) if (fwd >> (_FIELD * j)) & 1))
+                sols.append(sum(1 << j for j in range(n) if (wrap >> (_FIELD * j)) & 1))
             return
-        (ones, shift_fwd, shift_rev, lo, hi, bit_fwd, bit_rev,
-         plus_lo, plus_hi, minus_lo, minus_hi, parity_fails) = rows[d]
-        delta = ones - 2 * ((fwd << shift_fwd) + (rev >> shift_rev))
-        if plus_lo <= minus <= plus_hi:
+        ones, lo, hi, reach, plus_hi, minus_hi = rows[d]
+        delta = ones - 2 * (near + wrap)
+        if reach <= minus <= plus_hi:
             nodes += 1
             child = packed + delta
-            if not parity_fails and ((child + lo) & (hi - child) & guard) == guard:
-                walk(d + 1, child, fwd, rev, minus)
-        if minus_lo <= minus <= minus_hi:
+            if ((child + lo) & (hi - child) & guard) == guard:
+                walk(d + 1, child, near << _FIELD, wrap >> _FIELD, minus)
+        minus += 1
+        if reach <= minus <= minus_hi:
             nodes += 1
             child = packed - delta
-            if not parity_fails and ((child + lo) & (hi - child) & guard) == guard:
-                walk(d + 1, child, fwd | bit_fwd, rev | bit_rev, minus + 1)
+            if ((child + lo) & (hi - child) & guard) == guard:
+                walk(d + 1, child, near << _FIELD | near_bit, wrap >> _FIELD | wrap_bit, minus)
 
     walk(0, start, 0, 0, 0)
     return nodes, sols
@@ -458,7 +452,7 @@ def _parse_shard_line(path: str, line: str, n: int, plen: int) -> tuple:
         raw, nodes, elapsed = int(raw), int(nodes), int(elapsed)
     except ValueError:  # no match, or a count over sys.get_int_max_str_digits() digits
         raise ValueError(
-            f"checkpoint {path}: line {line!r} does not read prefix=<bits>"
+            f"checkpoint {path}: line {line!r:.60} does not read prefix=<bits>"
             " raw_count=<count> nodes_explored=<count> elapsed_ms=<count> solutions=<rows>,"
             " each count a non-negative integer"
         ) from None
@@ -475,7 +469,7 @@ def _parse_shard_line(path: str, line: str, n: int, plen: int) -> tuple:
     for text in sols:
         if len(text) != n or not text.startswith(head):
             raise ValueError(
-                f"checkpoint {path}: shard {bitstring}: row {text!r} is not {n} signs starting {head!r}"
+                f"checkpoint {path}: shard {bitstring}: row {text!r:.60} is not {n} signs starting {head!r}"
             )
         if not is_circulant_hadamard(Sequence.from_string(text)):
             raise ValueError(f"checkpoint {path}: shard {bitstring}: row {text} is not a Hadamard row")
@@ -492,38 +486,41 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tupl
     line per finished prefix, each prefix once.  A header that differs
     in any field is refused, so a file from another run is never merged.
     Every shard line is checked against the width and its own listing;
-    anything that does not hold raises a ValueError naming the file.
+    anything that does not hold raises a ValueError naming the file and
+    leaves the file as it was.
 
-    A crash mid-append leaves an unterminated last line.  The file is cut
-    back to its last newline, so that shard is redone and the next append
-    starts on a line of its own.  A file that holds no more than the
-    start of the header this run would write is begun afresh.
+    A file that holds no more than the start of that header is begun
+    afresh.  A crash mid-append leaves an unterminated last line: the
+    file is cut back to its last newline, so that shard is redone and
+    the next append starts on a line of its own.
     """
     try:
-        with open(path, "r+b") as f:
+        with open(path, "rb") as f:
             data = f.read()
-            end = data.rfind(b"\n") + 1
-            if end < len(data):
-                f.truncate(end)
     except FileNotFoundError:
-        data, end = b"", 0
-    header = _HEADER.format(n=n, strategy=label, prefix_bits=plen)
-    if header.encode("ascii").startswith(data[:end]):
-        with open(path, "w", encoding="ascii") as f:
+        data = b""
+    header = _HEADER.format(n=n, strategy=label, prefix_bits=plen).encode("ascii")
+    if header.startswith(data):
+        with open(path, "wb") as f:
             f.write(header)
         return {}
+    if not data.startswith(header):
+        raise ValueError(
+            f"checkpoint {path} does not start with the header this run writes, {header.decode()!r}"
+        )
+    end = data.rfind(b"\n") + 1
     try:
         text = data[:end].decode("ascii")
     except UnicodeDecodeError as exc:
         raise ValueError(f"checkpoint {path}: byte {exc.start} is not ASCII") from None
-    if not text.startswith(header):
-        raise ValueError(f"checkpoint {path} does not start with the header this run writes, {header!r}")
     done = {}
     for line in text[len(header):].split("\n")[:-1]:
         shard = _parse_shard_line(path, line, n, plen)
         if shard[0] in done:
             raise ValueError(f"checkpoint {path}: shard {line.split()[0]} is listed twice")
         done[shard[0]] = shard
+    if end < len(data):
+        os.truncate(path, end)
     return done
 
 
@@ -704,8 +701,8 @@ def revalidate_report(report: SearchReport) -> list[str]:
     positive and the counts and ``elapsed_ms`` non-negative.  A full
     enumeration must report the node count its order fixes: 2^n for
     ``exhaustive``, the rows of the admissible -1 counts for
-    ``weight-constrained``.  Both weighted strategies need a
-    perfect-square order, as ``run_search`` does.
+    ``weight-constrained``.  As in ``run_search``, both weighted
+    strategies need a perfect-square order and the DFS caps the order.
     """
     problems = []
     if report.schema_version != SCHEMA_VERSION:
@@ -725,6 +722,8 @@ def revalidate_report(report: SearchReport) -> list[str]:
         problems.append("raw_count is smaller than the number of listed solutions")
     if report.raw_count <= report.cap and report.raw_count != len(report.solutions):
         problems.append("raw_count disagrees with the untruncated solution list")
+    if report.strategy in (STRATEGY_DFS, STRATEGY_DFS + "+weight") and report.n > MAX_DFS_ORDER:
+        problems.append(f"strategy {report.strategy} runs up to order {MAX_DFS_ORDER}, not {report.n}")
     weighted = report.strategy in (STRATEGY_WEIGHT, STRATEGY_DFS + "+weight")
     if weighted and report.n >= 1 and expected_minus_counts(report.n) is None:
         problems.append(f"strategy {report.strategy} needs a perfect-square order, not {report.n}")

@@ -190,7 +190,7 @@ def mode_verdict(index_set: IndexSet, k: int) -> ModeVerdict:
     if n % 4:
         raise ValueError("spectral verdicts need an order divisible by 4")
     if not 0 <= k < n:
-        raise ValueError(f"k must lie in [0, {n - 1}], got {k}")
+        raise ValueError(f"k must lie in [0, {n - 1}], got {k!r:.60}")
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
     return _mode_verdict(n, k, *_divisor_fold(pair_sum, math.gcd(k, n)))
 

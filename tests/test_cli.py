@@ -130,6 +130,14 @@ def test_analyze_non_integer_mode_names_the_flag(capsys):
     assert out == "" and "--k" in err and "invalid literal" not in err
 
 
+@pytest.mark.parametrize("digits", (4000, 5000))
+def test_analyze_over_long_mode_is_quoted_cut_short(capsys, digits):
+    # 5000 digits exceed int()'s digit limit; 4000 reach the range check.
+    code, out, err = run(capsys, "analyze", "--seq", "-+++", "--k", "9" * digits)
+    assert code == 2
+    assert out == "" and "k" in err and len(err.encode()) < 400
+
+
 # ---------------------------------------------------------------------------
 # search / report
 
@@ -258,6 +266,38 @@ def test_search_malformed_checkpoint_line_is_invalid_input(capsys, tmp_path):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and "does not read" in err
+
+
+@pytest.mark.parametrize(
+    "prefix, line",
+    [
+        ("0000", f"prefix=0000 raw_count=0 nodes_explored={'9' * 5000} elapsed_ms=0 solutions="),
+        ("1000", f"prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions={'-' * 5000}"),
+    ],
+    ids=["nodes_5000_digits", "row_5000_signs"],
+)
+def test_search_checkpoint_refusal_quotes_a_long_line_cut_short(capsys, tmp_path, prefix, line):
+    cp = tmp_path / "cp.txt"
+    argv = ("search", "--n", "4", "--strategy", "exhaustive", "--checkpoint", str(cp))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    cp.write_text("".join(
+        (line if l.startswith(f"prefix={prefix} ") else l) + "\n" for l in cp.read_text().splitlines()
+    ))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and str(cp) in err and len(err.encode()) < 400
+
+
+@pytest.mark.parametrize("text", (b"my precious notes", b"line one\nline two no newline"),
+                         ids=["no_newline", "unterminated_last_line"])
+def test_search_checkpoint_on_a_foreign_file_is_invalid_input_and_leaves_it(capsys, tmp_path, text):
+    cp = tmp_path / "notes.txt"
+    cp.write_bytes(text)
+    code, out, err = run(capsys, "search", "--n", "4", "--checkpoint", str(cp))
+    assert code == 2
+    assert out == "" and f"checkpoint {cp}" in err and "Traceback" not in err
+    assert cp.read_bytes() == text
 
 
 def test_search_checkpoint_with_malformed_header_is_invalid_input(capsys, tmp_path):

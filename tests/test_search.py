@@ -250,6 +250,20 @@ def test_dfs_kernel_matches_reference_on_every_prefix(n):
                 ), (plen, weights, prefix)
 
 
+@pytest.mark.parametrize("n", (17, 25))
+def test_dfs_kernel_matches_reference_at_odd_orders(n):
+    # Once h[1] is assigned every node fails the parity clause, which the
+    # packed kernel reads from its table (lo = 0) rather than from a flag.
+    rng = random.Random(n)
+    weight_options = [None]
+    if expected_minus_counts(n) is not None:
+        weight_options.append(expected_minus_counts(n))
+    for weights in weight_options:
+        for prefix in rng.sample(range(1 << 8), 32):
+            nodes, rows = search._dfs_shard(n, prefix, 8, weights)
+            assert (len(rows), nodes, rows) == reference_dfs_shard(n, prefix, 8, weights), (weights, prefix)
+
+
 def test_dfs_kernel_matches_reference_on_order_36_shards():
     weights = expected_minus_counts(36)
     rng = random.Random(0)
@@ -513,31 +527,35 @@ def test_weighted_walk_splits_blocks_past_the_default_cap(monkeypatch, jobs):
 
 
 def test_packed_fields_decode_to_the_partial_autocorrelations():
-    n = 36
-    start, guard, steps = search._packed_tables(n)
-    rng = random.Random(36)
-    for _ in range(20):
-        h = [rng.choice((1, -1)) for _ in range(n)]
-        packed, fwd, rev = start, 0, 0
-        for d, step in enumerate(steps):
-            delta = step.ones - 2 * ((fwd << step.shift_fwd) + (rev >> step.shift_rev))
-            if h[d] == 1:
-                packed += delta
-            else:
-                packed -= delta
-                fwd |= step.bit_fwd
-                rev |= step.bit_rev
-            within = True
-            for t in range(1, n):
-                pairs = [i for i in range(n) if i <= d and (i + t) % n <= d]
-                partial = sum(h[i] * h[(i + t) % n] for i in pairs)
-                assert ((packed >> (8 * t)) & 0xFF) - 64 == partial, (d, t)
-                within = within and abs(partial) <= n - len(pairs)
-            passes = ((packed + step.lo) & (step.hi - packed) & guard) == guard
-            assert passes == within, d
-        assert sum(1 << j for j in range(n) if h[j] == -1) == sum(
-            1 << j for j in range(n) if (fwd >> (8 * j)) & 1
-        )
+    for n in (35, 36):  # at odd n the table fails every node once h[1] is assigned
+        start, guard, steps = search._packed_tables(n)
+        rng = random.Random(n)
+        for _ in range(20):
+            h = [rng.choice((1, -1)) for _ in range(n)]
+            packed, near, wrap = start, 0, 0
+            for d, step in enumerate(steps):
+                # near and wrap hold the -1s among the assigned partners h[d-t] and h[d+t-n] of h[d].
+                assert near == sum(1 << (8 * t) for t in range(1, d + 1) if h[d - t] == -1), d
+                assert wrap == sum(1 << (8 * t) for t in range(n - d, n) if h[d + t - n] == -1), d
+                delta = step.ones - 2 * (near + wrap)
+                if h[d] == 1:
+                    packed += delta
+                    near, wrap = near << 8, wrap >> 8
+                else:
+                    packed -= delta
+                    near, wrap = near << 8 | 1 << 8, wrap >> 8 | 1 << (8 * (n - 1))
+                within = True
+                for t in range(1, n):
+                    pairs = [i for i in range(n) if i <= d and (i + t) % n <= d]
+                    partial = sum(h[i] * h[(i + t) % n] for i in pairs)
+                    assert ((packed >> (8 * t)) & 0xFF) - 64 == partial, (d, t)
+                    open_terms = n - len(pairs)
+                    if pairs:  # the reference's magnitude and parity clauses, on the touched fields
+                        within = within and abs(partial) <= open_terms and (partial + open_terms) % 2 == 0
+                passes = ((packed + step.lo) & (step.hi - packed) & guard) == guard
+                assert passes == within, d
+            # at the leaf, wrap is the row
+            assert wrap == sum(1 << (8 * j) for j in range(n) if h[j] == -1)
 
 
 # ---------------------------------------------------------------------------
@@ -801,17 +819,24 @@ def test_checkpoint_bytes_are_pinned_fresh_and_after_a_resume(tmp_path):
         (lambda head, shards: head + shards[:8] + [b"# note\n"] + shards[8:], STRATEGY_EXHAUSTIVE),
         (lambda head, shards: head + shards[:8] + [b"# caf\xc3\xa9\n"] + shards[8:],
          STRATEGY_EXHAUSTIVE),
+        (lambda head, shards: [b"my precious notes"], STRATEGY_EXHAUSTIVE),
+        (lambda head, shards: [b"line one\n", b"line two no newline"], STRATEGY_EXHAUSTIVE),
     ],
     ids=["header_n_not_a_number", "strategy_line_appended", "n_line_appended",
-         "blank_line", "comment_line", "non_ascii_byte"],
+         "blank_line", "comment_line", "non_ascii_byte", "foreign_file",
+         "foreign_file_unterminated_last_line"],
 )
 def test_checkpoint_must_read_exactly_as_written(tmp_path, edit, strategy):
+    # A refused file is left as it was: only a file that starts with the
+    # header is cut back to its last newline, and none is overwritten.
     cp = tmp_path / "cp.txt"
     run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
     lines = cp.read_bytes().splitlines(True)
     cp.write_bytes(b"".join(edit(lines[:4], lines[4:])))
+    before = cp.read_bytes()
     with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp}")):
         run_search(4, strategy, checkpoint=str(cp))
+    assert cp.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------
@@ -1075,12 +1100,16 @@ def tampered(**changes):
          "every exhaustive run of order 1000000000 visits"),
         (tampered(strategy="weight-constrained", n=10**18, solutions=[], raw_count=0,
                   canonical_count=0), "every weight-constrained run of order 10"),
+        (tampered(strategy="pruned-dfs", n=1000, solutions=[], raw_count=0, canonical_count=0),
+         "strategy pruned-dfs runs up to order 36, not 1000"),
+        (tampered(strategy="pruned-dfs+weight", n=1024, solutions=[], raw_count=0,
+                  canonical_count=0), "strategy pruned-dfs+weight runs up to order 36, not 1024"),
     ],
     ids=["duplicate", "descending", "strategy", "raw_count", "canonical_count",
          "nodes_explored", "cap", "over_cap", "n_negative", "n_zero", "elapsed_ms",
          "exhaustive_truncated", "exhaustive_short", "exhaustive_long", "weight_truncated",
          "weight_short", "weight_non_square", "dfs_weight_non_square_8", "dfs_weight_non_square_12",
-         "exhaustive_huge_order", "weight_huge_order"],
+         "exhaustive_huge_order", "weight_huge_order", "dfs_past_cap", "dfs_weight_past_cap"],
 )
 def test_revalidate_flags_malformed_reports(data, problem):
     problems = revalidate_report(report_from_dict(data))
