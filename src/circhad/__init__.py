@@ -3,8 +3,8 @@
 Verification, spectral analysis and search for the binary first rows
 that make a circulant matrix Hadamard.  Every verification path is
 exact: integer autocorrelations, cyclotomic-integer eigenvalues with a
-canonical zero test, cosine-basis reductions with fraction-free rank
-diagnostics, and an enumeration oracle whose strategies cross-check one
+canonical zero test, cosine-basis reductions with exact integer
+row-echelon rank diagnostics, and an enumeration oracle whose strategies cross-check one
 another.
 """
 

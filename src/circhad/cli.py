@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import fields
 
@@ -36,6 +37,24 @@ _K_ZERO_NOTE = (
     "the k=0 eigenvalue of an actual candidate row is governed by the balanced "
     "-1 count (check 2) instead."
 )
+
+
+_ASCII_INT = re.compile("-?[0-9]+")
+
+
+def _ascii_int(value: str) -> int:
+    """An integer option value, written -?[0-9]+ in ASCII only.
+
+    ``int()`` alone also reads non-ASCII digits, underscores and padding
+    spaces.  The refusal quotes the value cut at 60 characters, where
+    argparse's own would quote it whole; argparse prefixes the flag.
+    """
+    if _ASCII_INT.fullmatch(value):
+        try:
+            return int(value)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {value!r:.60}")
 
 
 def _load_sequences(args) -> list[sequences.Sequence]:
@@ -156,8 +175,8 @@ def _cmd_analyze(args) -> int:
         modes, overall = verdict.per_mode, verdict.overall
     else:
         try:
-            k = int(args.k)
-        except ValueError:
+            k = _ascii_int(args.k)
+        except argparse.ArgumentTypeError:
             if seq.n % 4 == 0:
                 raise ValueError(f'--k takes "all" or a mode index, got {args.k!r:.60}') from None
             k = 0  # mode_verdict refuses the order before it reads k
@@ -259,8 +278,8 @@ def _cmd_basis_rank(args) -> int:
 
 def _cmd_lemma(args) -> int:
     try:
-        which = sorted({int(w) for w in args.which.split(",") if w.strip()})
-    except ValueError:
+        which = sorted({_ascii_int(w) for w in args.which.split(",") if w})
+    except argparse.ArgumentTypeError:
         which = []
     if not which or any(w not in (1, 2, 3) for w in which):
         raise ValueError("--which takes a comma-separated subset of 1,2,3")
@@ -351,9 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("search", help="enumerate candidate rows of one order")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--strategy", choices=search.STRATEGIES, default=search.STRATEGY_EXHAUSTIVE)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_ascii_int, default=1)
     p.add_argument("--out", help="also write the JSON report to this file")
     p.add_argument(
         "--weight-filter",
@@ -362,17 +381,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict the pruned DFS to the admissible -1 counts (square orders)",
     )
     p.add_argument("--checkpoint", help="shard checkpoint file; reruns resume from it")
-    p.add_argument("--cap", type=int, default=search.DEFAULT_LIST_CAP, help="solution listing cap")
+    p.add_argument("--cap", type=_ascii_int, default=search.DEFAULT_LIST_CAP, help="solution listing cap")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("congruence", help="solve k*j = c (mod n); solvability is data, exit stays 0")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=int, default=None, help="right-hand side, default n/2")
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--k", type=_ascii_int, required=True)
+    p.add_argument("--c", type=_ascii_int, default=None, help="right-hand side, default n/2")
     p.set_defaults(func=_cmd_congruence)
 
     p = sub.add_parser("basis-rank", help="cosine-basis rank diagnostics (CSV)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_basis_rank)
 
@@ -380,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "lemma",
         help="numbered necessary-condition checks: 1 even order, 2 square order/-1 count, 3 half-period congruence",
     )
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_ascii_int)
     p.add_argument("--seq", help="optional row; enables the full check 2")
     p.add_argument("--which", default="1,2,3", help="comma-separated subset of 1,2,3")
     p.add_argument("--format", choices=("text", "json"), default="text")

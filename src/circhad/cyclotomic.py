@@ -19,9 +19,9 @@ The module also provides the first-quadrant cosine basis used for
 spectral analysis: the real numbers 1, 2cos(2*pi/n), 2cos(4*pi/n), ...
 up to index n/4 - 1.  Real (conjugation-symmetric) elements fold onto
 this basis through the sign identities of the cosine, and an exact
-fraction-free rank computation reports whether the basis members are
-actually linearly independent for a given order (they are not for every
-order divisible by 4, e.g. n = 36).
+integer row echelon reports whether the basis members are actually
+linearly independent for a given order (they are not for every order
+divisible by 4, e.g. n = 36).
 
 Coefficients are plain Python integers throughout, so nothing here can
 overflow or round.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 
@@ -56,7 +56,7 @@ def euler_phi(n: int) -> int:
 # ---------------------------------------------------------------------------
 # Integer polynomials, dense tuples with the constant term first.
 
-def _poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _poly_divmod(num: Sequence[int], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Quotient and remainder of integer polynomials by a monic divisor.
 
     Every divisor used here is a cyclotomic polynomial, hence monic, so
@@ -317,50 +317,49 @@ class RankReport:
     independent: bool
 
 
-def _integer_rank(rows: list[tuple[int, ...]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((r for r in range(rank, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivval = m[rank][col]
-        for r in range(rank + 1, nrows):
-            factor = m[r][col]
-            row = m[r]
-            prow = m[rank]
-            for c in range(col, ncols):
-                num = pivval * row[c] - factor * prow[c]
-                q, rem = divmod(num, prev)
-                assert rem == 0
-                row[c] = q
-        prev = pivval
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by a content-reduced row echelon.
+
+    A row with entry f at a pivot's column, p the pivot's own entry there,
+    becomes p*row - f*pivot divided by the gcd of its entries.  A row still
+    nonzero after every pivot so far is a new pivot at its first nonzero
+    column.  It is zero at each earlier pivot's column, so the pivots are
+    independent, and every row lies in their span.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    for row in rows:
+        row = list(row)
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                p = prow[col]
+                row = [p * a - f * b for a, b in zip(row, prow)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [a // g for a in row]
+        lead = next((c for c, a in enumerate(row) if a), None)
+        if lead is not None:
+            pivots.append((lead, row))
+    return len(pivots)
 
 
 def real_basis_rank(n: int) -> RankReport:
     """Rank diagnostics for the cosine basis candidates of order n.
 
-    Each candidate is expressed as a root-power element, reduced to its
-    canonical residue, and the resulting integer matrix is eliminated
-    fraction-free.  The degree of the real subfield is phi(n)/2, so the
-    rank can never exceed that; whenever n/4 exceeds phi(n)/2 the
-    candidates are necessarily dependent and the report says so.
+    Candidate l has a unit at root powers l and n - l (one unit at power
+    0 for l = 0); the rank of the candidates' canonical residues is
+    exact.  The degree of the real subfield is phi(n)/2, so the rank can
+    never exceed that; whenever n/4 exceeds phi(n)/2 the candidates are
+    necessarily dependent and the report says so.
     """
     if n < 4 or n % 4:
         raise ValueError("rank diagnostics need an order divisible by 4")
-    rows = [root_power(n, 0).residue()]
-    for l in range(1, n // 4):
-        rows.append((root_power(n, l) + root_power(n, n - l)).residue())
+    cyclo = cyclotomic_polynomial(n)
+    rows = []
+    for l in range(n // 4):
+        coeffs = [0] * n
+        coeffs[l] = coeffs[-l] = 1  # -0 is 0: row 0 is the single unit
+        rows.append(_poly_divmod(coeffs, cyclo)[1])
     rank = _integer_rank(rows)
     return RankReport(
         n=n,

@@ -444,6 +444,37 @@ def test_unknown_subcommand(capsys):
     assert code == 2
 
 
+# Every integer option, with "V" standing for the value under test.
+INTEGER_OPTIONS = [
+    ("search", "--n", "V"),
+    ("search", "--n", "4", "--jobs", "V"),
+    ("search", "--n", "4", "--cap", "V"),
+    ("congruence", "--n", "V", "--k", "8"),
+    ("congruence", "--n", "36", "--k", "V"),
+    ("congruence", "--n", "36", "--k", "8", "--c", "V"),
+    ("basis-rank", "--n", "V"),
+    ("lemma", "--n", "V"),
+    ("lemma", "--n", "4", "--which", "V"),
+    ("analyze", "--seq", "-+++", "--k", "V"),
+]
+
+
+def _flag(argv):
+    return argv[argv.index("V") - 1]
+
+
+@pytest.mark.parametrize("argv", INTEGER_OPTIONS, ids=lambda argv: f"{argv[0]}_{_flag(argv).lstrip('-')}")
+@pytest.mark.parametrize("value", ("\u0661\u0664\u0664", "\u0663", "3_6", " 36 ", "9" * 5000),
+                         ids=("arabic_144", "arabic_3", "underscore", "padded", "5000_digits"))
+def test_integer_options_take_ascii_digits_only(capsys, argv, value):
+    # int() alone reads all of these (5000 digits excepted), and argparse
+    # would quote a refused value whole.
+    flag = _flag(argv)
+    code, out, err = run(capsys, *(value if a == "V" else a for a in argv))
+    assert code == 2
+    assert out == "" and flag in err and len(err.encode()) < 400
+
+
 # ---------------------------------------------------------------------------
 # the indent-2 JSON writer against the stdlib
 

@@ -9,9 +9,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circhad import cyclotomic
 from circhad.cyclotomic import (
     CycloElement,
     RealBasisVector,
+    _integer_rank,
     cyclotomic_polynomial,
     euler_phi,
     from_integer,
@@ -354,6 +356,45 @@ def test_rank_never_exceeds_subfield_degree():
         assert rep.independent == (rep.rank == rep.basis_size)
         if rep.basis_size > rep.euler_half:
             assert not rep.independent
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 8 x 8 entries in -3..3, some rows combinations of others."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    rows: list[tuple[int, ...]] = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            mult = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append(tuple(sum(m * r[c] for m, r in zip(mult, rows)) for c in range(ncols)))
+        else:
+            rows.append(tuple(draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))))
+    return ncols, draw(st.permutations(rows))
+
+
+@given(integer_matrices())
+@settings(max_examples=300)
+def test_integer_rank_matches_sympy(matrix):
+    ncols, rows = matrix
+    expected = sympy.Matrix(len(rows), ncols, [a for r in rows for a in r]).rank()
+    assert _integer_rank(rows) == expected
+
+
+def test_basis_rows_are_the_cosine_residues(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cyclotomic, "_integer_rank", lambda rows: seen.append(rows) or 0)
+    for n in range(4, 201, 4):
+        real_basis_rank(n)
+        expected = [root_power(n, 0).residue()]
+        expected += [(root_power(n, l) + root_power(n, n - l)).residue() for l in range(1, n // 4)]
+        assert seen.pop() == expected
+
+
+def test_rank_is_the_real_subfield_degree():
+    # The first-quadrant cosines span the real subfield, of degree phi(n)/2.
+    for n in range(4, 401, 4):
+        rep = real_basis_rank(n)
+        assert rep.rank == rep.euler_half, n
 
 
 def test_rank_rejects_bad_orders():
