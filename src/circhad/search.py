@@ -104,8 +104,8 @@ class CapExceeded(RuntimeError):
 class SearchReport:
     """Deterministic summary of one enumeration run.
 
-    ``solutions`` lists at most ``cap`` rows (sorted text form); the
-    counts are always exact even when the listing is truncated.
+    ``solutions`` lists the first min(raw_count, cap) rows (sorted text
+    form); the counts are always exact even when the listing is cut.
     ``nodes_explored`` is comparable only within one strategy and prefix
     split; solution counts never depend on either.
     """
@@ -537,11 +537,40 @@ def _exhaustive_cap() -> int:
     raise ValueError(f"{EXHAUSTIVE_CAP_ENV} must be a non-negative decimal integer, got {value!r:.60}")
 
 
-def _order_rows(n: int, strategy: str) -> int:
-    """The rows every full enumeration of order n visits: 2^n, or those of the admissible -1 counts."""
-    if strategy == STRATEGY_EXHAUSTIVE:
-        return 1 << n
-    return sum(math.comb(n, w) for w in set(expected_minus_counts(n)))
+def _admit(n: int, label: str) -> tuple[int, ...] | None:
+    """The admissible -1 counts of a run labelled ``label`` at order n; None for every count.
+
+    Raises what ``run_search`` refuses the run with, and ``revalidate_report``
+    flags a report with.  The full-enumeration cap bounds this machine's
+    work, not which runs exist, so it is not applied here.
+    """
+    if n < 1:
+        raise ValueError("order must be positive")
+    if label not in _REPORT_STRATEGIES:
+        raise ValueError(f"unknown strategy {label!r:.60}; expected one of {_REPORT_STRATEGIES}")
+    weighted = label in (STRATEGY_WEIGHT, STRATEGY_DFS + "+weight")
+    if weighted and expected_minus_counts(n) is None:
+        raise ValueError(f"weight-constrained enumeration needs a perfect-square order, got {n!r:.60}")
+    if label.startswith(STRATEGY_DFS) and n > MAX_DFS_ORDER:
+        raise CapExceeded(f"order {n!r:.60} exceeds the DFS cap {MAX_DFS_ORDER}")
+    return expected_minus_counts(n) if weighted else None
+
+
+def _node_fault(n: int, label: str, weights: tuple[int, ...] | None, nodes: int) -> str | None:
+    """Why no admitted run labelled ``label`` at order n visits ``nodes`` nodes, or None.
+
+    A full enumeration visits 2^n rows, or C(n, w) over the admissible
+    weights w; a DFS count depends on the split.  The row count lies in
+    [2^(n/4), 2^n] (C(n, w) >= 2^w for w <= n/2, the smaller weight is
+    >= n/4 from n = 4 on), so a count whose bit length rules n out is
+    flagged before 2^n or C(n, w) is built.
+    """
+    if label in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT) and not (
+        n <= 4 * nodes.bit_length() <= 4 * (n + 1)
+        and nodes == (1 << n if weights is None else sum(math.comb(n, w) for w in set(weights)))
+    ):
+        return f"nodes_explored {nodes!r:.60} is not the number of rows every {label} run of order {n!r:.60} visits"
+    return None
 
 
 def run_search(
@@ -557,13 +586,13 @@ def run_search(
 
     ``weight_filter`` adds the admissible -1-count constraint to the
     pruned DFS (the long-run configuration for large square orders).
-    Raises ``CapExceeded`` rather than starting a run past the caps:
-    2^n enumerations are refused above the CHM_MAX_EXHAUSTIVE_N limit
-    (default 24) and the DFS above order 36.
+    The order and label must pass the rules ``revalidate_report`` checks
+    a report by (the DFS cap, order 36, raises ``CapExceeded``); full
+    enumerations are also refused above this machine's CHM_MAX_EXHAUSTIVE_N
+    limit (default 24) with ``CapExceeded``.  The report lists the first
+    min(raw_count, list_cap) rows in ascending order.
     """
     start = time.monotonic()
-    if n < 1:
-        raise ValueError("order must be positive")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if strategy not in STRATEGIES:
@@ -572,26 +601,14 @@ def run_search(
         raise ValueError("weight_filter applies to the pruned-dfs strategy only")
     if list_cap < 0:
         raise ValueError("list cap must be non-negative")
-
-    weights: tuple[int, ...] | None = None
-    if strategy == STRATEGY_WEIGHT or weight_filter:
-        weights = expected_minus_counts(n)
-        if weights is None:
-            raise ValueError(
-                f"weight-constrained enumeration needs a perfect-square order, got {n}"
-            )
-
-    if strategy in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT):
-        cap = _exhaustive_cap()
-        if n > cap:
-            raise CapExceeded(
-                f"order {n} exceeds the full-enumeration cap {cap}"
-                f" (set {EXHAUSTIVE_CAP_ENV} to raise it)"
-            )
-    elif n > MAX_DFS_ORDER:
-        raise CapExceeded(f"order {n} exceeds the DFS cap {MAX_DFS_ORDER}")
-
     label = strategy + "+weight" if weight_filter else strategy
+    weights = _admit(n, label)
+    if strategy != STRATEGY_DFS and n > (cap := _exhaustive_cap()):
+        raise CapExceeded(
+            f"order {n!r:.60} exceeds the full-enumeration cap {cap}"
+            f" (set {EXHAUSTIVE_CAP_ENV} to raise it)"
+        )
+
     # 2^P >= 4*jobs shards, capped at 2^8: the pool never has more
     # workers than cores, so a wider split only adds per-shard overhead.
     # A checkpointed run always splits at the cap, whatever --jobs.
@@ -627,11 +644,8 @@ def run_search(
                 log.flush()
 
     nodes = sum(r[1] for r in results.values())
-    if done and strategy != STRATEGY_DFS and nodes != (rows := _order_rows(n, strategy)):
-        raise ValueError(
-            f"checkpoint {checkpoint}: node counts add up to {nodes},"
-            f" not the {rows} rows every {strategy} run of order {n} visits"
-        )
+    if done and (fault := _node_fault(n, label, weights, nodes)):
+        raise ValueError(f"checkpoint {checkpoint}: {fault}")
     all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:
         if not is_circulant_hadamard(Sequence.from_string(text)):
@@ -694,70 +708,55 @@ def report_from_dict(data: dict) -> SearchReport:
 def revalidate_report(report: SearchReport) -> list[str]:
     """Re-verify a stored report; returns a list of problems (empty = good).
 
-    Every listed row is re-checked with the exact autocorrelation test
-    and the independent matrix product, and count consistency is checked
-    against the listing cap.  The listing must be strictly ascending (as
-    ``run_search`` writes it), the strategy label known, the order
-    positive and the counts and ``elapsed_ms`` non-negative.  A full
-    enumeration must report the node count its order fixes: 2^n for
-    ``exhaustive``, the rows of the admissible -1 counts for
-    ``weight-constrained``.  As in ``run_search``, both weighted
-    strategies need a perfect-square order and the DFS caps the order.
+    The report must be one ``run_search`` could have written, by the
+    rules it writes with: the order and label it admits (its refusal is
+    the problem; the machine's full-enumeration cap is not applied), the
+    node count a full enumeration's order fixes, and a listing of
+    exactly min(raw_count, cap) rows, strictly ascending, each re-checked
+    with the exact autocorrelation test and the independent matrix
+    product.  ``canonical_count`` may not exceed ``raw_count`` and must
+    match the listed classes when nothing is cut; no count is negative.
+    Quoted report values are cut at 60 characters.
     """
     problems = []
     if report.schema_version != SCHEMA_VERSION:
-        problems.append(f"unsupported schema_version {report.schema_version}")
-    if report.strategy not in _REPORT_STRATEGIES:
-        problems.append(f"unknown strategy {report.strategy!r}")
-    if report.n < 1:
-        problems.append(f"n is {report.n}, not a positive order")
+        problems.append(f"unsupported schema_version {report.schema_version!r:.60}")
+    try:
+        weights = _admit(report.n, report.strategy)
+    except (ValueError, CapExceeded) as exc:
+        problems.append(str(exc))
+    else:
+        fault = _node_fault(report.n, report.strategy, weights, report.nodes_explored)
+        if fault:
+            problems.append(fault)
     for key in ("raw_count", "canonical_count", "nodes_explored", "elapsed_ms", "cap"):
         if getattr(report, key) < 0:
             problems.append(f"{key} is negative")
-    if len(report.solutions) > report.cap:
-        problems.append(f"{len(report.solutions)} rows listed, more than the cap {report.cap}")
+    listed = min(report.raw_count, report.cap)
+    if len(report.solutions) != listed:
+        problems.append(f"{len(report.solutions)} rows listed, not min(raw_count, cap) = {listed!r:.60}")
     if any(a >= b for a, b in zip(report.solutions, report.solutions[1:])):
         problems.append("solutions are not strictly ascending (sorted and distinct)")
-    if report.raw_count < len(report.solutions):
-        problems.append("raw_count is smaller than the number of listed solutions")
-    if report.raw_count <= report.cap and report.raw_count != len(report.solutions):
-        problems.append("raw_count disagrees with the untruncated solution list")
-    if report.strategy in (STRATEGY_DFS, STRATEGY_DFS + "+weight") and report.n > MAX_DFS_ORDER:
-        problems.append(f"strategy {report.strategy} runs up to order {MAX_DFS_ORDER}, not {report.n}")
-    weighted = report.strategy in (STRATEGY_WEIGHT, STRATEGY_DFS + "+weight")
-    if weighted and report.n >= 1 and expected_minus_counts(report.n) is None:
-        problems.append(f"strategy {report.strategy} needs a perfect-square order, not {report.n}")
-    elif report.strategy in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT) and report.n >= 1:
-        # Both visit a node count fixed by n, between 2^(n/4) and 2^n
-        # (C(n, w) >= 2^w for w <= n/2, and the smaller admissible weight
-        # is at least n/4 from n = 4 on), so a count whose bit length
-        # rules n out is flagged before 2^n or C(n, w) is built.
-        size = report.nodes_explored.bit_length()
-        if not report.n <= 4 * size <= 4 * (report.n + 1) or (
-            report.nodes_explored != _order_rows(report.n, report.strategy)
-        ):
-            problems.append(
-                f"nodes_explored {report.nodes_explored} is not the number of rows"
-                f" every {report.strategy} run of order {report.n} visits"
-            )
+    if report.canonical_count > report.raw_count:
+        problems.append(f"canonical_count {report.canonical_count!r:.60} is more than raw_count")
     seen_canonical = set()
     for text in report.solutions:
         try:
             seq = Sequence.from_string(text)
         except ValueError as exc:
-            problems.append(f"solution {text!r}: {exc}")
+            problems.append(f"solution {text!r:.60}: {exc}")
             continue
         if seq.n != report.n:
-            problems.append(f"solution {text!r} has length {seq.n}, expected {report.n}")
+            problems.append(f"solution {text!r:.60} has length {seq.n}, expected {report.n!r:.60}")
             continue
         if not is_circulant_hadamard(seq):
-            problems.append(f"solution {text!r} fails the exact autocorrelation test")
+            problems.append(f"solution {text!r:.60} fails the exact autocorrelation test")
         if not has_orthogonal_rows(seq):
-            problems.append(f"solution {text!r} fails the exact matrix product test")
+            problems.append(f"solution {text!r:.60} fails the exact matrix product test")
         seen_canonical.add(canonicalize(seq).to_string())
     if report.raw_count <= report.cap and report.canonical_count != len(seen_canonical):
         problems.append(
-            f"canonical_count {report.canonical_count} disagrees with the listed rows"
+            f"canonical_count {report.canonical_count!r:.60} disagrees with the listed rows"
             f" ({len(seen_canonical)} classes)"
         )
     return problems

@@ -188,6 +188,17 @@ def test_report_flags_tampered_solutions(capsys, tmp_path):
     assert json.loads(out)["valid"] is False
 
 
+def test_report_flags_a_listing_search_cannot_write(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    run(capsys, "search", "--n", "4", "--cap", "5", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    data["solutions"] = data["solutions"][:3]
+    out_file.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", "--in", str(out_file))
+    assert code == 1
+    assert json.loads(out)["problems"] == ["3 rows listed, not min(raw_count, cap) = 5"]
+
+
 def test_report_flags_duplicate_rows(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     run(capsys, "search", "--n", "4", "--out", str(out_file))
@@ -336,7 +347,7 @@ def test_search_resume_whose_node_counts_do_not_add_up_is_invalid_input(capsys, 
     cp.write_text(text[:first.start(1)] + "999" + text[first.end(1):])
     code, out, err = run(capsys, *argv, "--out", str(out_file))
     assert code == 2
-    assert out == "" and str(cp) in err and "node counts add up to" in err
+    assert out == "" and str(cp) in err and f"is not the number of rows every {strategy} run of order 4" in err
     assert not out_file.exists()
 
 
@@ -373,6 +384,16 @@ def test_basis_rank_json(capsys):
     assert json.loads(out) == {
         "n": 16, "basis_size": 4, "rank": 4, "euler_half": 4, "independent": True,
     }
+
+
+def test_basis_rank_past_its_cap_is_refused(capsys, monkeypatch):
+    code, out, err = run(capsys, "basis-rank", "--n", "4004")
+    assert (code, out, err) == (3, "", "error: order 4004 exceeds the basis-rank cap 4000\n")
+    monkeypatch.setattr(cli.cyclotomic, "MAX_BASIS_RANK_ORDER", 36)
+    assert run(capsys, "basis-rank", "--n", "36")[:2] == (
+        0, "n,basis_size,rank,euler_half,independent\n36,9,6,6,false\n"
+    )
+    assert run(capsys, "basis-rank", "--n", "40")[:2] == (3, "")
 
 
 def test_lemma_all_checks_text(capsys):

@@ -1078,9 +1078,9 @@ def tampered(**changes):
         (tampered(canonical_count=-1), "canonical_count is negative"),
         (tampered(nodes_explored=-1), "nodes_explored is negative"),
         (tampered(cap=-1), "cap is negative"),
-        (tampered(cap=3), "more than the cap"),
-        (tampered(n=-5, solutions=[], raw_count=0, canonical_count=0), "not a positive order"),
-        (tampered(n=0, solutions=[], raw_count=0, canonical_count=0), "not a positive order"),
+        (tampered(cap=3), "8 rows listed, not min(raw_count, cap) = 3"),
+        (tampered(n=-5, solutions=[], raw_count=0, canonical_count=0), "order must be positive"),
+        (tampered(n=0, solutions=[], raw_count=0, canonical_count=0), "order must be positive"),
         (tampered(elapsed_ms=-7), "elapsed_ms is negative"),
         (tampered(n=16, solutions=[], raw_count=0, canonical_count=0, nodes_explored=5),
          "nodes_explored 5 is not the number of rows every exhaustive run of order 16 visits"),
@@ -1091,29 +1091,83 @@ def tampered(**changes):
          "nodes_explored 0 is not the number of rows every weight-constrained run of order 9 visits"),
         (tampered(strategy="weight-constrained", nodes_explored=7), "nodes_explored 7 is not"),
         (tampered(strategy="weight-constrained", n=8, solutions=[], raw_count=0,
-                  canonical_count=0, nodes_explored=112), "needs a perfect-square order, not 8"),
+                  canonical_count=0, nodes_explored=112), "needs a perfect-square order, got 8"),
         (tampered(strategy="pruned-dfs+weight", n=8, solutions=[], raw_count=0,
-                  canonical_count=0), "strategy pruned-dfs+weight needs a perfect-square order, not 8"),
+                  canonical_count=0), "weight-constrained enumeration needs a perfect-square order, got 8"),
         (tampered(strategy="pruned-dfs+weight", n=12, solutions=[], raw_count=0,
-                  canonical_count=0), "strategy pruned-dfs+weight needs a perfect-square order, not 12"),
+                  canonical_count=0), "weight-constrained enumeration needs a perfect-square order, got 12"),
         (tampered(n=10**9, solutions=[], raw_count=0, canonical_count=0, nodes_explored=2**4000),
          "every exhaustive run of order 1000000000 visits"),
         (tampered(strategy="weight-constrained", n=10**18, solutions=[], raw_count=0,
                   canonical_count=0), "every weight-constrained run of order 10"),
         (tampered(strategy="pruned-dfs", n=1000, solutions=[], raw_count=0, canonical_count=0),
-         "strategy pruned-dfs runs up to order 36, not 1000"),
+         "order 1000 exceeds the DFS cap 36"),
         (tampered(strategy="pruned-dfs+weight", n=1024, solutions=[], raw_count=0,
-                  canonical_count=0), "strategy pruned-dfs+weight runs up to order 36, not 1024"),
+                  canonical_count=0), "order 1024 exceeds the DFS cap 36"),
+        (tampered(cap=5, solutions=order_four_report_data()["solutions"][:3]),
+         "3 rows listed, not min(raw_count, cap) = 5"),
+        (tampered(cap=5, solutions=order_four_report_data()["solutions"][:5], canonical_count=9),
+         "canonical_count 9 is more than raw_count"),
     ],
     ids=["duplicate", "descending", "strategy", "raw_count", "canonical_count",
          "nodes_explored", "cap", "over_cap", "n_negative", "n_zero", "elapsed_ms",
          "exhaustive_truncated", "exhaustive_short", "exhaustive_long", "weight_truncated",
          "weight_short", "weight_non_square", "dfs_weight_non_square_8", "dfs_weight_non_square_12",
-         "exhaustive_huge_order", "weight_huge_order", "dfs_past_cap", "dfs_weight_past_cap"],
+         "exhaustive_huge_order", "weight_huge_order", "dfs_past_cap", "dfs_weight_past_cap",
+         "short_listing", "canonical_over_raw"],
 )
 def test_revalidate_flags_malformed_reports(data, problem):
     problems = revalidate_report(report_from_dict(data))
     assert any(problem in p for p in problems), problems
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(strategy="s" * 5000),
+        dict(solutions=["-+++", "x" * 5000]),
+        dict(solutions=["-+++", "+" * 5000]),
+        dict(schema_version=10**4000),
+        dict(n=10**4000),
+        dict(n=10**4000, nodes_explored=5),
+        dict(strategy="pruned-dfs", n=10**4000),
+        dict(raw_count=10**4000, cap=10**4000, canonical_count=10**4000 + 1),
+    ],
+    ids=["strategy", "bad_sign_row", "long_row", "schema_version", "order",
+         "order_and_short_count", "dfs_order", "counts"],
+)
+def test_revalidate_cuts_quoted_report_values(changes):
+    problems = revalidate_report(report_from_dict(tampered(**changes)))
+    assert problems and all(len(p) < 200 for p in problems), [len(p) for p in problems]
+
+
+def test_run_search_refuses_exactly_what_revalidate_flags(monkeypatch):
+    # Admitted runs return at once, so every (label, order) pair costs only
+    # its admission; the full-enumeration cap is this machine's, not a rule
+    # of which runs exist, so it is lifted for the comparison.
+    monkeypatch.setattr(search, "_walk_shard", lambda *task: (0, []))
+    monkeypatch.setattr(search, "_dfs_shard", lambda *task: (0, []))
+    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "1024")
+    for label in search._REPORT_STRATEGIES:
+        strategy, _, weight = label.partition("+")
+        for n in [*range(51), 1000, 1024]:
+            try:
+                run_search(n, strategy, weight_filter=bool(weight))
+                refusal = None
+            except (ValueError, CapExceeded) as exc:
+                refusal = str(exc)
+            # The node count an admitted full enumeration visits, counted
+            # here apart from search.py; any count passes for the DFS.
+            weights = expected_minus_counts(n) if n >= 1 else None
+            nodes = {
+                STRATEGY_EXHAUSTIVE: 1 << max(n, 0),
+                STRATEGY_WEIGHT: sum(math.comb(n, w) for w in set(weights or ())),
+            }.get(label, 0)
+            report = search.SearchReport(search.SCHEMA_VERSION, n, label, 0, 0, (), nodes, 0, 1)
+            assert revalidate_report(report) == ([] if refusal is None else [refusal]), (label, n)
+    # A report label, but not a strategy: the filter is asked for by weight_filter.
+    with pytest.raises(ValueError, match="unknown strategy 'pruned-dfs\\+weight'"):
+        run_search(4, "pruned-dfs+weight")
 
 
 def test_revalidate_accepts_every_strategy_label():
