@@ -237,7 +237,7 @@ def _cmd_report(args) -> int:
         _json_text(
             {
                 "n": report.n,
-                "strategy": report.strategy,
+                "strategy": report.strategy[:60],
                 "raw_count": report.raw_count,
                 "solutions_checked": len(report.solutions),
                 "valid": not problems,

@@ -92,8 +92,16 @@ MAX_DFS_ORDER = 36
 STRATEGY_EXHAUSTIVE = "exhaustive"
 STRATEGY_WEIGHT = "weight-constrained"
 STRATEGY_DFS = "pruned-dfs"
-STRATEGIES = (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT, STRATEGY_DFS)
-_REPORT_STRATEGIES = STRATEGIES + (STRATEGY_DFS + "+weight",)
+# Each report label's rules, (runs the pruned DFS, takes only the admissible -1 counts);
+# no other code tests a label.  "<strategy>+weight" is <strategy> run with weight_filter.
+_REPORT_STRATEGIES = {
+    STRATEGY_EXHAUSTIVE: (False, False),
+    STRATEGY_WEIGHT: (False, True),
+    STRATEGY_DFS: (True, False),
+    STRATEGY_DFS + "+weight": (True, True),
+}
+STRATEGIES = tuple(label for label in _REPORT_STRATEGIES if "+" not in label)
+_SPLIT_BITS = 8  # shards fix at most this many leading entries
 
 
 class CapExceeded(RuntimeError):
@@ -141,9 +149,9 @@ def canonicalize(seq: Sequence) -> Sequence:
 
 # ---------------------------------------------------------------------------
 # Shard workers.  Each enumerates the rows whose first ``plen`` entries
-# match ``prefix`` and returns (nodes visited, solution bit masks):
-# ``_walk_shard`` for both full enumerations, ``_dfs_shard`` for the
-# pruned DFS.
+# match ``prefix`` and returns (nodes visited, solution bit masks);
+# ``_REPORT_STRATEGIES`` says whether a label runs ``_dfs_shard`` or
+# ``_walk_shard``.
 #
 # The walker's blocks (see the module docstring) come from ``_blocks``
 # and are (full, a, k, fixed): the rows agree with ``fixed`` before
@@ -414,9 +422,9 @@ def _bits_to_string(bits: int, n: int) -> str:
 
 def _run_shard(task: tuple) -> tuple[int, int, tuple[str, ...], int]:
     """(prefix, nodes, solution strings, elapsed_ms) of one shard."""
-    strategy, n, prefix, plen, weights = task
+    label, n, prefix, plen, weights = task
     start = time.monotonic()
-    nodes, sols = (_dfs_shard if strategy == STRATEGY_DFS else _walk_shard)(n, prefix, plen, weights)
+    nodes, sols = (_dfs_shard if _REPORT_STRATEGIES[label][0] else _walk_shard)(n, prefix, plen, weights)
     elapsed = int((time.monotonic() - start) * 1000)
     return prefix, nodes, tuple(_bits_to_string(b, n) for b in sols), elapsed
 
@@ -541,17 +549,17 @@ def _admit(n: int, label: str) -> tuple[int, ...] | None:
     """The admissible -1 counts of a run labelled ``label`` at order n; None for every count.
 
     Raises what ``run_search`` refuses the run with, and ``revalidate_report``
-    flags a report with.  The full-enumeration cap bounds this machine's
-    work, not which runs exist, so it is not applied here.
+    flags a report with, by the label's ``_REPORT_STRATEGIES`` entry.  The
+    full-enumeration cap bounds this machine's work, not which runs exist.
     """
     if n < 1:
         raise ValueError("order must be positive")
     if label not in _REPORT_STRATEGIES:
-        raise ValueError(f"unknown strategy {label!r:.60}; expected one of {_REPORT_STRATEGIES}")
-    weighted = label in (STRATEGY_WEIGHT, STRATEGY_DFS + "+weight")
+        raise ValueError(f"unknown strategy {label!r:.60}; expected one of {tuple(_REPORT_STRATEGIES)}")
+    dfs, weighted = _REPORT_STRATEGIES[label]
     if weighted and expected_minus_counts(n) is None:
         raise ValueError(f"weight-constrained enumeration needs a perfect-square order, got {n!r:.60}")
-    if label.startswith(STRATEGY_DFS) and n > MAX_DFS_ORDER:
+    if dfs and n > MAX_DFS_ORDER:
         raise CapExceeded(f"order {n!r:.60} exceeds the DFS cap {MAX_DFS_ORDER}")
     return expected_minus_counts(n) if weighted else None
 
@@ -560,12 +568,18 @@ def _node_fault(n: int, label: str, weights: tuple[int, ...] | None, nodes: int)
     """Why no admitted run labelled ``label`` at order n visits ``nodes`` nodes, or None.
 
     A full enumeration visits 2^n rows, or C(n, w) over the admissible
-    weights w; a DFS count depends on the split.  The row count lies in
-    [2^(n/4), 2^n] (C(n, w) >= 2^w for w <= n/2, the smaller weight is
-    >= n/4 from n = 4 on), so a count whose bit length rules n out is
-    flagged before 2^n or C(n, w) is built.
+    weights w.  The row count lies in [2^(n/4), 2^n] (C(n, w) >= 2^w for
+    w <= n/2, the smaller weight is >= n/4 from n = 4 on), so a count
+    whose bit length rules n out is flagged before 2^n or C(n, w) is
+    built.  A DFS shard of a p-entry split visits at most p prefix nodes
+    and 2^(n-p+1) - 2 below them, 2^(n+1) + 2^p (p - 2) in all; that grows
+    with p, so the widest split bounds every run.
     """
-    if label in (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT) and not (
+    if _REPORT_STRATEGIES[label][0]:
+        bound = 2 ** (n + 1) + 2 ** (p := min(n, _SPLIT_BITS)) * (p - 2)
+        if nodes > bound:
+            return f"nodes_explored {nodes!r:.60} is more than the {bound} nodes any {label} run of order {n} visits"
+    elif not (
         n <= 4 * nodes.bit_length() <= 4 * (n + 1)
         and nodes == (1 << n if weights is None else sum(math.comb(n, w) for w in set(weights)))
     ):
@@ -584,26 +598,26 @@ def run_search(
 ) -> SearchReport:
     """Enumerate all circulant Hadamard first rows of order n.
 
-    ``weight_filter`` adds the admissible -1-count constraint to the
-    pruned DFS (the long-run configuration for large square orders).
-    The order and label must pass the rules ``revalidate_report`` checks
-    a report by (the DFS cap, order 36, raises ``CapExceeded``); full
-    enumerations are also refused above this machine's CHM_MAX_EXHAUSTIVE_N
-    limit (default 24) with ``CapExceeded``.  The report lists the first
-    min(raw_count, list_cap) rows in ascending order.
+    The run is labelled ``strategy``, or ``strategy+weight`` with
+    ``weight_filter``; ``_REPORT_STRATEGIES`` holds each label's rules.
+    The order and label must pass the rules ``revalidate_report`` checks a
+    report by (the DFS cap, order 36, raises ``CapExceeded``); a label
+    that does not run the DFS is also refused above this machine's
+    CHM_MAX_EXHAUSTIVE_N limit (default 24) with ``CapExceeded``.  The
+    report lists the first min(raw_count, list_cap) rows in ascending order.
     """
     start = time.monotonic()
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if weight_filter and strategy != STRATEGY_DFS:
+    label = strategy + "+weight" if weight_filter else strategy
+    if label not in _REPORT_STRATEGIES:
         raise ValueError("weight_filter applies to the pruned-dfs strategy only")
     if list_cap < 0:
         raise ValueError("list cap must be non-negative")
-    label = strategy + "+weight" if weight_filter else strategy
-    weights = _admit(n, label)
-    if strategy != STRATEGY_DFS and n > (cap := _exhaustive_cap()):
+    weights, (dfs, _) = _admit(n, label), _REPORT_STRATEGIES[label]
+    if not dfs and n > (cap := _exhaustive_cap()):
         raise CapExceeded(
             f"order {n!r:.60} exceeds the full-enumeration cap {cap}"
             f" (set {EXHAUSTIVE_CAP_ENV} to raise it)"
@@ -612,10 +626,10 @@ def run_search(
     # 2^P >= 4*jobs shards, capped at 2^8: the pool never has more
     # workers than cores, so a wider split only adds per-shard overhead.
     # A checkpointed run always splits at the cap, whatever --jobs.
-    plen = min(n, 8, 8 if checkpoint is not None else (4 * jobs - 1).bit_length())
+    plen = min(n, _SPLIT_BITS, _SPLIT_BITS if checkpoint is not None else (4 * jobs - 1).bit_length())
     done = {} if checkpoint is None else _load_checkpoint(checkpoint, n, label, plen)
     pending = [
-        (strategy, n, prefix, plen, weights)
+        (label, n, prefix, plen, weights)
         for prefix in range(1 << plen) if prefix not in done
     ]
 
@@ -778,16 +792,16 @@ class CrossValidation:
 
 
 def cross_validate(n: int) -> CrossValidation:
-    """Run every applicable strategy and check they agree solution-for-solution.
+    """Run every label in ``_REPORT_STRATEGIES`` and check they agree solution-for-solution.
 
-    Each found row is additionally pushed through the exact matrix
-    product, the order checks, and (for orders divisible by 4, on its
-    -1-minority canonical form) the full spectral verdict.  Refuses runs
-    past the exhaustive cap rather than silently downgrading.
+    Weighted labels run at perfect-square orders only.  Each found row is
+    also pushed through the exact matrix product, the order checks, and
+    (for orders divisible by 4, on its -1-minority canonical form) the
+    full spectral verdict.  Refuses runs past the exhaustive cap.
     """
-    reports = [run_search(n, STRATEGY_EXHAUSTIVE), run_search(n, STRATEGY_DFS)]
-    if expected_minus_counts(n) is not None:
-        reports.append(run_search(n, STRATEGY_WEIGHT))
+    reports = [run_search(n, label.partition("+")[0], weight_filter="+" in label)
+               for label, (_, weighted) in _REPORT_STRATEGIES.items()
+               if not weighted or expected_minus_counts(n) is not None]
 
     problems = []
     baseline = reports[0]

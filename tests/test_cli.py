@@ -210,6 +210,17 @@ def test_report_flags_duplicate_rows(capsys, tmp_path):
     assert any("strictly ascending" in p for p in json.loads(out)["problems"])
 
 
+def test_report_cuts_a_long_strategy_label(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    run(capsys, "search", "--n", "4", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    data["strategy"] = "s" * 5000
+    out_file.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "report", "--in", str(out_file))
+    assert code == 1
+    assert max(map(len, out.splitlines())) < 200
+
+
 def test_report_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     missing = "schema_version, strategy, raw_count, canonical_count, solutions, nodes_explored, elapsed_ms, cap"
@@ -336,8 +347,12 @@ def test_search_checkpoint_wider_than_any_split_is_invalid_input(capsys, tmp_pat
     assert (code, out, err) == (2, "", message)
 
 
-@pytest.mark.parametrize("strategy", ("exhaustive", "weight-constrained"))
-def test_search_resume_whose_node_counts_do_not_add_up_is_invalid_input(capsys, tmp_path, strategy):
+@pytest.mark.parametrize("strategy, message", [
+    ("exhaustive", "is not the number of rows every exhaustive run of order 4"),
+    ("weight-constrained", "is not the number of rows every weight-constrained run of order 4"),
+    ("pruned-dfs", "nodes_explored 1059 is more than the 64 nodes any pruned-dfs run of order 4 visits"),
+], ids=["exhaustive", "weight-constrained", "pruned-dfs"])
+def test_search_resume_whose_node_counts_do_not_add_up_is_invalid_input(capsys, tmp_path, strategy, message):
     cp, out_file = tmp_path / "cp.txt", tmp_path / "r.json"
     argv = ("search", "--n", "4", "--strategy", strategy, "--checkpoint", str(cp))
     code, _, _ = run(capsys, *argv)
@@ -347,7 +362,7 @@ def test_search_resume_whose_node_counts_do_not_add_up_is_invalid_input(capsys, 
     cp.write_text(text[:first.start(1)] + "999" + text[first.end(1):])
     code, out, err = run(capsys, *argv, "--out", str(out_file))
     assert code == 2
-    assert out == "" and str(cp) in err and f"is not the number of rows every {strategy} run of order 4" in err
+    assert out == "" and str(cp) in err and message in err
     assert not out_file.exists()
 
 

@@ -1037,7 +1037,7 @@ def test_cross_validate_order_four():
     assert cv.passed
     assert cv.raw_count == 8
     assert cv.canonical_count == 1
-    assert set(cv.strategies) == {STRATEGY_EXHAUSTIVE, STRATEGY_DFS, STRATEGY_WEIGHT}
+    assert set(cv.strategies) == {STRATEGY_EXHAUSTIVE, STRATEGY_DFS, STRATEGY_WEIGHT, STRATEGY_DFS + "+weight"}
 
 
 def test_cross_validate_odd_square():
@@ -1108,13 +1108,17 @@ def tampered(**changes):
          "3 rows listed, not min(raw_count, cap) = 5"),
         (tampered(cap=5, solutions=order_four_report_data()["solutions"][:5], canonical_count=9),
          "canonical_count 9 is more than raw_count"),
+        (tampered(strategy="pruned-dfs", nodes_explored=65),
+         "nodes_explored 65 is more than the 64 nodes any pruned-dfs run of order 4 visits"),
+        (tampered(strategy="pruned-dfs+weight", nodes_explored=65),
+         "nodes_explored 65 is more than the 64 nodes any pruned-dfs+weight run of order 4 visits"),
     ],
     ids=["duplicate", "descending", "strategy", "raw_count", "canonical_count",
          "nodes_explored", "cap", "over_cap", "n_negative", "n_zero", "elapsed_ms",
          "exhaustive_truncated", "exhaustive_short", "exhaustive_long", "weight_truncated",
          "weight_short", "weight_non_square", "dfs_weight_non_square_8", "dfs_weight_non_square_12",
          "exhaustive_huge_order", "weight_huge_order", "dfs_past_cap", "dfs_weight_past_cap",
-         "short_listing", "canonical_over_raw"],
+         "short_listing", "canonical_over_raw", "dfs_over_bound", "dfs_weight_over_bound"],
 )
 def test_revalidate_flags_malformed_reports(data, problem):
     problems = revalidate_report(report_from_dict(data))
