@@ -80,44 +80,71 @@ def _load_sequences(args) -> list[sequences.Sequence]:
     return rows
 
 
-def _json_text(obj, indent: str = "") -> str:
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without the stdlib's per-item pass.
 
     With an indent the stdlib encodes in pure Python, one generator step
     per list entry; a payload's longest lists (``cVector``, ``J``) are
     flat integer lists, joined here by one ``str.join``.  ``bool`` is an
     ``int`` subclass printed as ``true``/``false``, so only lists whose
-    entries are all exactly ``int`` take that path.  Keys must be
-    strings; any scalar but a string, ``int``, ``bool`` or ``None`` goes
-    to ``json.dumps``, which prints it (or refuses it) as the stdlib would.
+    entries are all exactly ``int`` take that path.  Such a list is
+    encoded once per call and indent and then reused (``analyze`` shares
+    one tuple between modes k and n-k); the type check comes first, as
+    ``(1, True) == (1, 1)``.  Every piece goes to one output list.  Keys
+    must be strings; any scalar but a string, ``int``, ``bool`` or
+    ``None`` goes to ``json.dumps``, which prints it (or refuses it) as
+    the stdlib would.
     """
+    out: list[str] = []
+    _write_json(obj, "", out, {})
+    return "".join(out)
+
+
+def _write_json(obj, indent: str, out: list[str], encoded: dict[tuple[tuple, str], str]) -> None:
+    """Append the text of obj at this indent to out; ``encoded`` maps (all-int tuple, indent) to its text."""
     if isinstance(obj, str):
-        return json.encoder.encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
+        inner = indent + "  "
         if set(map(type, obj)) == {int}:
-            items = map(int.__repr__, obj)
-        else:
-            items = (_json_text(v, inner) for v in obj)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if isinstance(obj, dict):
+            key = (tuple(obj), indent)
+            if key not in encoded:
+                encoded[key] = f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, obj)) + f"\n{indent}]"
+            out.append(encoded[key])
+            return
+        lead = f"[\n{inner}"
+        for v in obj:
+            out.append(lead)
+            _write_json(v, inner, out, encoded)
+            lead = f",\n{inner}"
+        out.append(f"\n{indent}]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = (
-            f"{json.encoder.encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()
-        )
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    return json.dumps(obj)
+            out.append("{}")
+            return
+        inner = indent + "  "
+        lead = f"{{\n{inner}"
+        for k, v in obj.items():
+            out.append(f"{lead}{_encode_str(k)}: ")
+            _write_json(v, inner, out, encoded)
+            lead = f",\n{inner}"
+        out.append(f"\n{indent}}}")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _fields_payload(result, drop: tuple[str, ...] = ()) -> dict:
@@ -185,12 +212,12 @@ def _cmd_analyze(args) -> int:
         overall = modes[0].mag_sq_equals_order
     payload = {
         "n": seq.n,
-        "J": list(index_set.members),
+        "J": index_set.members,
         "perK": [
             {
                 "k": m.k,
                 "c0pass": m.constant_term_ok,
-                "cVector": list(m.coefficients.coeffs),
+                "cVector": m.coefficients.coeffs,
                 "lambdaSqEqualsN": m.mag_sq_equals_order,
             }
             for m in modes
@@ -222,6 +249,12 @@ def _cmd_search(args) -> int:
     return EXIT_PASS
 
 
+def _cut(value):
+    """A report value as ``report`` echoes it: whole, or its first 60 characters as a string."""
+    text = value if isinstance(value, str) else repr(value)
+    return value if len(text) <= 60 else text[:60]
+
+
 def _cmd_report(args) -> int:
     with open(args.infile, encoding="ascii") as f:
         try:
@@ -236,9 +269,9 @@ def _cmd_report(args) -> int:
     print(
         _json_text(
             {
-                "n": report.n,
-                "strategy": report.strategy[:60],
-                "raw_count": report.raw_count,
+                "n": _cut(report.n),
+                "strategy": _cut(report.strategy),
+                "raw_count": _cut(report.raw_count),
                 "solutions_checked": len(report.solutions),
                 "valid": not problems,
                 "problems": problems,

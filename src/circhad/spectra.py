@@ -12,16 +12,20 @@ Only the mode-1 table is counted, by rotations of one bit mask.  Every
 other quantity of mode k comes from one fold of it: with g = gcd(k, n),
 the mode-1 table folded mod n/g.  The root power k is a Galois
 conjugate of the root power g (both are primitive roots of order n/g),
-so one canonical zero test of 4*fold - n in that subfield decides
+so one canonical zero test of fold - n/4 in that subfield decides
 flatness for every mode with that gcd.  The same fold gives mode k's
 table in class order: with k = g*k' and u the inverse of k' mod n/g,
 mode k counts fold[u*l/g mod n/g] in class l when g divides l, and
-nothing otherwise.  One private helper reads that remap, one the cosine
-coordinates counts[l] - counts[n/2 - l]; ``difference_counts`` (k != 1),
-``basis_coefficients``, ``mode_verdict`` and ``spectral_verdict`` all go
-through them, so a table is never recounted per mode.  ``spectral_verdict``
-folds each divisor once; ``mode_verdict`` counts, folds and zero-tests
-once for its one mode.
+nothing otherwise.  That remap is one table per order, cached: for each
+mode it holds the fold position of every class, or a sentinel that
+reads 0.  Mode k's table is one gather of its divisor's fold through
+it, and its cosine coordinates counts[l] - counts[n/2 - l] are one
+gather of a cosine vector built once per divisor from the fold.
+``difference_counts`` (k != 1), ``mode_verdict`` and ``spectral_verdict``
+all read through that one remap, so a table is never recounted per
+mode; ``basis_coefficients`` reads the whole table it is given.  ``spectral_verdict`` folds each divisor
+once; ``mode_verdict`` counts, folds and zero-tests once for its one
+mode.
 
 Mode k = 0 is deliberately evaluated with the same pair-sum form as
 every other mode, so it passes only when 4*|J|^2 = n.  The k = 0
@@ -32,12 +36,13 @@ views agree on every order where candidates exist.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cyclotomic import CycloElement, RealBasisVector, from_integer
+from .cyclotomic import CycloElement, RealBasisVector
 from .sequences import IndexSet
 
 
@@ -64,24 +69,45 @@ def difference_counts(index_set: IndexSet, k: int) -> DifferenceCounts:
     doubled = mask | mask << n
     counts = [(mask & doubled >> d).bit_count() for d in range(n)]
     if k != 1:
-        counts = _mode_table(CycloElement(n, tuple(counts)).fold(n // math.gcd(k, n)).coeffs, n, k, n)
+        # Modes k and n-k count the same table, symmetric in l and n-l.
+        index = _mode_remap(n)[min(k, n - k)]
+        fold = CycloElement(n, tuple(counts)).fold(n // math.gcd(k, n)).coeffs
+        # m + 1 zeros: a table reads 0 at a mirrored position and at the sentinel.
+        head = _gather(fold + (0,) * (len(fold) + 1), index)
+        counts = head + head[n - n // 2 - 1 : 0 : -1]
     return DifferenceCounts(n=n, k=k, counts=tuple(counts))
 
 
-def _mode_table(fold: tuple[int, ...], n: int, k: int, size: int) -> list[int]:
-    """Mode k's counts in classes 0..size-1, from the mode-1 table folded mod n/gcd(k, n)."""
-    m = len(fold)
-    g = n // m
-    u = pow(k // g, -1, m)
-    table = [0] * size
-    table[::g] = [fold[u * j % m] for j in range((size - 1) // g + 1)]
-    return table
+@functools.cache
+def _mode_remap(n: int) -> tuple[tuple[int, ...], ...]:
+    """For each mode k = 0..n/2, the fold position it reads in each class l = 0..n/2.
+
+    With g = gcd(k, n), m = n/g and u the inverse of k/g mod m, mode k
+    counts fold[u*l/g mod m] in class l when g divides l.  At an order
+    divisible by 4 with m odd, a class l whose mirror n/2 - l g divides
+    instead reads m + u*(n/2 - l)/g mod m: zero in the table, -fold in
+    the cosine coordinates (see ``_divisor_vector``).  Every other class
+    reads the sentinel -1, the zero at the end of both vectors.
+    """
+    half = n // 2
+    remap = []
+    for k in range(half + 1):
+        g = math.gcd(k, n)
+        m = n // g
+        u = pow(k // g, -1, m)
+        index = [-1] * (half + 1)
+        index[::g] = [u * j % m for j in range(half // g + 1)]
+        if n % 4 == 0 and m % 2:
+            index[half % g :: g] = [m + u * j % m for j in range(half // g, -1, -1)]
+        remap.append(tuple(index))
+    return tuple(remap)
 
 
-def _coordinates(counts, n: int) -> RealBasisVector:
-    """Cosine-basis coordinates of a mode table: coordinate l is counts[l] - counts[n/2 - l]."""
-    quarter, half = n // 4, n // 2
-    return RealBasisVector(n, tuple(map(operator.sub, counts[:quarter], counts[half:quarter:-1])))
+def _gather(vector: tuple[int, ...], index: tuple[int, ...]) -> tuple[int, ...]:
+    """The entries of vector at the positions in index, in one ``itemgetter`` pass."""
+    if len(index) == 1:  # itemgetter returns a bare entry for one position
+        return (vector[index[0]],)
+    return operator.itemgetter(*index)(vector)
 
 
 def basis_coefficients(table: DifferenceCounts) -> RealBasisVector:
@@ -90,9 +116,10 @@ def basis_coefficients(table: DifferenceCounts) -> RealBasisVector:
     Exactly agrees with reducing the pair-sum element through the
     cyclotomic module (the conjugate pair at l carries one cosine unit,
     and classes past the quarter fold back with a sign).  The order must
-    be divisible by 4.
+    be divisible by 4.  The table is given whole, so no remap is read.
     """
-    return _coordinates(table.counts, table.n)
+    counts, quarter, half = table.counts, table.n // 4, table.n // 2
+    return RealBasisVector(table.n, tuple(map(operator.sub, counts[:quarter], counts[half:quarter:-1])))
 
 
 @dataclass(frozen=True)
@@ -172,15 +199,28 @@ class SpectralVerdict:
     overall: bool
 
 
-def _divisor_fold(pair_sum: CycloElement, g: int) -> tuple[tuple[int, ...], bool]:
-    """The mode-1 table folded mod n/g, and whether 4*fold - n is zero in that subfield."""
-    folded = pair_sum.fold(pair_sum.n // g)
-    return folded.coeffs, (folded * 4 - from_integer(folded.n, pair_sum.n)).is_zero()
+def _divisor_vector(pair_sum: CycloElement, g: int) -> tuple[tuple[int, ...], bool]:
+    """Mode g's cosine vector, and whether fold - n/4 is zero, for the mode-1 table folded mod m = n/g.
+
+    A mode with this gcd reads cosine coordinate l at its remap position
+    of class l.  For even m, position x holds fold[x] - fold[m/2 - x]:
+    coordinate l is counts[l] - counts[n/2 - l], and u*n/(2g) = m/2
+    mod m as u is odd.  For odd m exactly one of l and n/2 - l is a
+    multiple of g, so the vector is fold, then -fold.  A trailing 0
+    serves the sentinel.
+    """
+    n = pair_sum.n
+    fold = pair_sum.fold(n // g).coeffs
+    flat = CycloElement(len(fold), (fold[0] - n // 4,) + fold[1:]).is_zero()
+    half, odd = divmod(len(fold), 2)
+    if odd:
+        return fold + tuple(-c for c in fold) + (0,), flat
+    return tuple(map(operator.sub, fold, fold[half::-1] + fold[:half:-1])) + (0,), flat
 
 
-def _mode_verdict(n: int, k: int, fold: tuple[int, ...], flat: bool) -> ModeVerdict:
-    """Mode k's verdict from its divisor's fold and that fold's zero test."""
-    coeffs = _coordinates(_mode_table(fold, n, k, n // 2 + 1), n)
+def _mode_verdict(n: int, k: int, index: tuple[int, ...], vector: tuple[int, ...], flat: bool) -> ModeVerdict:
+    """Mode k's verdict from its remap and its divisor's cosine vector and zero test."""
+    coeffs = RealBasisVector(n, _gather(vector, index[: n // 4]))
     return ModeVerdict(k, 4 * coeffs.coeffs[0] == n, coeffs, flat)
 
 
@@ -192,7 +232,8 @@ def mode_verdict(index_set: IndexSet, k: int) -> ModeVerdict:
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n - 1}], got {k!r:.60}")
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
-    return _mode_verdict(n, k, *_divisor_fold(pair_sum, math.gcd(k, n)))
+    index = _mode_remap(n)[min(k, n - k)]  # mode n-k has mode k's table
+    return _mode_verdict(n, k, index, *_divisor_vector(pair_sum, math.gcd(k, n)))
 
 
 def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
@@ -201,17 +242,19 @@ def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
     Mode k's pair sum is the power map k of mode 1's; 4 times it minus n
     is zero-tested once per divisor g of n, on the mode-1 table folded
     mod n/g.  The cosine coordinates and the constant-coordinate law of
-    every mode with gcd(k, n) = g are read from that same fold (see the
-    module docstring).  Mode 0 uses the same pair-sum form (see the
-    module docstring for the weight convention this implies).
+    every mode with gcd(k, n) = g are one gather from that fold's cosine
+    vector (see the module docstring).  Mode 0 uses the same pair-sum
+    form (see the module docstring for the weight convention this
+    implies).
     """
     n = index_set.n
     if n % 4:
         raise ValueError("spectral verdicts need an order divisible by 4")
     half = n // 2
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
-    folds = {g: _divisor_fold(pair_sum, g) for g in range(1, n + 1) if n % g == 0}
-    modes = [_mode_verdict(n, k, *folds[math.gcd(k, n)]) for k in range(half + 1)]
+    vectors = {g: _divisor_vector(pair_sum, g) for g in range(1, n + 1) if n % g == 0}
+    remap = _mode_remap(n)
+    modes = [_mode_verdict(n, k, remap[k], *vectors[math.gcd(k, n)]) for k in range(half + 1)]
     # Mode n-k has mode k's table, as the mode-1 counts are symmetric.
     modes += [ModeVerdict(n - m.k, m.constant_term_ok, m.coefficients, m.mag_sq_equals_order)
               for m in reversed(modes[1:half])]

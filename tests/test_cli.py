@@ -210,15 +210,18 @@ def test_report_flags_duplicate_rows(capsys, tmp_path):
     assert any("strictly ascending" in p for p in json.loads(out)["problems"])
 
 
-def test_report_cuts_a_long_strategy_label(capsys, tmp_path):
+@pytest.mark.parametrize("field, value", [("strategy", "s" * 5000), ("n", 10**4000), ("raw_count", 10**4000)],
+                         ids=("strategy", "n", "raw_count"))
+def test_report_cuts_a_long_strategy_label(capsys, tmp_path, field, value):
     out_file = tmp_path / "report.json"
     run(capsys, "search", "--n", "4", "--out", str(out_file))
     data = json.loads(out_file.read_text())
-    data["strategy"] = "s" * 5000
+    data[field] = value
     out_file.write_text(json.dumps(data))
     code, out, _ = run(capsys, "report", "--in", str(out_file))
     assert code == 1
     assert max(map(len, out.splitlines())) < 200
+    assert json.loads(out)[field] == str(value)[:60]
 
 
 def test_report_malformed_file(capsys, tmp_path):
@@ -523,6 +526,7 @@ scalars = (
     | awkward_text
     | st.text()
 )
+SHARED = (1, 2, 3)  # one tuple at several depths: encoded once per indent
 json_values = st.recursive(
     scalars,
     lambda inner: st.lists(inner)
@@ -539,6 +543,10 @@ json_values = st.recursive(
 @example({"": [], "a": {}, "b": (), "c": [[]], "d": [{}]})
 @example([10**199 + 7, -(10**200 - 1), 0])
 @example({'q"\\\n\u00e9\U0001f600': None})
+@example({"a": SHARED, "b": [SHARED], "c": {"d": [SHARED, SHARED]}})
+@example([(1, 1), (1, True)])
+@example([(1, True), (1, 1)])
+@example([(0,), (False,), (0.0,)])
 def test_json_writer_prints_what_the_stdlib_prints(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
@@ -547,10 +555,9 @@ def test_every_json_payload_prints_as_the_stdlib_would(capsys, monkeypatch, tmp_
     payloads = []
     writer = cli._json_text
 
-    def recording(obj, indent=""):
-        if not indent:
-            payloads.append(obj)
-        return writer(obj, indent)
+    def recording(obj):
+        payloads.append(obj)
+        return writer(obj)
 
     monkeypatch.setattr(cli, "_json_text", recording)
     report = tmp_path / "r.json"

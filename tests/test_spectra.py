@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from circhad import spectra
 from circhad.cli import main
-from circhad.cyclotomic import CycloElement, from_integer, reduce_to_real_basis
+from circhad.cyclotomic import CycloElement, RealBasisVector, from_integer, reduce_to_real_basis
 from circhad.sequences import (
     IndexSet,
     Sequence,
@@ -172,13 +172,12 @@ def test_index_map_mode_range():
 
 def test_index_map_catches_a_wrong_remap(monkeypatch):
     # The fold remap and CycloElement.power_map are separate implementations.
-    real_remap = spectra._mode_table
+    real_remap = spectra._mode_remap
 
-    def shifted_remap(fold, n, k, size):
-        table = real_remap(fold, n, k, size)
-        return table[1:] + table[:1]
+    def shifted_remap(n):
+        return tuple(index[1:] + index[:1] for index in real_remap(n))
 
-    monkeypatch.setattr(spectra, "_mode_table", shifted_remap)
+    monkeypatch.setattr(spectra, "_mode_remap", shifted_remap)
     v = index_map_check(J16, 3)
     assert not v.passed and v.mismatches
     assert all(direct != remapped for _, direct, remapped in v.mismatches)
@@ -271,18 +270,22 @@ def test_verdict_exposes_constant_term_and_coefficients():
 # the remap and the per-divisor zero test against a per-mode recount
 
 def recount_verdict(index_set):
-    """Reference: a fresh table and a full zero test for every mode."""
+    """Reference: every mode's table by the power map of the mode-1 table, its
+    coordinates read off that table, and a full zero test per mode; no fold,
+    remap or cosine vector of ``circhad.spectra``."""
     n = index_set.n
     target = from_integer(n, n)
+    base = CycloElement(n, difference_counts(index_set, 1).counts)
     modes = []
     for k in range(n):
-        table = difference_counts(index_set, k)
+        table = base.power_map(k)
+        counts = table.coeffs
         modes.append(
             ModeVerdict(
                 k=k,
-                constant_term_ok=4 * (table.counts[0] - table.counts[n // 2]) == n,
-                coefficients=basis_coefficients(table),
-                mag_sq_equals_order=(CycloElement(n, table.counts) * 4 - target).is_zero(),
+                constant_term_ok=4 * (counts[0] - counts[n // 2]) == n,
+                coefficients=RealBasisVector(n, tuple(counts[l] - counts[n // 2 - l] for l in range(n // 4))),
+                mag_sq_equals_order=(table * 4 - target).is_zero(),
             )
         )
     return SpectralVerdict(
@@ -381,7 +384,7 @@ def test_mode_verdict_checks_order_then_mode():
             mode_verdict(J16, k)
 
 
-@pytest.mark.parametrize("n", (100, 144))
+@pytest.mark.parametrize("n", (36, 64, 100, 144))
 def test_cli_output_at_benchmark_orders_matches_recount(n, capsys):
     # The orders and row weight of the benchmark's spectral workload:
     # analyze (every mode, then one mode of each gcd class) and verify
