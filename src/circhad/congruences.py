@@ -67,9 +67,6 @@ def solve_linear_congruence(k: int, c: int, n: int) -> CongruenceSolution:
     g = math.gcd(k, n)
     if c % g:
         return CongruenceSolution(n=n, k=k, c=c, g=g, solvable=False, j0=None, solution_count=0)
-    if k == 0:
-        # g = n and c = 0 here: every residue solves 0*j = 0.
-        return CongruenceSolution(n=n, k=k, c=c, g=g, solvable=True, j0=0, solution_count=g)
     step = n // g
     inv = extended_gcd(k // g, step)[1] % step
     j0 = (inv * (c // g)) % step

@@ -65,8 +65,7 @@ def _poly_divmod(num: Sequence[int], den: tuple[int, ...]) -> tuple[tuple[int, .
     assert den[-1] == 1
     deg_d = len(den) - 1
     work = list(num)
-    if len(work) <= deg_d:
-        return (), tuple(work)
+    # A numerator below the divisor's degree skips the loop: no quotient, itself the remainder.
     quot = [0] * (len(work) - deg_d)
     # Cyclotomic polynomials are sparse (x^48 - x^24 + 1 for order 144),
     # so each step subtracts only the divisor's nonzero terms.

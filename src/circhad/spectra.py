@@ -16,16 +16,17 @@ so one canonical zero test of fold - n/4 in that subfield decides
 flatness for every mode with that gcd.  The same fold gives mode k's
 table in class order: with k = g*k' and u the inverse of k' mod n/g,
 mode k counts fold[u*l/g mod n/g] in class l when g divides l, and
-nothing otherwise.  That remap is one table per order, cached: for each
-mode it holds the fold position of every class, or a sentinel that
-reads 0.  Mode k's table is one gather of its divisor's fold through
-it, and its cosine coordinates counts[l] - counts[n/2 - l] are one
-gather of a cosine vector built once per divisor from the fold.
+nothing otherwise.  That remap is one cached row per mode: for each
+class it holds the fold position, or a sentinel that reads 0.  Mode k's
+table is one gather of its divisor's fold through its row, and its
+cosine coordinates counts[l] - counts[n/2 - l] are one gather of a
+cosine vector built once per divisor from the fold.
 ``difference_counts`` (k != 1), ``mode_verdict`` and ``spectral_verdict``
-all read through that one remap, so a table is never recounted per
-mode; ``basis_coefficients`` reads the whole table it is given.  ``spectral_verdict`` folds each divisor
-once; ``mode_verdict`` counts, folds and zero-tests once for its one
-mode.
+all read rows of that one remap, so a table is never recounted per
+mode; ``basis_coefficients`` reads the whole table it is given.
+``spectral_verdict`` folds each divisor once and holds all n/2 + 1
+rows, (n/2 + 1)^2 positions; ``mode_verdict`` counts, folds and
+zero-tests once and builds only its own row.
 
 Mode k = 0 is deliberately evaluated with the same pair-sum form as
 every other mode, so it passes only when 4*|J|^2 = n.  The k = 0
@@ -70,7 +71,7 @@ def difference_counts(index_set: IndexSet, k: int) -> DifferenceCounts:
     counts = [(mask & doubled >> d).bit_count() for d in range(n)]
     if k != 1:
         # Modes k and n-k count the same table, symmetric in l and n-l.
-        index = _mode_remap(n)[min(k, n - k)]
+        index = _mode_index(n, min(k, n - k))
         fold = CycloElement(n, tuple(counts)).fold(n // math.gcd(k, n)).coeffs
         # m + 1 zeros: a table reads 0 at a mirrored position and at the sentinel.
         head = _gather(fold + (0,) * (len(fold) + 1), index)
@@ -79,8 +80,8 @@ def difference_counts(index_set: IndexSet, k: int) -> DifferenceCounts:
 
 
 @functools.cache
-def _mode_remap(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each mode k = 0..n/2, the fold position it reads in each class l = 0..n/2.
+def _mode_index(n: int, k: int) -> tuple[int, ...]:
+    """For mode k <= n/2, the fold position it reads in each class l = 0..n/2.
 
     With g = gcd(k, n), m = n/g and u the inverse of k/g mod m, mode k
     counts fold[u*l/g mod m] in class l when g divides l.  At an order
@@ -90,17 +91,14 @@ def _mode_remap(n: int) -> tuple[tuple[int, ...], ...]:
     reads the sentinel -1, the zero at the end of both vectors.
     """
     half = n // 2
-    remap = []
-    for k in range(half + 1):
-        g = math.gcd(k, n)
-        m = n // g
-        u = pow(k // g, -1, m)
-        index = [-1] * (half + 1)
-        index[::g] = [u * j % m for j in range(half // g + 1)]
-        if n % 4 == 0 and m % 2:
-            index[half % g :: g] = [m + u * j % m for j in range(half // g, -1, -1)]
-        remap.append(tuple(index))
-    return tuple(remap)
+    g = math.gcd(k, n)
+    m = n // g
+    u = pow(k // g, -1, m)
+    index = [-1] * (half + 1)
+    index[::g] = [u * j % m for j in range(half // g + 1)]
+    if n % 4 == 0 and m % 2:
+        index[half % g :: g] = [m + u * j % m for j in range(half // g, -1, -1)]
+    return tuple(index)
 
 
 def _gather(vector: tuple[int, ...], index: tuple[int, ...]) -> tuple[int, ...]:
@@ -219,7 +217,7 @@ def _divisor_vector(pair_sum: CycloElement, g: int) -> tuple[tuple[int, ...], bo
 
 
 def _mode_verdict(n: int, k: int, index: tuple[int, ...], vector: tuple[int, ...], flat: bool) -> ModeVerdict:
-    """Mode k's verdict from its remap and its divisor's cosine vector and zero test."""
+    """Mode k's verdict from its remap row and its divisor's cosine vector and zero test."""
     coeffs = RealBasisVector(n, _gather(vector, index[: n // 4]))
     return ModeVerdict(k, 4 * coeffs.coeffs[0] == n, coeffs, flat)
 
@@ -232,7 +230,7 @@ def mode_verdict(index_set: IndexSet, k: int) -> ModeVerdict:
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n - 1}], got {k!r:.60}")
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
-    index = _mode_remap(n)[min(k, n - k)]  # mode n-k has mode k's table
+    index = _mode_index(n, min(k, n - k))  # mode n-k has mode k's table
     return _mode_verdict(n, k, index, *_divisor_vector(pair_sum, math.gcd(k, n)))
 
 
@@ -253,8 +251,9 @@ def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
     half = n // 2
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
     vectors = {g: _divisor_vector(pair_sum, g) for g in range(1, n + 1) if n % g == 0}
-    remap = _mode_remap(n)
-    modes = [_mode_verdict(n, k, remap[k], *vectors[math.gcd(k, n)]) for k in range(half + 1)]
+    # Rows built inside the per-mode pass interleave with its verdicts: +3 MB peak RSS at n = 2000.
+    rows = [_mode_index(n, k) for k in range(half + 1)]
+    modes = [_mode_verdict(n, k, rows[k], *vectors[math.gcd(k, n)]) for k in range(half + 1)]
     # Mode n-k has mode k's table, as the mode-1 counts are symmetric.
     modes += [ModeVerdict(n - m.k, m.constant_term_ok, m.coefficients, m.mag_sq_equals_order)
               for m in reversed(modes[1:half])]

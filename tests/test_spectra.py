@@ -172,15 +172,33 @@ def test_index_map_mode_range():
 
 def test_index_map_catches_a_wrong_remap(monkeypatch):
     # The fold remap and CycloElement.power_map are separate implementations.
-    real_remap = spectra._mode_remap
+    real_index = spectra._mode_index
 
-    def shifted_remap(n):
-        return tuple(index[1:] + index[:1] for index in real_remap(n))
+    def shifted_index(n, k):
+        index = real_index(n, k)
+        return index[1:] + index[:1]
 
-    monkeypatch.setattr(spectra, "_mode_remap", shifted_remap)
+    monkeypatch.setattr(spectra, "_mode_index", shifted_index)
     v = index_map_check(J16, 3)
     assert not v.passed and v.mismatches
     assert all(direct != remapped for _, direct, remapped in v.mismatches)
+
+
+def test_one_mode_reads_build_only_their_row():
+    # One row at n = 1000, not the order's 501: the row mode 7 and mode 993 share,
+    # and the row difference_counts reads for mode 5.
+    J = random_index_set(random.Random(1000), 1000, 484)
+    reads = {}
+    for k in (7, 993):
+        spectra._mode_index.cache_clear()
+        reads[k] = mode_verdict(J, k)
+        assert spectra._mode_index.cache_info().currsize == 1
+    spectra._mode_index.cache_clear()
+    table = difference_counts(J, 5)
+    assert spectra._mode_index.cache_info().currsize == 1
+    assert table.counts == CycloElement(1000, difference_counts(J, 1).counts).power_map(5).coeffs
+    per_mode = spectral_verdict(J).per_mode
+    assert all(reads[k] == per_mode[k] for k in reads)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 24))
