@@ -8,25 +8,23 @@ by the residue class of k*(s - t); the squared eigenvalue modulus of the
 associated row is, up to the weight convention at k = 0, four times the
 pair sum over those classes.
 
-Only the mode-1 table is counted, by rotations of one bit mask.  Every
-other quantity of mode k comes from one fold of it: with g = gcd(k, n),
-the mode-1 table folded mod n/g.  The root power k is a Galois
-conjugate of the root power g (both are primitive roots of order n/g),
-so one canonical zero test of fold - n/4 in that subfield decides
-flatness for every mode with that gcd.  The same fold gives mode k's
-table in class order: with k = g*k' and u the inverse of k' mod n/g,
-mode k counts fold[u*l/g mod n/g] in class l when g divides l, and
-nothing otherwise.  That remap is one cached row per mode: for each
-class it holds the fold position, or a sentinel that reads 0.  Mode k's
-table is one gather of its divisor's fold through its row, and its
-cosine coordinates counts[l] - counts[n/2 - l] are one gather of a
-cosine vector built once per divisor from the fold.
-``difference_counts`` (k != 1), ``mode_verdict`` and ``spectral_verdict``
-all read rows of that one remap, so a table is never recounted per
-mode; ``basis_coefficients`` reads the whole table it is given.
-``spectral_verdict`` folds each divisor once and holds all n/2 + 1
-rows, (n/2 + 1)^2 positions; ``mode_verdict`` counts, folds and
-zero-tests once and builds only its own row.
+Only the mode-1 table is counted, by rotations of one bit mask.  Mode
+k's table is its power map k, the classes d merged into k*d mod n; that
+is what ``difference_counts`` (k != 1) returns, and ``index_map_check``
+compares it with a direct count of the pairs.  The verdicts read every
+mode from one fold of the mode-1 table: with g = gcd(k, n), the table
+folded mod n/g.  The root power k is a Galois conjugate of the root
+power g (both are primitive roots of order n/g), so one canonical zero
+test of fold - n/4 in that subfield decides flatness for every mode
+with that gcd.  The same fold gives mode k's cosine coordinates
+counts[l] - counts[n/2 - l] for l < n/4: one gather, through a cached
+row of n/4 positions per mode, of a cosine vector built once per
+divisor from the fold.  ``_mode_verdict`` is the only reader of those
+rows; ``basis_coefficients`` and ``constant_term_check`` read the whole
+table they are given, so they check the verdicts without the remap.
+``spectral_verdict`` folds each divisor once and holds n/2 + 1 rows,
+(n/2 + 1)*n/4 positions; ``mode_verdict`` counts, folds and zero-tests
+once and builds only its own row.
 
 Mode k = 0 is deliberately evaluated with the same pair-sum form as
 every other mode, so it passes only when 4*|J|^2 = n.  The k = 0
@@ -68,36 +66,32 @@ def difference_counts(index_set: IndexSet, k: int) -> DifferenceCounts:
     # J rotated by d: one AND of n-bit masks per d, not one step per pair.
     mask = sum(1 << s for s in index_set.members)
     doubled = mask | mask << n
-    counts = [(mask & doubled >> d).bit_count() for d in range(n)]
+    counts = tuple((mask & doubled >> d).bit_count() for d in range(n))
     if k != 1:
-        # Modes k and n-k count the same table, symmetric in l and n-l.
-        index = _mode_index(n, min(k, n - k))
-        fold = CycloElement(n, tuple(counts)).fold(n // math.gcd(k, n)).coeffs
-        # m + 1 zeros: a table reads 0 at a mirrored position and at the sentinel.
-        head = _gather(fold + (0,) * (len(fold) + 1), index)
-        counts = head + head[n - n // 2 - 1 : 0 : -1]
-    return DifferenceCounts(n=n, k=k, counts=tuple(counts))
+        # Mode k merges the mode-1 classes d into k*d mod n.
+        counts = CycloElement(n, counts).power_map(k).coeffs
+    return DifferenceCounts(n=n, k=k, counts=counts)
 
 
 @functools.cache
 def _mode_index(n: int, k: int) -> tuple[int, ...]:
-    """For mode k <= n/2, the fold position it reads in each class l = 0..n/2.
+    """For mode k <= n/2 at n = 0 mod 4, the cosine-vector position it reads in each class l < n/4.
 
     With g = gcd(k, n), m = n/g and u the inverse of k/g mod m, mode k
-    counts fold[u*l/g mod m] in class l when g divides l.  At an order
-    divisible by 4 with m odd, a class l whose mirror n/2 - l g divides
-    instead reads m + u*(n/2 - l)/g mod m: zero in the table, -fold in
-    the cosine coordinates (see ``_divisor_vector``).  Every other class
-    reads the sentinel -1, the zero at the end of both vectors.
+    reads fold position u*l/g mod m in class l when g divides l.  With m
+    odd, a class l whose mirror n/2 - l g divides instead reads
+    m + u*(n/2 - l)/g mod m, which holds -fold (see ``_divisor_vector``).
+    Every other class reads the sentinel -1, the zero at the end of the
+    vector.
     """
-    half = n // 2
+    quarter, half = n // 4, n // 2
     g = math.gcd(k, n)
     m = n // g
     u = pow(k // g, -1, m)
-    index = [-1] * (half + 1)
-    index[::g] = [u * j % m for j in range(half // g + 1)]
-    if n % 4 == 0 and m % 2:
-        index[half % g :: g] = [m + u * j % m for j in range(half // g, -1, -1)]
+    index = [-1] * quarter
+    index[::g] = [u * (l // g) % m for l in range(0, quarter, g)]
+    if m % 2:
+        index[half % g :: g] = [m + u * ((half - l) // g) % m for l in range(half % g, quarter, g)]
     return tuple(index)
 
 
@@ -134,15 +128,19 @@ def index_map_check(index_set: IndexSet, k: int) -> IndexMapVerdict:
     """Verify that multiplying the mode merges difference classes d into k*d mod n.
 
     The mode-k count of class l must equal the sum of mode-1 counts over
-    all classes d with k*d = l (mod n): the mode-k table, read from the
-    fold of the mode-1 table as every verdict reads it, is checked
-    against ``CycloElement.power_map(k)`` of the mode-1 table.
+    all classes d with k*d = l (mod n): the mode-k table, which is
+    ``CycloElement.power_map(k)`` of the mode-1 table, is checked against
+    a direct count of the pairs (s, t) in J x J by k*(s - t) mod n.
     """
     n = index_set.n
     if not 1 <= k < n:
         raise ValueError(f"mode index k must lie in [1, {n - 1}], got {k}")
-    direct = difference_counts(index_set, k).counts
-    remapped = CycloElement(n, difference_counts(index_set, 1).counts).power_map(k).coeffs
+    members = index_set.members
+    direct = [0] * n
+    for s in members:
+        for t in members:
+            direct[k * (s - t) % n] += 1
+    remapped = difference_counts(index_set, k).counts
     mismatches = tuple(
         (l, direct[l], remapped[l]) for l in range(n) if direct[l] != remapped[l]
     )
@@ -216,9 +214,10 @@ def _divisor_vector(pair_sum: CycloElement, g: int) -> tuple[tuple[int, ...], bo
     return tuple(map(operator.sub, fold, fold[half::-1] + fold[:half:-1])) + (0,), flat
 
 
-def _mode_verdict(n: int, k: int, index: tuple[int, ...], vector: tuple[int, ...], flat: bool) -> ModeVerdict:
-    """Mode k's verdict from its remap row and its divisor's cosine vector and zero test."""
-    coeffs = RealBasisVector(n, _gather(vector, index[: n // 4]))
+def _mode_verdict(n: int, k: int, vector: tuple[int, ...], flat: bool) -> ModeVerdict:
+    """Mode k's verdict from its divisor's cosine vector and zero test, gathered through its remap row."""
+    # Mode n-k has mode k's table.
+    coeffs = RealBasisVector(n, _gather(vector, _mode_index(n, min(k, n - k))))
     return ModeVerdict(k, 4 * coeffs.coeffs[0] == n, coeffs, flat)
 
 
@@ -230,8 +229,7 @@ def mode_verdict(index_set: IndexSet, k: int) -> ModeVerdict:
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n - 1}], got {k!r:.60}")
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
-    index = _mode_index(n, min(k, n - k))  # mode n-k has mode k's table
-    return _mode_verdict(n, k, index, *_divisor_vector(pair_sum, math.gcd(k, n)))
+    return _mode_verdict(n, k, *_divisor_vector(pair_sum, math.gcd(k, n)))
 
 
 def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
@@ -251,9 +249,7 @@ def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
     half = n // 2
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
     vectors = {g: _divisor_vector(pair_sum, g) for g in range(1, n + 1) if n % g == 0}
-    # Rows built inside the per-mode pass interleave with its verdicts: +3 MB peak RSS at n = 2000.
-    rows = [_mode_index(n, k) for k in range(half + 1)]
-    modes = [_mode_verdict(n, k, rows[k], *vectors[math.gcd(k, n)]) for k in range(half + 1)]
+    modes = [_mode_verdict(n, k, *vectors[math.gcd(k, n)]) for k in range(half + 1)]
     # Mode n-k has mode k's table, as the mode-1 counts are symmetric.
     modes += [ModeVerdict(n - m.k, m.constant_term_ok, m.coefficients, m.mag_sq_equals_order)
               for m in reversed(modes[1:half])]

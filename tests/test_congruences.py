@@ -69,9 +69,9 @@ def test_congruence_exhaustive_against_brute_force_small():
                 brute = brute_solutions(k, c, n)
                 assert sol.solvable == bool(brute)
                 assert sol.solution_count == len(brute)
+                assert list(sol.solutions()) == brute
                 if brute:
                     assert sol.j0 == brute[0]
-                    assert list(sol.solutions()) == brute
 
 
 @given(st.integers(1, 500), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))

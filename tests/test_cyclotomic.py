@@ -135,6 +135,7 @@ def test_power_map_is_a_ring_map(case):
     a, b, k = case
     assert (a * b).power_map(k) == a.power_map(k) * b.power_map(k)
     assert (a + b).power_map(k) == a.power_map(k) + b.power_map(k)
+    assert (-a).power_map(k) == -a.power_map(k) == (a * -1).power_map(k)
 
 
 @given(orders.flatmap(power_map_cases))

@@ -53,6 +53,8 @@ CASES = [("search", *argv) for argv in SEARCHES] + [
     ("verify", "--seq", "-"),
     ("verify", "--seq", "+x+"),
     ("verify", "--seq", ROW36),
+    ("verify", "--seq", "+-+-++"),
+    ("verify",),
     ("verify", "--seq", "-+++", "--format", "json"),
     ("verify", "--seq", "+-+-++", "--format", "json"),
     ("verify", "--seq", ROW36, "--format", "json"),
@@ -72,6 +74,8 @@ CASES = [("search", *argv) for argv in SEARCHES] + [
     ],
     ("lemma", "--n", "8", "--which", "3"),
     ("lemma", "--n", "4", "--which", "5"),
+    ("lemma", "--n", "8", "--which", "1,2"),
+    ("lemma", "--which", "1"),
     # congruence
     ("congruence", "--n", "36", "--k", "8"),
     ("congruence", "--n", "16", "--k", "3", "--c", "8"),

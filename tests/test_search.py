@@ -732,10 +732,15 @@ def order_four_checkpoint(tmp_path, prefix, line):
          "does not read"),
         ("0000", f"prefix=0000 raw_count=0 nodes_explored={'9' * 5000} elapsed_ms=0 solutions=",
          "does not read"),
+        ("0000", "prefix=000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "prefix width 3 does not match its header (4)"),
+        ("0000", "prefix=00000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "prefix width 5 does not match its header (4)"),
     ],
     ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
          "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
-         "row_off_prefix", "row_not_hadamard", "prefix_not_bits", "nodes_past_int_digit_limit"],
+         "row_off_prefix", "row_not_hadamard", "prefix_not_bits", "nodes_past_int_digit_limit",
+         "prefix_too_short", "prefix_too_long"],
 )
 def test_checkpoint_shard_line_is_validated(tmp_path, prefix, line, problem):
     cp = order_four_checkpoint(tmp_path, prefix, line)
@@ -1038,6 +1043,15 @@ def test_cross_validate_order_four():
     assert cv.raw_count == 8
     assert cv.canonical_count == 1
     assert set(cv.strategies) == {STRATEGY_EXHAUSTIVE, STRATEGY_DFS, STRATEGY_WEIGHT, STRATEGY_DFS + "+weight"}
+
+
+def test_cross_validate_reports_a_strategy_that_disagrees(monkeypatch):
+    # A DFS shard that drops its rows (jobs = 1 runs shards in process).
+    real_shard = search._dfs_shard
+    monkeypatch.setattr(search, "_dfs_shard", lambda *args: (real_shard(*args)[0], []))
+    cv = cross_validate(4)
+    assert not cv.passed and cv.raw_count == 8
+    assert "strategy pruned-dfs found 0 rows, exhaustive found 8" in cv.problems
 
 
 def test_cross_validate_odd_square():

@@ -270,6 +270,8 @@ def test_index_set_validation():
         IndexSet(4, (2, 1))
     with pytest.raises(ValueError):
         IndexSet(4, (4,))
+    with pytest.raises(ValueError, match="order must be positive"):
+        IndexSet(0, ())
     assert IndexSet.from_iterable(8, [5, 1, 5]).members == (1, 5)
 
 
@@ -278,6 +280,8 @@ def test_even_order_check():
     assert not even_order_check(9).passed
     v1 = even_order_check(1)
     assert not v1.passed and v1.trivial_exception
+    with pytest.raises(ValueError, match="order must be positive"):
+        even_order_check(0)
     assert is_circulant_hadamard(seq("+"))  # the 1x1 exception really is Hadamard
 
 

@@ -170,35 +170,51 @@ def test_index_map_mode_range():
         index_map_check(J16, 0)
 
 
+def test_index_map_catches_a_wrong_power_map(monkeypatch):
+    # The mode-k table is the power map of the mode-1 table; the check counts pairs.
+    real_map = CycloElement.power_map
+
+    def shifted_map(element, k):
+        coeffs = real_map(element, k).coeffs
+        return CycloElement(element.n, coeffs[1:] + coeffs[:1])
+
+    monkeypatch.setattr(CycloElement, "power_map", shifted_map)
+    v = index_map_check(J16, 3)
+    assert not v.passed and v.mismatches
+    assert all(direct != remapped for _, direct, remapped in v.mismatches)
+
+
 def test_index_map_catches_a_wrong_remap(monkeypatch):
-    # The fold remap and CycloElement.power_map are separate implementations.
+    # The verdicts read the remap rows; the recount reads the power map.
     real_index = spectra._mode_index
 
     def shifted_index(n, k):
         index = real_index(n, k)
         return index[1:] + index[:1]
 
+    real_index.cache_clear()
     monkeypatch.setattr(spectra, "_mode_index", shifted_index)
-    v = index_map_check(J16, 3)
-    assert not v.passed and v.mismatches
-    assert all(direct != remapped for _, direct, remapped in v.mismatches)
+    assert mode_verdict(J16, 3) != recount_verdict(J16).per_mode[3]
 
 
 def test_one_mode_reads_build_only_their_row():
-    # One row at n = 1000, not the order's 501: the row mode 7 and mode 993 share,
-    # and the row difference_counts reads for mode 5.
+    # One row at n = 1000, not the order's 501: the row mode 7 and mode 993
+    # share.  A table reads no row; a full verdict holds 501 rows of n/4.
     J = random_index_set(random.Random(1000), 1000, 484)
+    spectra._mode_index.cache_clear()
+    table = difference_counts(J, 5)
+    assert spectra._mode_index.cache_info().currsize == 0
+    assert table.counts == CycloElement(1000, difference_counts(J, 1).counts).power_map(5).coeffs
     reads = {}
     for k in (7, 993):
         spectra._mode_index.cache_clear()
         reads[k] = mode_verdict(J, k)
         assert spectra._mode_index.cache_info().currsize == 1
     spectra._mode_index.cache_clear()
-    table = difference_counts(J, 5)
-    assert spectra._mode_index.cache_info().currsize == 1
-    assert table.counts == CycloElement(1000, difference_counts(J, 1).counts).power_map(5).coeffs
     per_mode = spectral_verdict(J).per_mode
     assert all(reads[k] == per_mode[k] for k in reads)
+    assert spectra._mode_index.cache_info().currsize == 501
+    assert {len(spectra._mode_index(1000, k)) for k in range(501)} == {250}
 
 
 @given(st.integers(0, 10**6), st.integers(2, 24))
@@ -221,6 +237,8 @@ def test_constant_term_examples():
     assert bad.required_half_count == Fraction(2)
     zero_mode = constant_term_check(J16, 0)
     assert not zero_mode.passed and zero_mode.lhs == 4 * 36
+    with pytest.raises(ValueError, match="divisible by 4"):
+        constant_term_check(IndexSet(6, (0, 1)), 1)
 
 
 def test_constant_term_fractional_requirement():
@@ -336,6 +354,10 @@ def test_spectral_verdict_matches_recount_on_seeded_sets(n):
         verdict = spectral_verdict(J)
         assert verdict == recount_verdict(J)
         assert tuple(mode_verdict(J, k) for k in range(n)) == verdict.per_mode
+        # constant_term_check reads the table, not the remap: an oracle for c0pass.
+        assert [constant_term_check(J, k).passed for k in range(n)] == [
+            m.constant_term_ok for m in verdict.per_mode
+        ]
     flat = [mode.mag_sq_equals_order for mode in spectral_verdict(sets[0]).per_mode]
     assert flat == [k % m == 0 for k in range(n)]
 
