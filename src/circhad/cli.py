@@ -11,10 +11,12 @@ lemma       the numbered necessary-condition checks 1-3 for an order
 report      re-validate a stored search report file
 
 Exit codes: 0 success/pass, 1 verification failed, 2 invalid input,
-3 resource cap refusal (``search`` past its caps, ``basis-rank`` above
-order 4000).  Solvability and rank findings are data, not failures:
-``congruence``, ``basis-rank`` and the check-3 report always exit 0 when
-the query itself is well-formed and within the caps.
+3 resource cap refusal (``search`` above order 36 or, without
+``--checkpoint``, a full enumeration of more than 2^24 rows;
+``basis-rank`` above order 4000).  Solvability and rank findings are
+data, not failures: ``congruence``, ``basis-rank`` and the check-3
+report always exit 0 when the query itself is well-formed and within
+the caps.
 """
 
 from __future__ import annotations
@@ -242,10 +244,11 @@ def _cmd_search(args) -> int:
     )
     payload = search.report_to_dict(report)
     text = _json_text(payload)
-    print(text)
+    # The file first, so a path that cannot be written leaves stdout empty.
     if args.out:
         with open(args.out, "w", encoding="ascii") as f:
             f.write(text + "\n")
+    print(text)
     return EXIT_PASS
 
 
@@ -418,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="restrict the pruned DFS to the admissible -1 counts (square orders)",
     )
-    p.add_argument("--checkpoint", help="shard checkpoint file; reruns resume from it")
+    p.add_argument("--checkpoint", help="shard checkpoint file; reruns resume from it (needed past 2^24 walked rows)")
     p.add_argument("--cap", type=_ascii_int, default=search.DEFAULT_LIST_CAP, help="solution listing cap")
     p.set_defaults(func=_cmd_search)
 

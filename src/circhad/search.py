@@ -85,9 +85,8 @@ from .spectra import spectral_verdict
 
 SCHEMA_VERSION = 1
 DEFAULT_LIST_CAP = 1024
-DEFAULT_EXHAUSTIVE_CAP = 24
-EXHAUSTIVE_CAP_ENV = "CHM_MAX_EXHAUSTIVE_N"
-MAX_DFS_ORDER = 36
+MAX_ORDER = 36  # every label; the packed DFS fields are exact up to here
+MAX_UNCHECKPOINTED_ROWS = 1 << 24  # a longer full enumeration must be resumable
 
 STRATEGY_EXHAUSTIVE = "exhaustive"
 STRATEGY_WEIGHT = "weight-constrained"
@@ -352,9 +351,9 @@ class _Step(NamedTuple):
 def _packed_tables(n: int) -> tuple[int, int, tuple[_Step, ...]]:
     """(start state, guard mask, per-depth steps) of the packed DFS at order n."""
     # Fields stay in [64 - n, 64 + n] and guard sums in [128 - n, 128 + 2n]:
-    # [28, 100] and [92, 200] at the DFS cap, so no field carries into or
+    # [28, 100] and [92, 200] at the order cap, so no field carries into or
     # borrows from its neighbour and every test is exact.
-    assert 1 <= n <= MAX_DFS_ORDER and _BIAS + n < _GUARD and _GUARD + 2 * n < 2 * _GUARD
+    assert 1 <= n <= MAX_ORDER and _BIAS + n < _GUARD and _GUARD + 2 * n < 2 * _GUARD
     shifts = range(1, n)
 
     def packed(values) -> int:
@@ -535,54 +534,43 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tupl
 # ---------------------------------------------------------------------------
 # Orchestration.
 
-def _exhaustive_cap() -> int:
-    value = os.environ.get(EXHAUSTIVE_CAP_ENV)
-    if value is None:
-        return DEFAULT_EXHAUSTIVE_CAP
-    with contextlib.suppress(ValueError):  # int() refuses over sys.get_int_max_str_digits() digits
-        if value.isascii() and value.isdigit():
-            return int(value)
-    raise ValueError(f"{EXHAUSTIVE_CAP_ENV} must be a non-negative decimal integer, got {value!r:.60}")
-
-
 def _admit(n: int, label: str) -> tuple[int, ...] | None:
     """The admissible -1 counts of a run labelled ``label`` at order n; None for every count.
 
     Raises what ``run_search`` refuses the run with, and ``revalidate_report``
-    flags a report with, by the label's ``_REPORT_STRATEGIES`` entry.  The
-    full-enumeration cap bounds this machine's work, not which runs exist.
+    flags a report with, by the label's ``_REPORT_STRATEGIES`` entry; any
+    order above ``MAX_ORDER`` raises ``CapExceeded``.
     """
     if n < 1:
         raise ValueError("order must be positive")
     if label not in _REPORT_STRATEGIES:
         raise ValueError(f"unknown strategy {label!r:.60}; expected one of {tuple(_REPORT_STRATEGIES)}")
-    dfs, weighted = _REPORT_STRATEGIES[label]
+    weighted = _REPORT_STRATEGIES[label][1]
     if weighted and expected_minus_counts(n) is None:
         raise ValueError(f"weight-constrained enumeration needs a perfect-square order, got {n!r:.60}")
-    if dfs and n > MAX_DFS_ORDER:
-        raise CapExceeded(f"order {n!r:.60} exceeds the DFS cap {MAX_DFS_ORDER}")
+    if n > MAX_ORDER:
+        raise CapExceeded(f"order {n!r:.60} exceeds the order cap {MAX_ORDER}")
     return expected_minus_counts(n) if weighted else None
+
+
+def _row_count(n: int, weights: tuple[int, ...] | None) -> int:
+    """The rows a full enumeration of order n visits: 2^n, or C(n, w) over the weights w."""
+    return 1 << n if weights is None else sum(math.comb(n, w) for w in set(weights))
 
 
 def _node_fault(n: int, label: str, weights: tuple[int, ...] | None, nodes: int) -> str | None:
     """Why no admitted run labelled ``label`` at order n visits ``nodes`` nodes, or None.
 
-    A full enumeration visits 2^n rows, or C(n, w) over the admissible
-    weights w.  The row count lies in [2^(n/4), 2^n] (C(n, w) >= 2^w for
-    w <= n/2, the smaller weight is >= n/4 from n = 4 on), so a count
-    whose bit length rules n out is flagged before 2^n or C(n, w) is
-    built.  A DFS shard of a p-entry split visits at most p prefix nodes
-    and 2^(n-p+1) - 2 below them, 2^(n+1) + 2^p (p - 2) in all; that grows
-    with p, so the widest split bounds every run.
+    A full enumeration visits ``_row_count`` rows.  A DFS shard of a
+    p-entry split visits at most p prefix nodes and 2^(n-p+1) - 2 below
+    them, 2^(n+1) + 2^p (p - 2) in all; that grows with p, so the widest
+    split bounds every run.
     """
     if _REPORT_STRATEGIES[label][0]:
         bound = 2 ** (n + 1) + 2 ** (p := min(n, _SPLIT_BITS)) * (p - 2)
         if nodes > bound:
             return f"nodes_explored {nodes!r:.60} is more than the {bound} nodes any {label} run of order {n} visits"
-    elif not (
-        n <= 4 * nodes.bit_length() <= 4 * (n + 1)
-        and nodes == (1 << n if weights is None else sum(math.comb(n, w) for w in set(weights)))
-    ):
+    elif nodes != _row_count(n, weights):
         return f"nodes_explored {nodes!r:.60} is not the number of rows every {label} run of order {n!r:.60} visits"
     return None
 
@@ -601,10 +589,10 @@ def run_search(
     The run is labelled ``strategy``, or ``strategy+weight`` with
     ``weight_filter``; ``_REPORT_STRATEGIES`` holds each label's rules.
     The order and label must pass the rules ``revalidate_report`` checks a
-    report by (the DFS cap, order 36, raises ``CapExceeded``); a label
-    that does not run the DFS is also refused above this machine's
-    CHM_MAX_EXHAUSTIVE_N limit (default 24) with ``CapExceeded``.  The
-    report lists the first min(raw_count, list_cap) rows in ascending order.
+    report by (an order above 36 raises ``CapExceeded``); so must a full
+    enumeration of more than 2^24 rows without a ``checkpoint``, which
+    could not be cut and resumed.  The report lists the first
+    min(raw_count, list_cap) rows in ascending order.
     """
     start = time.monotonic()
     if jobs < 1:
@@ -617,14 +605,13 @@ def run_search(
     if list_cap < 0:
         raise ValueError("list cap must be non-negative")
     weights, (dfs, _) = _admit(n, label), _REPORT_STRATEGIES[label]
-    if not dfs and n > (cap := _exhaustive_cap()):
+    if checkpoint is None and not dfs and (rows := _row_count(n, weights)) > MAX_UNCHECKPOINTED_ROWS:
         raise CapExceeded(
-            f"order {n!r:.60} exceeds the full-enumeration cap {cap}"
-            f" (set {EXHAUSTIVE_CAP_ENV} to raise it)"
+            f"{label} at order {n} walks {rows} rows; a walk of more than 2^24 rows needs a checkpoint"
         )
 
     # 2^P >= 4*jobs shards, capped at 2^8: the pool never has more
-    # workers than cores, so a wider split only adds per-shard overhead.
+    # workers than CPUs, so a wider split only adds per-shard overhead.
     # A checkpointed run always splits at the cap, whatever --jobs.
     plen = min(n, _SPLIT_BITS, _SPLIT_BITS if checkpoint is not None else (4 * jobs - 1).bit_length())
     done = {} if checkpoint is None else _load_checkpoint(checkpoint, n, label, plen)
@@ -634,8 +621,10 @@ def run_search(
     ]
 
     results = dict(done)
-    # A one-worker pool would only add its start-up and round trips.
-    workers = min(jobs, len(pending), os.cpu_count() or 1)
+    # No more workers than the CPUs this process may run on; a one-worker
+    # pool would only add its start-up and round trips.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(pending), cpus)
     parallel = workers > 1
     with (
         concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel
@@ -724,13 +713,14 @@ def revalidate_report(report: SearchReport) -> list[str]:
 
     The report must be one ``run_search`` could have written, by the
     rules it writes with: the order and label it admits (its refusal is
-    the problem; the machine's full-enumeration cap is not applied), the
-    node count a full enumeration's order fixes, and a listing of
-    exactly min(raw_count, cap) rows, strictly ascending, each re-checked
-    with the exact autocorrelation test and the independent matrix
-    product.  ``canonical_count`` may not exceed ``raw_count`` and must
-    match the listed classes when nothing is cut; no count is negative.
-    Quoted report values are cut at 60 characters.
+    the problem; the checkpoint rule bounds one run's work, not which
+    reports are valid, and is not applied), the node count a full
+    enumeration's order fixes, and a listing of exactly min(raw_count,
+    cap) rows, strictly ascending, each re-checked with the exact
+    autocorrelation test and the independent matrix product.
+    ``canonical_count`` may not exceed ``raw_count`` and must match the
+    listed classes when nothing is cut; no count is negative.  Quoted
+    report values are cut at 60 characters.
     """
     problems = []
     if report.schema_version != SCHEMA_VERSION:
@@ -797,7 +787,9 @@ def cross_validate(n: int) -> CrossValidation:
     Weighted labels run at perfect-square orders only.  Each found row is
     also pushed through the exact matrix product, the order checks, and
     (for orders divisible by 4, on its -1-minority canonical form) the
-    full spectral verdict.  Refuses runs past the exhaustive cap.
+    full spectral verdict.  Runs without a checkpoint, so ``run_search``
+    refuses every order whose full enumeration walks more than 2^24 rows
+    (``exhaustive`` from order 25 on).
     """
     reports = [run_search(n, label.partition("+")[0], weight_filter="+" in label)
                for label, (_, weighted) in _REPORT_STRATEGIES.items()

@@ -90,10 +90,10 @@ def test_criterion_3_order_thirty_six_empty(tmp_path):
     not os.environ.get("CHM_RUN_LONG"),
     reason="order-36 long run is opt-in; set CHM_RUN_LONG=1",
 )
-def test_criterion_3_order_thirty_six_weighted_walk(tmp_path, monkeypatch):
+def test_criterion_3_order_thirty_six_weighted_walk(tmp_path):
     # The same order decided by the bit-sliced walker, which shares no
     # code with the DFS: every row with 15 or 21 entries -1, each tested.
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "36")
+    # Its 11135805120 rows are more than 2^24, so it writes a checkpoint.
     checkpoint = str(tmp_path / "walk36.checkpoint")
     before = os.times()
     report = run_search(36, STRATEGY_WEIGHT, jobs=os.cpu_count() or 1, checkpoint=checkpoint)

@@ -257,19 +257,28 @@ def test_report_with_a_non_integer_count_is_invalid_input(capsys, tmp_path, key,
     assert out == "" and f"report field '{key}' must be an integer" in err
 
 
-def test_search_cap_refusal(capsys, monkeypatch):
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "8")
-    code, _, err = run(capsys, "search", "--n", "12")
+def test_search_cap_refusal(capsys, tmp_path):
+    code, out, err = run(capsys, "search", "--n", "25")
     assert code == 3
-    assert "cap" in err
+    assert out == "" and "a walk of more than 2^24 rows needs a checkpoint" in err
+    # With a checkpoint the same run is admitted, and its report is valid.
+    report = tmp_path / "e25.json"
+    code, _, _ = run(capsys, "search", "--n", "25", "--checkpoint", str(tmp_path / "e25.ckpt"),
+                     "--out", str(report))
+    assert code == 0 and json.loads(report.read_text())["nodes_explored"] == 1 << 25
+    assert run(capsys, "report", "--in", str(report))[0] == 0
+    # Past the order cap a run is refused before its checkpoint is created.
+    for argv in (("--n", "37"), ("--n", "1000000000000000000", "--strategy", "weight-constrained")):
+        cp = tmp_path / "refused.ckpt"
+        code, out, err = run(capsys, "search", *argv, "--checkpoint", str(cp))
+        assert code == 3
+        assert out == "" and "exceeds the order cap 36" in err and not cp.exists()
 
 
-@pytest.mark.parametrize("value", ("abc", "-1", pytest.param("9" * 5000, id="5000_digits")))
-def test_search_invalid_cap_env_is_invalid_input(capsys, monkeypatch, value):
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", value)
-    code, out, err = run(capsys, "search", "--n", "1")
+def test_search_out_to_an_unwritable_path_prints_nothing(capsys, tmp_path):
+    code, out, err = run(capsys, "search", "--n", "4", "--out", str(tmp_path / "missing" / "r.json"))
     assert code == 2
-    assert out == "" and "CHM_MAX_EXHAUSTIVE_N" in err
+    assert out == "" and err.startswith("error: ")
 
 
 def test_search_weight_on_non_square(capsys):

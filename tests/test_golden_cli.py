@@ -10,7 +10,6 @@ and review the diff.
 
 import contextlib
 import io
-import os
 import pathlib
 import re
 import time
@@ -46,7 +45,10 @@ CASES = [("search", *argv) for argv in SEARCHES] + [
     ("search", "--n", "4", "--cap", "-1"),
     ("search", "--n", "25"),
     ("search", "--n", "25", "--strategy", "weight-constrained"),
+    ("search", "--n", "25", "--strategy", "pruned-dfs"),
+    ("search", "--n", "37"),
     ("search", "--n", "37", "--strategy", "pruned-dfs"),
+    ("search", "--n", "49", "--strategy", "weight-constrained"),
     # verify
     ("verify", "--seq", "-+++"),
     ("verify", "--seq", "++++"),
@@ -105,8 +107,7 @@ def transcript() -> str:
     return _ELAPSED.sub('"elapsed_ms": <masked>', "".join(parts))
 
 
-def test_cli_transcript_matches_golden_file(monkeypatch):
-    monkeypatch.delenv(search.EXHAUSTIVE_CAP_ENV, raising=False)
+def test_cli_transcript_matches_golden_file():
     start = time.monotonic()
     text = transcript()
     assert time.monotonic() - start < 2.0
@@ -114,5 +115,4 @@ def test_cli_transcript_matches_golden_file(monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop(search.EXHAUSTIVE_CAP_ENV, None)
     print(transcript(), end="")

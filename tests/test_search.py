@@ -516,10 +516,10 @@ def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_weighted_walk_splits_blocks_past_the_default_cap(monkeypatch, jobs):
+def test_weighted_walk_splits_blocks_past_the_default_cap(jobs):
     # C(25 - P, w - popcount), w = 10 or 15, exceeds one block for every prefix
-    # width P used here, so this is the weighted split at full size.
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "25")
+    # width P used here, so this is the weighted split at full size.  Its
+    # 6537520 rows are fewer than 2^24, so it needs no checkpoint.
     report = run_search(25, STRATEGY_WEIGHT, jobs=jobs)
     assert report.nodes_explored == 2 * math.comb(25, 10) == 6537520
     assert report.raw_count == 0
@@ -561,35 +561,33 @@ def test_packed_fields_decode_to_the_partial_autocorrelations():
 # ---------------------------------------------------------------------------
 # caps
 
-def test_exhaustive_cap_env_is_honored(monkeypatch):
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "8")
-    with pytest.raises(CapExceeded):
-        run_search(9, STRATEGY_EXHAUSTIVE)
-    monkeypatch.delenv("CHM_MAX_EXHAUSTIVE_N")
-    with pytest.raises(CapExceeded):
-        run_search(25, STRATEGY_EXHAUSTIVE)  # default cap 24
-    with pytest.raises(CapExceeded):
-        run_search(25, STRATEGY_WEIGHT)  # shares the full-enumeration cap
-    with pytest.raises(CapExceeded):
-        run_search(40, STRATEGY_DFS)  # DFS cap 36
+def test_order_cap_refuses_every_label_above_36(tmp_path):
+    for strategy, weight_filter, n in ((STRATEGY_EXHAUSTIVE, False, 37), (STRATEGY_WEIGHT, False, 49),
+                                       (STRATEGY_DFS, False, 37), (STRATEGY_DFS, True, 49)):
+        cp = tmp_path / f"{strategy}-{weight_filter}.ckpt"
+        with pytest.raises(CapExceeded, match=f"order {n} exceeds the order cap 36"):
+            run_search(n, strategy, weight_filter=weight_filter, checkpoint=str(cp))
+        assert not cp.exists()  # refused before the checkpoint is opened
+    # The order cap comes first, so C(n, w) is never built for an order this large.
+    cp = tmp_path / "huge.ckpt"
+    with pytest.raises(CapExceeded, match="exceeds the order cap 36"):
+        run_search(10**18, STRATEGY_WEIGHT, checkpoint=str(cp))
+    assert not cp.exists()
 
 
-@pytest.mark.parametrize(
-    "value", ("abc", "-1", "", " 8", "8.0", "\u00b2", "9" * 5000),
-    ids=["letters", "negative", "empty", "leading_space", "decimal_point", "superscript_two",
-         "past_int_digit_limit"],
-)
-def test_exhaustive_cap_env_must_be_a_non_negative_integer(monkeypatch, value):
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", value)
-    with pytest.raises(ValueError, match="CHM_MAX_EXHAUSTIVE_N must be a non-negative decimal integer"):
-        run_search(1, STRATEGY_EXHAUSTIVE)
-
-
-def test_exhaustive_cap_env_zero_refuses_every_order(monkeypatch):
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "0")
-    with pytest.raises(CapExceeded):
-        run_search(1, STRATEGY_EXHAUSTIVE)
-    assert run_search(1, STRATEGY_DFS).raw_count == 2  # the DFS has its own cap
+def test_full_enumeration_past_2_24_rows_needs_a_checkpoint(monkeypatch, tmp_path):
+    with pytest.raises(CapExceeded, match="exhaustive at order 25 walks 33554432 rows"):
+        run_search(25, STRATEGY_EXHAUSTIVE)
+    # At odd order no row qualifies, so the walk only counts its rows.
+    report = run_search(25, STRATEGY_EXHAUSTIVE, checkpoint=str(tmp_path / "e25.ckpt"))
+    assert (report.nodes_explored, report.raw_count) == (1 << 25, 0)
+    assert revalidate_report(report) == []
+    # The DFS is bounded by the order cap alone.
+    report = run_search(25, STRATEGY_DFS)
+    assert report.raw_count == 0 and revalidate_report(report) == []
+    # Exactly 2^24 rows need no checkpoint (the shards are stubbed: only admission is tested).
+    monkeypatch.setattr(search, "_walk_shard", lambda *task: (0, []))
+    assert run_search(24, STRATEGY_EXHAUSTIVE).raw_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -868,6 +866,11 @@ class RecordingPool:
         return map(fn, items)
 
 
+def set_cpus(monkeypatch, count):
+    """Let this process run on ``count`` CPUs, whatever the machine has."""
+    monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     sizes = []
     monkeypatch.setattr(
@@ -878,9 +881,11 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     # nodes_explored must agree.
     cp = str(tmp_path / "cp.txt")
     base = run_search(12, STRATEGY_DFS, checkpoint=cp)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)
-    # With one core there is one worker, and a one-worker pool is not built.
+    # Without an affinity mask the CPU count decides; when it is unknown
+    # there is one worker, and a one-worker pool is not built.
+    monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)
     assert sizes == [3]
@@ -889,9 +894,22 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     lines = open(cp).read().splitlines(True)
     with open(cp, "w") as f:
         f.writelines(lines[:-2])
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 16)
+    set_cpus(monkeypatch, 16)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=8, checkpoint=cp), base)
     assert sizes == [3, 2]
+
+
+def test_pool_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(
+        search.concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes),
+    )
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
+    set_cpus(monkeypatch, 1)  # the affinity mask holds one of the four
+    serial = run_search(16, STRATEGY_EXHAUSTIVE)
+    assert same_but_elapsed(run_search(16, STRATEGY_EXHAUSTIVE, jobs=4), serial)
+    assert sizes == []
 
 
 def test_one_shard_resume_builds_no_pool(monkeypatch, tmp_path):
@@ -900,7 +918,7 @@ def test_one_shard_resume_builds_no_pool(monkeypatch, tmp_path):
         search.concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes),
     )
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     full = tmp_path / "full.ckpt"
     base = run_search(16, STRATEGY_DFS, weight_filter=True, checkpoint=str(full))
     cut = full.read_bytes().splitlines(True)[:-1]
@@ -932,14 +950,14 @@ def test_pool_takes_about_eight_batches_per_worker(monkeypatch, tmp_path):
         search.concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes, chunksizes=chunksizes),
     )
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    set_cpus(monkeypatch, 2)
     cp = str(tmp_path / "cp.txt")
     base = run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp)  # a new file: 256 shards
     lines = open(cp).read().splitlines(True)
     with open(cp, "w") as f:
         f.writelines(lines[: 4 + 128])  # the header and half the shards
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp), base)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    set_cpus(monkeypatch, 3)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)  # 256 shards, 3 workers
     serial = run_search(12, STRATEGY_EXHAUSTIVE)
     assert same_but_elapsed(run_search(12, STRATEGY_EXHAUSTIVE, jobs=2), serial)  # 8 shards
@@ -1065,10 +1083,10 @@ def test_cross_validate_trivial_order():
     assert cv.passed and cv.raw_count == 2
 
 
-def test_cross_validate_refuses_past_cap(monkeypatch):
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "8")
-    with pytest.raises(CapExceeded):
-        cross_validate(12)
+def test_cross_validate_refuses_past_cap():
+    # It writes no checkpoint, so the 2^25-row exhaustive run is refused.
+    with pytest.raises(CapExceeded, match="a walk of more than 2\\^24 rows needs a checkpoint"):
+        cross_validate(25)
 
 
 def order_four_report_data():
@@ -1111,13 +1129,18 @@ def tampered(**changes):
         (tampered(strategy="pruned-dfs+weight", n=12, solutions=[], raw_count=0,
                   canonical_count=0), "weight-constrained enumeration needs a perfect-square order, got 12"),
         (tampered(n=10**9, solutions=[], raw_count=0, canonical_count=0, nodes_explored=2**4000),
-         "every exhaustive run of order 1000000000 visits"),
+         "order 1000000000 exceeds the order cap 36"),
         (tampered(strategy="weight-constrained", n=10**18, solutions=[], raw_count=0,
-                  canonical_count=0), "every weight-constrained run of order 10"),
+                  canonical_count=0), "order 1000000000000000000 exceeds the order cap 36"),
         (tampered(strategy="pruned-dfs", n=1000, solutions=[], raw_count=0, canonical_count=0),
-         "order 1000 exceeds the DFS cap 36"),
+         "order 1000 exceeds the order cap 36"),
         (tampered(strategy="pruned-dfs+weight", n=1024, solutions=[], raw_count=0,
-                  canonical_count=0), "order 1024 exceeds the DFS cap 36"),
+                  canonical_count=0), "order 1024 exceeds the order cap 36"),
+        (tampered(n=37, solutions=[], raw_count=0, canonical_count=0, nodes_explored=2**37),
+         "order 37 exceeds the order cap 36"),
+        (tampered(strategy="weight-constrained", n=49, solutions=[], raw_count=0,
+                  canonical_count=0, nodes_explored=2 * math.comb(49, 21)),
+         "order 49 exceeds the order cap 36"),
         (tampered(cap=5, solutions=order_four_report_data()["solutions"][:3]),
          "3 rows listed, not min(raw_count, cap) = 5"),
         (tampered(cap=5, solutions=order_four_report_data()["solutions"][:5], canonical_count=9),
@@ -1132,6 +1155,7 @@ def tampered(**changes):
          "exhaustive_truncated", "exhaustive_short", "exhaustive_long", "weight_truncated",
          "weight_short", "weight_non_square", "dfs_weight_non_square_8", "dfs_weight_non_square_12",
          "exhaustive_huge_order", "weight_huge_order", "dfs_past_cap", "dfs_weight_past_cap",
+         "exhaustive_past_cap", "weight_past_cap",
          "short_listing", "canonical_over_raw", "dfs_over_bound", "dfs_weight_over_bound"],
 )
 def test_revalidate_flags_malformed_reports(data, problem):
@@ -1161,11 +1185,11 @@ def test_revalidate_cuts_quoted_report_values(changes):
 
 def test_run_search_refuses_exactly_what_revalidate_flags(monkeypatch):
     # Admitted runs return at once, so every (label, order) pair costs only
-    # its admission; the full-enumeration cap is this machine's, not a rule
-    # of which runs exist, so it is lifted for the comparison.
+    # its admission; the checkpoint rule bounds one run's work, not which
+    # reports are valid, so it is lifted for the comparison.
     monkeypatch.setattr(search, "_walk_shard", lambda *task: (0, []))
     monkeypatch.setattr(search, "_dfs_shard", lambda *task: (0, []))
-    monkeypatch.setenv("CHM_MAX_EXHAUSTIVE_N", "1024")
+    monkeypatch.setattr(search, "MAX_UNCHECKPOINTED_ROWS", 1 << 36)
     for label in search._REPORT_STRATEGIES:
         strategy, _, weight = label.partition("+")
         for n in [*range(51), 1000, 1024]:
