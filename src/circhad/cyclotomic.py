@@ -11,9 +11,9 @@ and its remainder on an element is that element's canonical residue.
 
 The power map g of an element, for g dividing n, lies in the subfield
 generated by the primitive (n/g)-th root w_n^g.  ``fold`` gives it as an
-order-n/g element (coefficients summed by residue mod n/g), so the zero
-test of every power map (``zero_at_powers``) is one division per divisor
-g modulo the cyclotomic polynomial of order n/g, not of order n.
+order-n/g element (coefficients summed by residue mod n/g), so its zero
+test is one division modulo the cyclotomic polynomial of order n/g, not
+of order n; it decides the power map k for every k with gcd(k, n) = g.
 
 The module also provides the first-quadrant cosine basis used for
 spectral analysis: the real numbers 1, 2cos(2*pi/n), 2cos(4*pi/n), ...
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
@@ -185,22 +185,6 @@ class CycloElement:
             raise ValueError(f"fold order {m} does not divide {n}")
         c = self.coeffs
         return CycloElement(m, tuple(map(sum, zip(*[c[i : i + m] for i in range(0, n, m)]))))
-
-    def zero_at_powers(self) -> Iterator[bool]:
-        """Lazily yield, for k = 0..n-1, whether ``power_map(k)`` is zero.
-
-        The root power k is a Galois conjugate of the root power g =
-        gcd(k, n), a primitive (n/g)-th root, so one canonical zero test
-        per divisor g decides every k, made in the subfield of order n/g
-        on ``fold(n // g)``: a division modulo the cyclotomic polynomial
-        of order n/g instead of order n.
-        """
-        by_divisor: dict[int, bool] = {}
-        for k in range(self.n):
-            g = math.gcd(k, self.n)
-            if g not in by_divisor:
-                by_divisor[g] = self.fold(self.n // g).is_zero()
-            yield by_divisor[g]
 
     def conjugate(self) -> CycloElement:
         """Complex conjugation: root power e maps to n - e."""

@@ -376,7 +376,6 @@ def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) 
     sols: list[int] = []
     wlo = min(weights) if weights else 0
     whi = max(weights) if weights else n
-    wset = set(weights) if weights else range(n + 1)
     # Either child of depth d stays inside the weight bounds when its -1
     # count c has wlo - (n-d-1) <= c <= whi; a fixed prefix entry empties
     # the range of the other sign.  The prefix thus goes through the same
@@ -394,8 +393,8 @@ def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) 
     def walk(d: int, packed: int, near: int, wrap: int, minus: int) -> None:
         nonlocal nodes
         if d == n:
-            if minus in wset:
-                sols.append(sum(1 << j for j in range(n) if (wrap >> (_FIELD * j)) & 1))
+            # Every r_t is 0 here, so (sum h)^2 = sum_t r_t = n: the -1 count is admissible.
+            sols.append(sum(1 << j for j in range(n) if (wrap >> (_FIELD * j)) & 1))
             return
         ones, lo, hi, reach, plus_hi, minus_hi = rows[d]
         delta = ones - 2 * (near + wrap)
@@ -472,6 +471,8 @@ def _parse_shard_line(path: str, line: str, n: int, plen: int) -> tuple:
         raise ValueError(
             f"checkpoint {path}: shard {bitstring}: raw_count {raw} but {len(sols)} rows listed"
         )
+    if len(set(sols)) != len(sols):
+        raise ValueError(f"checkpoint {path}: shard {bitstring}: a row is listed twice")
     head = bitstring.translate(_BITS_SIGNS)
     for text in sols:
         if len(text) != n or not text.startswith(head):
@@ -716,11 +717,13 @@ def revalidate_report(report: SearchReport) -> list[str]:
     the problem; the checkpoint rule bounds one run's work, not which
     reports are valid, and is not applied), the node count a full
     enumeration's order fixes, and a listing of exactly min(raw_count,
-    cap) rows, strictly ascending, each re-checked with the exact
-    autocorrelation test and the independent matrix product.
-    ``canonical_count`` may not exceed ``raw_count`` and must match the
-    listed classes when nothing is cut; no count is negative.  Quoted
-    report values are cut at 60 characters.
+    cap) rows, strictly ascending.  ``canonical_count`` may not exceed
+    ``raw_count``; no count is negative.  At an admitted order each
+    listed row is re-checked with the exact autocorrelation test and the
+    independent matrix product, and ``canonical_count`` must match the
+    listed classes when nothing is cut.  A refused report gets only the
+    checks linear in its size, as canonicalizing a row of length n builds
+    2n rotations.  Quoted report values are cut at 60 characters.
     """
     problems = []
     if report.schema_version != SCHEMA_VERSION:
@@ -729,7 +732,9 @@ def revalidate_report(report: SearchReport) -> list[str]:
         weights = _admit(report.n, report.strategy)
     except (ValueError, CapExceeded) as exc:
         problems.append(str(exc))
+        admitted = False
     else:
+        admitted = True
         fault = _node_fault(report.n, report.strategy, weights, report.nodes_explored)
         if fault:
             problems.append(fault)
@@ -743,6 +748,8 @@ def revalidate_report(report: SearchReport) -> list[str]:
         problems.append("solutions are not strictly ascending (sorted and distinct)")
     if report.canonical_count > report.raw_count:
         problems.append(f"canonical_count {report.canonical_count!r:.60} is more than raw_count")
+    if not admitted:
+        return problems
     seen_canonical = set()
     for text in report.solutions:
         try:

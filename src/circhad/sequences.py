@@ -170,11 +170,15 @@ def eigenvalue_mag_sq(seq: Sequence, k: int) -> CycloElement:
 def has_flat_spectrum(seq: Sequence) -> bool:
     """True iff |eigenvalue_k|^2 - n reduces to zero for every k.
 
-    Mode k's element is the power map k of mode 1's, so one canonical zero
-    test per divisor of n decides every mode, stopping at the first failure.
+    Mode k's element is the power map k of mode 1's, a Galois conjugate of
+    the power map g = gcd(k, n), so one canonical zero test per divisor g,
+    on the element folded into the subfield of order m = n/g, decides every
+    mode.  The smallest subfields come first; the walk stops at the first
+    failure.
     """
     n = seq.n
-    return all((CycloElement(n, autocorrelation(seq)) - from_integer(n, n)).zero_at_powers())
+    r = CycloElement(n, autocorrelation(seq)) - from_integer(n, n)
+    return all(r.fold(m).is_zero() for m in range(1, n + 1) if n % m == 0)
 
 
 def minus_indices(seq: Sequence) -> IndexSet:

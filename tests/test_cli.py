@@ -2,6 +2,7 @@
 
 import json
 import re
+import time
 
 import pytest
 from hypothesis import example, given
@@ -208,6 +209,20 @@ def test_report_flags_duplicate_rows(capsys, tmp_path):
     code, out, _ = run(capsys, "report", "--in", str(out_file))
     assert code == 1
     assert any("strictly ascending" in p for p in json.loads(out)["problems"])
+
+
+def test_report_of_a_refused_order_skips_its_rows(capsys, tmp_path):
+    # Canonicalizing a row of length n builds 2n rotations: seconds for this 20 KB file if checked.
+    out_file = tmp_path / "long_row.json"
+    run(capsys, "search", "--n", "4", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    data.update(n=20000, solutions=["-" + "+" * 19999], raw_count=1, canonical_count=1, cap=1)
+    out_file.write_text(json.dumps(data))
+    start = time.monotonic()
+    code, out, _ = run(capsys, "report", "--in", str(out_file))
+    assert time.monotonic() - start < 0.5
+    assert code == 1
+    assert "order 20000 exceeds the order cap 36" in json.loads(out)["problems"]
 
 
 @pytest.mark.parametrize("field, value", [("strategy", "s" * 5000), ("n", 10**4000), ("raw_count", 10**4000)],

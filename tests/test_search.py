@@ -726,6 +726,8 @@ def order_four_checkpoint(tmp_path, prefix, line):
          "starting '-+++'"),
         ("0000", "prefix=0000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=++++",
          "not a Hadamard row"),
+        ("1000", "prefix=1000 raw_count=2 nodes_explored=1 elapsed_ms=0 solutions=-+++,-+++",
+         "shard 1000: a row is listed twice"),
         ("0000", "prefix=00x0 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
          "does not read"),
         ("0000", f"prefix=0000 raw_count=0 nodes_explored={'9' * 5000} elapsed_ms=0 solutions=",
@@ -737,13 +739,15 @@ def order_four_checkpoint(tmp_path, prefix, line):
     ],
     ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
          "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
-         "row_off_prefix", "row_not_hadamard", "prefix_not_bits", "nodes_past_int_digit_limit",
-         "prefix_too_short", "prefix_too_long"],
+         "row_off_prefix", "row_not_hadamard", "row_listed_twice", "prefix_not_bits",
+         "nodes_past_int_digit_limit", "prefix_too_short", "prefix_too_long"],
 )
 def test_checkpoint_shard_line_is_validated(tmp_path, prefix, line, problem):
     cp = order_four_checkpoint(tmp_path, prefix, line)
+    before = open(cp, "rb").read()
     with pytest.raises(ValueError, match=re.escape(problem)):
         run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=cp)
+    assert open(cp, "rb").read() == before
 
 
 @pytest.mark.parametrize("torn", ("prefix=01010000 raw_co", "prefix=01"))

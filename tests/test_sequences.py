@@ -240,9 +240,15 @@ def test_eigen_identity_larger_random():
 
 def test_flat_spectrum_matches_per_mode_calls():
     rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 16)
-        s = Sequence(tuple(rng.choice((-1, 1)) for _ in range(n)))
+    rows = [Sequence(tuple(rng.choice((-1, 1)) for _ in range(rng.randint(1, 16)))) for _ in range(40)]
+    # Rows of admissible -1 count pass the m = 1 subfield, so the walk goes on to larger ones.
+    for n in (36, 64):
+        for minus in expected_minus_counts(n):
+            for _ in range(3):
+                members = set(rng.sample(range(n), minus))
+                rows.append(Sequence(tuple(-1 if i in members else 1 for i in range(n))))
+    for s in rows:
+        n = s.n
         per_mode = all(
             (eigenvalue_mag_sq(s, k) - from_integer(n, n)).is_zero() for k in range(n)
         )
