@@ -12,7 +12,6 @@ from .congruences import (
     CongruenceSolution,
     GcdChainVerdict,
     HalfPeriodReport,
-    extended_gcd,
     gcd_reduction_check,
     half_period_report,
     solve_linear_congruence,
@@ -22,7 +21,6 @@ from .cyclotomic import (
     RankReport,
     RealBasisVector,
     cyclotomic_polynomial,
-    euler_phi,
     from_integer,
     real_basis_rank,
     reduce_to_real_basis,

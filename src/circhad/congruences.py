@@ -1,4 +1,4 @@
-"""Extended Euclidean machinery and the half-period congruence analysis.
+"""Linear congruences and the half-period congruence analysis.
 
 The reachability question behind the spectral constant-coordinate law is
 a linear congruence: for which j does k*j hit the half-period class n/2
@@ -13,26 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-def extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with g = gcd(a, b) > 0 and a*x + b*y = g.
-
-    gcd(0, n) is n by convention; gcd(0, 0) is undefined and raises.
-    """
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 @dataclass(frozen=True)
@@ -68,8 +48,8 @@ def solve_linear_congruence(k: int, c: int, n: int) -> CongruenceSolution:
     if c % g:
         return CongruenceSolution(n=n, k=k, c=c, g=g, solvable=False, j0=None, solution_count=0)
     step = n // g
-    inv = extended_gcd(k // g, step)[1] % step
-    j0 = (inv * (c // g)) % step
+    # k/g is a unit mod n/g; at k = 0, step is 1 and pow(0, -1, 1) is 0.
+    j0 = pow(k // g, -1, step) * (c // g) % step
     return CongruenceSolution(n=n, k=k, c=c, g=g, solvable=True, j0=j0, solution_count=g)
 
 
@@ -77,8 +57,9 @@ def solve_linear_congruence(k: int, c: int, n: int) -> CongruenceSolution:
 class HalfPeriodReport:
     """Solvability of k*j = n/2 (mod n) at the critical multiplier k = n/4 - 1.
 
-    Only defined for n = 4t^2.  ``gcd_chain`` records gcd(k, n) followed
-    by its reduction gcd(4, k mod 4); the two agree for every t.  For
+    Only defined for n = 4t^2.  ``gcd_chain`` records gcd(k, n), read
+    from the congruence solve, followed by its reduction gcd(4, k mod 4);
+    the two agree for every t, which ``gcd_reduction_check`` sweeps.  For
     odd t the congruence is unsolvable because the chain ends at 4 while
     n/8 = t^2/2 is not an integer.  ``turyn_excluded`` marks even t,
     where the order is ruled out by Turyn's classical result instead.
@@ -107,14 +88,13 @@ def half_period_report(n: int) -> HalfPeriodReport:
     if 4 * t * t != n:
         raise ValueError(f"order must be of the form 4*t^2, got {n}")
     k = n // 4 - 1
-    chain = (math.gcd(k, n), math.gcd(4, k % 4))
     sol = solve_linear_congruence(k, n // 2, n)
     return HalfPeriodReport(
         n=n,
         t=t,
         t_parity="even" if t % 2 == 0 else "odd",
         k=k,
-        gcd_chain=chain,
+        gcd_chain=(sol.g, math.gcd(4, k % 4)),
         solvable=sol.solvable,
         j0=sol.j0,
         n_over_8_integral=n % 8 == 0,
@@ -133,14 +113,15 @@ class GcdChainVerdict:
 
 
 def gcd_reduction_check(t_max: int) -> GcdChainVerdict:
-    """Check gcd(n/4 - 1, n) = gcd(4, (n/4 - 1) mod 4) for every n = 4t^2, t <= t_max."""
+    """Check gcd(n/4 - 1, n) = gcd(4, (n/4 - 1) mod 4) for every n = 4t^2, t <= t_max.
+
+    Each t checks the ``gcd_chain`` that ``half_period_report(4t^2)``
+    reports, so the sweep and check 3 read one chain.
+    """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     for t in range(1, t_max + 1):
-        n = 4 * t * t
-        k = n // 4 - 1
-        lhs = math.gcd(k, n)
-        rhs = math.gcd(4, k % 4)
+        lhs, rhs = half_period_report(4 * t * t).gcd_chain
         if lhs != rhs:
             return GcdChainVerdict(t_max=t_max, passed=False, counterexample=(t, lhs, rhs))
     return GcdChainVerdict(t_max=t_max, passed=True, counterexample=None)

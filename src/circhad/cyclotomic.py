@@ -35,24 +35,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, by trial-division factorization."""
-    if n < 1:
-        raise ValueError("totient needs a positive argument")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Integer polynomials, dense tuples with the constant term first.
 
@@ -339,7 +321,8 @@ def real_basis_rank(n: int) -> RankReport:
     0 for l = 0); the rank of the candidates' canonical residues is
     exact.  The degree of the real subfield is phi(n)/2, so the rank can
     never exceed that; whenever n/4 exceeds phi(n)/2 the candidates are
-    necessarily dependent and the report says so.
+    necessarily dependent and the report says so.  phi(n) is read as the
+    degree of the cyclotomic polynomial the residues are taken modulo.
     """
     if n < 4 or n % 4:
         raise ValueError("rank diagnostics need an order divisible by 4")
@@ -354,6 +337,6 @@ def real_basis_rank(n: int) -> RankReport:
         n=n,
         basis_size=n // 4,
         rank=rank,
-        euler_half=euler_phi(n) // 2,
+        euler_half=(len(cyclo) - 1) // 2,
         independent=rank == n // 4,
     )

@@ -276,12 +276,14 @@ def _zero_shift_mask(n: int, pairs: _Pairs, fixed: int, free: tuple[int, ...], f
 def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
     """Test every row on the prefix, or only those with an admissible -1 count.
 
-    The free counter of a shift is built for the first block on its
-    planes (a, k) that reaches that shift, and reused by the others.
+    ``weights`` lists the admissible counts ascending and distinct, as
+    ``expected_minus_counts`` returns them.  The free counter of a shift
+    is built for the first block on its planes (a, k) that reaches that
+    shift, and reused by the others.
     """
     counts: list[int | None] = [None]
     if weights is not None:
-        counts = [w - prefix.bit_count() for w in sorted(set(weights))]
+        counts = [w - prefix.bit_count() for w in weights]
         counts = [k for k in counts if 0 <= k <= n - plen]
     blocks = (block for k in counts for block in _blocks(n, plen, k, prefix))
     if n & 1 and n > 1:
@@ -370,12 +372,11 @@ def _packed_tables(n: int) -> tuple[int, int, tuple[_Step, ...]]:
     return packed([_BIAS] * (n - 1)), packed([_GUARD] * (n - 1)), tuple(steps)
 
 
-def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
+def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, int] | None) -> tuple[int, list[int]]:
     start, guard, steps = _packed_tables(n)
     nodes = 0
     sols: list[int] = []
-    wlo = min(weights) if weights else 0
-    whi = max(weights) if weights else n
+    wlo, whi = weights or (0, n)
     # Either child of depth d stays inside the weight bounds when its -1
     # count c has wlo - (n-d-1) <= c <= whi; a fixed prefix entry empties
     # the range of the other sign.  The prefix thus goes through the same
@@ -556,7 +557,7 @@ def _admit(n: int, label: str) -> tuple[int, ...] | None:
 
 def _row_count(n: int, weights: tuple[int, ...] | None) -> int:
     """The rows a full enumeration of order n visits: 2^n, or C(n, w) over the weights w."""
-    return 1 << n if weights is None else sum(math.comb(n, w) for w in set(weights))
+    return 1 << n if weights is None else sum(math.comb(n, w) for w in weights)
 
 
 def _node_fault(n: int, label: str, weights: tuple[int, ...] | None, nodes: int) -> str | None:

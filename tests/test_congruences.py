@@ -1,13 +1,14 @@
-"""Extended gcd, linear congruences, and the half-period analysis."""
+"""Linear congruences, the half-period analysis and the gcd-chain sweep."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circhad import congruences
 from circhad.congruences import (
-    extended_gcd,
     gcd_reduction_check,
     half_period_report,
     solve_linear_congruence,
@@ -16,32 +17,6 @@ from circhad.congruences import (
 
 def brute_solutions(k, c, n):
     return [j for j in range(n) if (k * j - c) % n == 0]
-
-
-# ---------------------------------------------------------------------------
-# extended gcd
-
-def test_extended_gcd_examples():
-    assert extended_gcd(8, 36)[0] == 4
-    assert extended_gcd(1, 77)[0] == 1
-    g, x, _ = extended_gcd(3, 16)
-    assert g == 1 and (3 * x) % 16 == 1 and x % 16 == 11
-
-
-def test_extended_gcd_zero_conventions():
-    assert extended_gcd(0, 5)[0] == 5
-    assert extended_gcd(5, 0)[0] == 5
-    with pytest.raises(ValueError):
-        extended_gcd(0, 0)
-
-
-@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
-def test_bezout_identity(a, b):
-    if a == 0 and b == 0:
-        return
-    g, x, y = extended_gcd(a, b)
-    assert g == math.gcd(a, b) > 0
-    assert a * x + b * y == g
 
 
 # ---------------------------------------------------------------------------
@@ -144,3 +119,20 @@ def test_gcd_reduction_examples():
 def test_gcd_reduction_rejects_bad_bound():
     with pytest.raises(ValueError):
         gcd_reduction_check(0)
+
+
+def test_gcd_reduction_reads_the_half_period_chain(monkeypatch):
+    # The sweep checks the chain check 3 reports, not a recomputation of it.
+    real = congruences.half_period_report
+
+    def skewed(n):
+        rep = real(n)
+        if n == 4 * 5 * 5:
+            return dataclasses.replace(rep, gcd_chain=(rep.gcd_chain[0] + 1, rep.gcd_chain[1]))
+        return rep
+
+    monkeypatch.setattr(congruences, "half_period_report", skewed)
+    assert gcd_reduction_check(4).passed
+    verdict = gcd_reduction_check(9)
+    assert not verdict.passed
+    assert verdict.counterexample == (5, 5, 4)
