@@ -24,11 +24,17 @@ on what they find:
 Work is split into independent subtrees by fixing the first few entries
 (2^P prefixes with 2^P >= 4*jobs up to 2^8; always 2^8, or 2^n below
 order 8, with a checkpoint), so results merge
-deterministically regardless of scheduling.  A process pool, built only
+deterministically regardless of scheduling.  Negating a row keeps every
+r_t and swaps the two admissible -1 counts, so shard p holds exactly
+the negations of shard 2^P - 1 - p and visits as many nodes: only the
+shards p < 2^(P-1) whose mirror is not done yet run, and every other
+shard is filled in from its mirror, its rows negated and in reverse
+order, the order its own kernel would emit them in.  A process pool, built only
 when at least two workers would run, is sent the pending shards in
 batches, about 8 per worker, so a split into many short shards does
 not pay one pool round trip per shard; results still come back, and
-are logged one line per shard, in prefix order.  A checkpoint file
+are logged one line per shard, in prefix order, the filled-in shards
+after the computed ones.  A checkpoint file
 must read exactly as this run writes it: its header, then one line per
 finished shard, each prefix once; anything else is refused.  Every shard
 returns its node count and its rows, whatever the strategy; counts of
@@ -441,6 +447,7 @@ _HEADER = "# circhad search checkpoint v1\nn={n}\nstrategy={strategy}\nprefix_bi
 _SHARD = "prefix={} raw_count={} nodes_explored={} elapsed_ms={} solutions={}"
 _SHARD_LINE = re.compile(_SHARD.format("([01]*)", "([0-9]+)", "([0-9]+)", "([0-9]+)", "([-+,]*)"))
 _BITS_SIGNS = str.maketrans("01+-", "+-01")  # bits to signs and back
+_NEGATE = str.maketrans("+-", "-+")
 
 
 def _shard_line(plen: int, result: tuple) -> str:
@@ -615,11 +622,16 @@ def run_search(
     # 2^P >= 4*jobs shards, capped at 2^8: the pool never has more
     # workers than CPUs, so a wider split only adds per-shard overhead.
     # A checkpointed run always splits at the cap, whatever --jobs.
+    # plen >= 1, as n >= 1 and jobs >= 1, so the shards pair off below.
     plen = min(n, _SPLIT_BITS, _SPLIT_BITS if checkpoint is not None else (4 * jobs - 1).bit_length())
     done = {} if checkpoint is None else _load_checkpoint(checkpoint, n, label, plen)
+    # Shard p holds the negations of shard mask - p and visits as many
+    # nodes, as negation also swaps the DFS weight bounds: only the first
+    # half runs, and a shard whose mirror is done is filled in from it.
+    mask, half = (1 << plen) - 1, 1 << plen >> 1
     pending = [
         (label, n, prefix, plen, weights)
-        for prefix in range(1 << plen) if prefix not in done
+        for prefix in range(half) if prefix not in done and mask - prefix not in done
     ]
 
     results = dict(done)
@@ -635,6 +647,12 @@ def run_search(
         open(checkpoint, "a", encoding="ascii") if checkpoint is not None
         else contextlib.nullcontext()
     ) as log:
+        def record(res: tuple) -> None:
+            results[res[0]] = res
+            if log is not None:
+                log.write(_shard_line(plen, res))
+                log.flush()
+
         # The pool takes shards in batches, about 8 per worker: a round
         # trip through it costs more than a short shard.  Results still
         # come back in prefix order, and each shard gets its own line.
@@ -643,10 +661,15 @@ def run_search(
             if parallel else map(_run_shard, pending)
         )
         for res in shards:
-            results[res[0]] = res
-            if log is not None:
-                log.write(_shard_line(plen, res))
-                log.flush()
+            record(res)
+        # Every kernel orders a shard's rows by their free entries, one
+        # sign first (the walkers -1, the DFS +1), and the weighted walker
+        # its counts ascending; negation swaps both, so the mirror's rows
+        # negated and reversed are in the order this shard's kernel emits.
+        for prefix in range(mask + 1):
+            if prefix not in results:
+                _, nodes, sols, _ = results[mask - prefix]
+                record((prefix, nodes, tuple(s.translate(_NEGATE) for s in reversed(sols)), 0))
 
     nodes = sum(r[1] for r in results.values())
     if done and (fault := _node_fault(n, label, weights, nodes)):
@@ -797,7 +820,10 @@ def cross_validate(n: int) -> CrossValidation:
     (for orders divisible by 4, on its -1-minority canonical form) the
     full spectral verdict.  Runs without a checkpoint, so ``run_search``
     refuses every order whose full enumeration walks more than 2^24 rows
-    (``exhaustive`` from order 25 on).
+    (``exhaustive`` from order 25 on).  Every label fills in half its
+    shards by the same negation mirror, so a fault there would be shared
+    and go unseen here; the mirror is checked instead against each
+    shard's own kernel run (``tests/test_search.py``).
     """
     reports = [run_search(n, label.partition("+")[0], weight_filter="+" in label)
                for label, (_, weighted) in _REPORT_STRATEGIES.items()

@@ -92,7 +92,7 @@ def test_criterion_3_order_thirty_six_empty(tmp_path):
 )
 def test_criterion_3_order_thirty_six_weighted_walk(tmp_path):
     # The same order decided by the bit-sliced walker, which shares no
-    # code with the DFS: every row with 15 or 21 entries -1, each tested.
+    # kernel code with the DFS: every row with 15 or 21 entries -1, each tested.
     # Its 11135805120 rows are more than 2^24, so it writes a checkpoint.
     checkpoint = str(tmp_path / "walk36.checkpoint")
     before = os.times()

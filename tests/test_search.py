@@ -511,7 +511,8 @@ def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
 
     monkeypatch.setattr(search, "_blocks", drop_first_block)
     report = run_search(20, STRATEGY_EXHAUSTIVE)
-    assert report.nodes_explored == (1 << 20) - (1 << search._BLOCK_BITS)
+    # The mirror of the first shard is filled in from it, dropped block and all.
+    assert report.nodes_explored == (1 << 20) - 2 * (1 << search._BLOCK_BITS)
     assert any("nodes_explored" in p for p in revalidate_report(report))
 
 
@@ -895,9 +896,11 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     assert sizes == [3]
 
     # Two shards left to run: two workers, however many jobs and cores.
+    # Without its last two lines the file would run nothing, as their
+    # mirrors are done; so two mirror pairs go, prefixes 126 to 129.
     lines = open(cp).read().splitlines(True)
     with open(cp, "w") as f:
-        f.writelines(lines[:-2])
+        f.writelines(lines[: 4 + 126] + lines[4 + 130:])
     set_cpus(monkeypatch, 16)
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=8, checkpoint=cp), base)
     assert sizes == [3, 2]
@@ -955,21 +958,25 @@ def test_pool_takes_about_eight_batches_per_worker(monkeypatch, tmp_path):
         lambda max_workers: RecordingPool(max_workers, sizes, chunksizes=chunksizes),
     )
     set_cpus(monkeypatch, 2)
+    # Only the first half of the shards runs, so a batch is
+    # max(1, (2^P / 2) // (8 * workers)) shards.
     cp = str(tmp_path / "cp.txt")
-    base = run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp)  # a new file: 256 shards
+    base = run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp)  # a new file: 128 of 256 run, 128 // 16
+    set_cpus(monkeypatch, 3)
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)  # 128 of 256, 3 workers: 128 // 24
+    serial = run_search(12, STRATEGY_EXHAUSTIVE)
+    assert same_but_elapsed(run_search(12, STRATEGY_EXHAUSTIVE, jobs=2), serial)  # 4 of 8: 4 // 16 -> 1
+    assert (sizes, chunksizes) == ([2, 3, 2], [8, 5, 1])
+
+    # The header and the first half of the shards: every other shard is
+    # their mirror, so nothing runs and no pool is built.
     lines = open(cp).read().splitlines(True)
     with open(cp, "w") as f:
-        f.writelines(lines[: 4 + 128])  # the header and half the shards
+        f.writelines(lines[: 4 + 128])
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp), base)
-    set_cpus(monkeypatch, 3)
-    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)  # 256 shards, 3 workers
-    serial = run_search(12, STRATEGY_EXHAUSTIVE)
-    assert same_but_elapsed(run_search(12, STRATEGY_EXHAUSTIVE, jobs=2), serial)  # 8 shards
-    assert (sizes, chunksizes) == ([2, 2, 3, 2], [16, 8, 10, 1])
-
-    # A finished checkpoint leaves nothing to run, so no pool is built.
+    # A finished checkpoint leaves nothing to run either.
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp), base)
-    assert len(sizes) == 4
+    assert len(sizes) == 3
 
 
 def test_real_pool_checkpoint_matches_serial_and_resumes_mid_batch(tmp_path):
@@ -985,6 +992,102 @@ def test_real_pool_checkpoint_matches_serial_and_resumes_mid_batch(tmp_path):
     resumed = run_search(16, STRATEGY_DFS, jobs=2, weight_filter=True, checkpoint=str(pooled))
     assert same_but_elapsed(resumed, full)
     assert masked_bytes(pooled) == masked_bytes(serial)
+
+
+# ---------------------------------------------------------------------------
+# mirrored shards: shard p >= 2^P / 2 is filled in from shard 2^P - 1 - p
+
+LABELS = [(label.partition("+")[0], "+" in label) for label in search._REPORT_STRATEGIES]
+
+
+def masked_line(line):
+    return re.sub(r"elapsed_ms=[0-9]+", "elapsed_ms=0", line)
+
+
+@pytest.mark.parametrize("strategy, weight_filter", LABELS)
+def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strategy, weight_filter):
+    # Every label shares the mirror, so cross_validate cannot see a fault
+    # in it: each filled-in line must read as the shard's own kernel run
+    # writes it (nodes, rows, row order).
+    label = strategy + "+weight" if weight_filter else strategy
+    weighted = search._REPORT_STRATEGIES[label][1]
+    pairs = 0
+    for n in range(1, 17):
+        weights = expected_minus_counts(n) if weighted else None
+        if weighted and weights is None:
+            continue
+        for width in sorted({min(n, w) for w in (1, 2, 3, 8)}):
+            monkeypatch.setattr(search, "_SPLIT_BITS", width)
+            cp = tmp_path / f"{label}-{n}-{width}.ckpt"
+            run_search(n, strategy, weight_filter=weight_filter, checkpoint=str(cp))
+            lines = shard_lines(cp)
+            assert len(lines) == 1 << width
+            for prefix in range(1 << width >> 1, 1 << width):
+                own = search._shard_line(width, search._run_shard((label, n, prefix, width, weights)))
+                assert masked_line(lines[prefix]) == masked_line(own.rstrip("\n")), (n, width, prefix)
+                pairs += 1
+    # Half of 2^width shards per (n, width): 1374 for a label that takes
+    # every order, 286 for one that takes only the squares 1, 4, 9, 16.
+    assert pairs == (286 if weighted else 1374)
+
+
+def counting_kernels(monkeypatch):
+    """Wrap both kernels so every call is recorded; returns the list of calls."""
+    calls = []
+    for name in ("_walk_shard", "_dfs_shard"):
+        real = getattr(search, name)
+        monkeypatch.setattr(
+            search, name, lambda *args, real=real: calls.append(args) or real(*args)
+        )
+    return calls
+
+
+@pytest.mark.parametrize("strategy, weight_filter", LABELS)
+def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_path, strategy, weight_filter):
+    sizes = []
+    monkeypatch.setattr(
+        search.concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes),
+    )
+    set_cpus(monkeypatch, 2)
+    full = tmp_path / "full.ckpt"
+    base = run_search(16, strategy, weight_filter=weight_filter, checkpoint=str(full))
+    lines = full.read_bytes().splitlines(True)
+    head, shards = lines[:4], lines[4:]
+    calls = counting_kernels(monkeypatch)
+
+    def resume(cp):
+        return run_search(16, strategy, jobs=2, weight_filter=weight_filter, checkpoint=str(cp))
+
+    # The header and the first half: every shard left is a mirror.
+    cp = tmp_path / "first.ckpt"
+    cp.write_bytes(b"".join(head + shards[:128]))
+    assert same_but_elapsed(resume(cp), base)
+    assert (calls, sizes) == ([], [])
+    assert masked_bytes(cp) == masked_bytes(full)
+
+    # The second half alone: the first half is filled in from it.
+    cp = tmp_path / "second.ckpt"
+    cp.write_bytes(b"".join(head + shards[128:]))
+    assert same_but_elapsed(resume(cp), base)
+    assert (calls, sizes) == ([], [])
+    assert [masked_line(l) for l in shard_lines(cp)] == [
+        masked_line(l.decode().rstrip("\n")) for l in shards[128:] + shards[:128]
+    ]
+
+
+def test_tampered_first_half_line_is_refused_through_its_mirror(tmp_path):
+    cp = tmp_path / "cp.ckpt"
+    run_search(12, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    lines = cp.read_text().splitlines(True)[: 4 + 128]  # the header and the first half
+    lines[4 + 5] = re.sub(
+        r"nodes_explored=([0-9]+)", lambda m: f"nodes_explored={int(m.group(1)) + 1}", lines[4 + 5]
+    )
+    cp.write_text("".join(lines))
+    # The mirror copies the raised count, so the total is 2 over 2^12.
+    message = f"checkpoint {cp}: nodes_explored {(1 << 12) + 2} is not the number of rows"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_search(12, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
 
 
 # ---------------------------------------------------------------------------
