@@ -61,8 +61,9 @@ big-integer operations per block instead of a Python loop per row.  Both
 full enumerations take their blocks from one generator and their planes
 from one recursion, which split rows alike (on the first free position,
 a -1 there first), so both walk a shard's rows in one order.  Both count
-as nodes the rows of the blocks walked, so a skipped block leaves the
-total short, which a resume and ``report`` check.
+as nodes the rows of the blocks walked, so a skipped block leaves its
+shard short of the label's node rule, which a resume checks on every
+shard line as it reads it and ``report`` on the total.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .sequences import (
     Sequence,
@@ -97,15 +98,7 @@ MAX_UNCHECKPOINTED_ROWS = 1 << 24  # a longer full enumeration must be resumable
 STRATEGY_EXHAUSTIVE = "exhaustive"
 STRATEGY_WEIGHT = "weight-constrained"
 STRATEGY_DFS = "pruned-dfs"
-# Each report label's rules, (runs the pruned DFS, takes only the admissible -1 counts);
-# no other code tests a label.  "<strategy>+weight" is <strategy> run with weight_filter.
-_REPORT_STRATEGIES = {
-    STRATEGY_EXHAUSTIVE: (False, False),
-    STRATEGY_WEIGHT: (False, True),
-    STRATEGY_DFS: (True, False),
-    STRATEGY_DFS + "+weight": (True, True),
-}
-STRATEGIES = tuple(label for label in _REPORT_STRATEGIES if "+" not in label)
+STRATEGIES = (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT, STRATEGY_DFS)
 _SPLIT_BITS = 8  # shards fix at most this many leading entries
 
 
@@ -154,9 +147,9 @@ def canonicalize(seq: Sequence) -> Sequence:
 
 # ---------------------------------------------------------------------------
 # Shard workers.  Each enumerates the rows whose first ``plen`` entries
-# match ``prefix`` and returns (nodes visited, solution bit masks);
-# ``_REPORT_STRATEGIES`` says whether a label runs ``_dfs_shard`` or
-# ``_walk_shard``.
+# match ``prefix`` and returns (nodes visited, solution bit masks).
+# Each label's record in ``_LABELS``, after the workers, holds its worker
+# and its node rule: the nodes a shard visits, or a ceiling on them.
 #
 # The walker's blocks (see the module docstring) come from ``_blocks``
 # and are (full, a, k, fixed): the rows agree with ``fixed`` before
@@ -279,6 +272,13 @@ def _zero_shift_mask(n: int, pairs: _Pairs, fixed: int, free: tuple[int, ...], f
     return mask
 
 
+def _free_counts(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> list[int | None]:
+    """The -1 counts ``_walk_shard`` places after the prefix; [None] for every count."""
+    if weights is None:
+        return [None]
+    return [k for w in weights if 0 <= (k := w - prefix.bit_count()) <= n - plen]
+
+
 def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
     """Test every row on the prefix, or only those with an admissible -1 count.
 
@@ -287,11 +287,7 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
     is built for the first block on its planes (a, k) that reaches that
     shift, and reused by the others.
     """
-    counts: list[int | None] = [None]
-    if weights is not None:
-        counts = [w - prefix.bit_count() for w in weights]
-        counts = [k for k in counts if 0 <= k <= n - plen]
-    blocks = (block for k in counts for block in _blocks(n, plen, k, prefix))
+    blocks = (block for k in _free_counts(n, prefix, plen, weights) for block in _blocks(n, plen, k, prefix))
     if n & 1 and n > 1:
         # Every r_t is odd, so no row qualifies and no counter is built.
         return sum(full.bit_length() for full, *_ in blocks), []
@@ -421,6 +417,47 @@ def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, int] | None) 
     return nodes, sols
 
 
+def _walk_rows(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> int:
+    """The rows ``_walk_shard`` tests on the prefix: 2^(n-plen), or C(n-plen, k) over its -1 counts k."""
+    return sum(1 << (n - plen) if k is None else math.comb(n - plen, k)
+               for k in _free_counts(n, prefix, plen, weights))
+
+
+def _dfs_ceiling(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> int:
+    """The most nodes ``_dfs_shard`` visits: the plen prefix nodes and the 2^(n-plen+1) - 2 below them."""
+    return plen + (1 << (n - plen + 1)) - 2
+
+
+class _Rules(NamedTuple):
+    """What sets one report label apart; ``nodes(n, prefix, plen, weights)`` is its node rule.
+
+    The rule gives the nodes the shard on ``prefix`` (its first ``plen``
+    entries) visits when ``exact``, else a ceiling on them; at
+    prefix = plen = 0 it is a whole run's.  A resume checks every shard
+    line by it, ``report`` a run's total, and the 2^24-row checkpoint
+    rule reads it at the empty prefix.
+    """
+
+    kernel: Callable[..., tuple[int, list[int]]]  # the shard worker, (n, prefix, plen, weights)
+    weighted: bool  # takes only the admissible -1 counts (perfect-square orders)
+    nodes: Callable[..., int]
+    exact: bool
+
+
+def _label(strategy: str, weight_filter: bool) -> str:
+    """The report label of a ``strategy`` run, with ``weight_filter`` or without."""
+    return strategy + "+weight" if weight_filter else strategy
+
+
+# Every report label's rules; no other code tests a label.
+_LABELS = {
+    STRATEGY_EXHAUSTIVE: _Rules(_walk_shard, False, _walk_rows, True),
+    STRATEGY_WEIGHT: _Rules(_walk_shard, True, _walk_rows, True),
+    STRATEGY_DFS: _Rules(_dfs_shard, False, _dfs_ceiling, False),
+    _label(STRATEGY_DFS, True): _Rules(_dfs_shard, True, _dfs_ceiling, False),
+}
+
+
 def _bits_to_string(bits: int, n: int) -> str:
     return "".join("-" if (bits >> i) & 1 else "+" for i in range(n))
 
@@ -429,7 +466,7 @@ def _run_shard(task: tuple) -> tuple[int, int, tuple[str, ...], int]:
     """(prefix, nodes, solution strings, elapsed_ms) of one shard."""
     label, n, prefix, plen, weights = task
     start = time.monotonic()
-    nodes, sols = (_dfs_shard if _REPORT_STRATEGIES[label][0] else _walk_shard)(n, prefix, plen, weights)
+    nodes, sols = _LABELS[label].kernel(n, prefix, plen, weights)
     elapsed = int((time.monotonic() - start) * 1000)
     return prefix, nodes, tuple(_bits_to_string(b, n) for b in sols), elapsed
 
@@ -456,8 +493,9 @@ def _shard_line(plen: int, result: tuple) -> str:
     return _SHARD.format(bitstring, len(sols), nodes, elapsed, ",".join(sols)) + "\n"
 
 
-def _parse_shard_line(path: str, line: str, n: int, plen: int) -> tuple:
-    """One ``prefix=...`` line as a shard result; ValueError if it does not hold."""
+def _parse_shard_line(path: str, line: str, n: int, label: str, plen: int,
+                      weights: tuple[int, ...] | None) -> tuple:
+    """One ``prefix=...`` line of a ``label`` run as a shard result; ValueError if it does not hold."""
     try:
         match = _SHARD_LINE.fullmatch(line)
         if match is None:
@@ -474,26 +512,29 @@ def _parse_shard_line(path: str, line: str, n: int, plen: int) -> tuple:
         raise ValueError(
             f"checkpoint {path}: prefix width {len(bitstring)} does not match its header ({plen})"
         )
+    prefix = int(bitstring[::-1], 2)
+    if fault := _node_fault(n, label, weights, nodes, prefix, plen):
+        raise ValueError(f"checkpoint {path}: shard {bitstring}: {fault}")
     sols = tuple(filter(None, listing.split(",")))
     if raw != len(sols):
         raise ValueError(
             f"checkpoint {path}: shard {bitstring}: raw_count {raw} but {len(sols)} rows listed"
         )
-    if len(set(sols)) != len(sols):
+    if raw > 1 and len(set(sols)) != raw:
         raise ValueError(f"checkpoint {path}: shard {bitstring}: a row is listed twice")
-    head = bitstring.translate(_BITS_SIGNS)
     for text in sols:
+        head = bitstring.translate(_BITS_SIGNS)
         if len(text) != n or not text.startswith(head):
             raise ValueError(
                 f"checkpoint {path}: shard {bitstring}: row {text!r:.60} is not {n} signs starting {head!r}"
             )
         if not is_circulant_hadamard(Sequence.from_string(text)):
             raise ValueError(f"checkpoint {path}: shard {bitstring}: row {text} is not a Hadamard row")
-    prefix = int(bitstring[::-1], 2) if bitstring else 0
     return prefix, nodes, sols, elapsed
 
 
-def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tuple]:
+def _load_checkpoint(path: str, n: int, label: str, plen: int,
+                     weights: tuple[int, ...] | None) -> dict[int, tuple]:
     """Parse completed shard lines; create the file with a header if new.
 
     Returns the finished shards.  The file must read exactly as
@@ -501,9 +542,9 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tupl
     for order n, strategy ``label`` and width ``plen``, then one shard
     line per finished prefix, each prefix once.  A header that differs
     in any field is refused, so a file from another run is never merged.
-    Every shard line is checked against the width and its own listing;
-    anything that does not hold raises a ValueError naming the file and
-    leaves the file as it was.
+    Every shard line is checked against the width, the label's node rule
+    and its own listing, before any shard runs; anything that does not
+    hold raises a ValueError naming the file and leaves the file as it was.
 
     A file that holds no more than the start of that header is begun
     afresh.  A crash mid-append leaves an unterminated last line: the
@@ -531,7 +572,7 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int) -> dict[int, tupl
         raise ValueError(f"checkpoint {path}: byte {exc.start} is not ASCII") from None
     done = {}
     for line in text[len(header):].split("\n")[:-1]:
-        shard = _parse_shard_line(path, line, n, plen)
+        shard = _parse_shard_line(path, line, n, label, plen, weights)
         if shard[0] in done:
             raise ValueError(f"checkpoint {path}: shard {line.split()[0]} is listed twice")
         done[shard[0]] = shard
@@ -547,14 +588,14 @@ def _admit(n: int, label: str) -> tuple[int, ...] | None:
     """The admissible -1 counts of a run labelled ``label`` at order n; None for every count.
 
     Raises what ``run_search`` refuses the run with, and ``revalidate_report``
-    flags a report with, by the label's ``_REPORT_STRATEGIES`` entry; any
-    order above ``MAX_ORDER`` raises ``CapExceeded``.
+    flags a report with, by the label's record in ``_LABELS``; any order
+    above ``MAX_ORDER`` raises ``CapExceeded``.
     """
     if n < 1:
         raise ValueError("order must be positive")
-    if label not in _REPORT_STRATEGIES:
-        raise ValueError(f"unknown strategy {label!r:.60}; expected one of {tuple(_REPORT_STRATEGIES)}")
-    weighted = _REPORT_STRATEGIES[label][1]
+    if label not in _LABELS:
+        raise ValueError(f"unknown strategy {label!r:.60}; expected one of {tuple(_LABELS)}")
+    weighted = _LABELS[label].weighted
     if weighted and expected_minus_counts(n) is None:
         raise ValueError(f"weight-constrained enumeration needs a perfect-square order, got {n!r:.60}")
     if n > MAX_ORDER:
@@ -562,26 +603,26 @@ def _admit(n: int, label: str) -> tuple[int, ...] | None:
     return expected_minus_counts(n) if weighted else None
 
 
-def _row_count(n: int, weights: tuple[int, ...] | None) -> int:
-    """The rows a full enumeration of order n visits: 2^n, or C(n, w) over the weights w."""
-    return 1 << n if weights is None else sum(math.comb(n, w) for w in weights)
-
-
-def _node_fault(n: int, label: str, weights: tuple[int, ...] | None, nodes: int) -> str | None:
+def _node_fault(n: int, label: str, weights: tuple[int, ...] | None, nodes: int,
+                prefix: int = 0, plen: int | None = None) -> str | None:
     """Why no admitted run labelled ``label`` at order n visits ``nodes`` nodes, or None.
 
-    A full enumeration visits ``_row_count`` rows.  A DFS shard of a
-    p-entry split visits at most p prefix nodes and 2^(n-p+1) - 2 below
-    them, 2^(n+1) + 2^p (p - 2) in all; that grows with p, so the widest
-    split bounds every run.
+    With ``plen`` the nodes are those of the shard on ``prefix``, held to
+    the label's node rule there.  A whole run's exact count is the rule
+    at the empty prefix; a ceiling grows with the split width, so the
+    ceiling of the widest split, p = min(n, 8) entries, times its 2^p
+    shards bounds every run.
     """
-    if _REPORT_STRATEGIES[label][0]:
-        bound = 2 ** (n + 1) + 2 ** (p := min(n, _SPLIT_BITS)) * (p - 2)
-        if nodes > bound:
-            return f"nodes_explored {nodes!r:.60} is more than the {bound} nodes any {label} run of order {n} visits"
-    elif nodes != _row_count(n, weights):
-        return f"nodes_explored {nodes!r:.60} is not the number of rows every {label} run of order {n!r:.60} visits"
-    return None
+    rules = _LABELS[label]
+    if plen is None:
+        p = 0 if rules.exact else min(n, _SPLIT_BITS)
+        bound, where = rules.nodes(n, 0, p, weights) << p, ""
+    else:
+        bound, where = rules.nodes(n, prefix, plen, weights), " on this shard"
+    if nodes == bound or not rules.exact and nodes < bound:
+        return None
+    claim = "not the number of rows every" if rules.exact else f"more than the {bound} nodes any"
+    return f"nodes_explored {nodes!r:.60} is {claim} {label} run of order {n!r:.60} visits{where}"
 
 
 def run_search(
@@ -596,7 +637,7 @@ def run_search(
     """Enumerate all circulant Hadamard first rows of order n.
 
     The run is labelled ``strategy``, or ``strategy+weight`` with
-    ``weight_filter``; ``_REPORT_STRATEGIES`` holds each label's rules.
+    ``weight_filter``; ``_LABELS`` holds each label's rules.
     The order and label must pass the rules ``revalidate_report`` checks a
     report by (an order above 36 raises ``CapExceeded``); so must a full
     enumeration of more than 2^24 rows without a ``checkpoint``, which
@@ -608,13 +649,13 @@ def run_search(
         raise ValueError("jobs must be at least 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    label = strategy + "+weight" if weight_filter else strategy
-    if label not in _REPORT_STRATEGIES:
+    label = _label(strategy, weight_filter)
+    if label not in _LABELS:
         raise ValueError("weight_filter applies to the pruned-dfs strategy only")
     if list_cap < 0:
         raise ValueError("list cap must be non-negative")
-    weights, (dfs, _) = _admit(n, label), _REPORT_STRATEGIES[label]
-    if checkpoint is None and not dfs and (rows := _row_count(n, weights)) > MAX_UNCHECKPOINTED_ROWS:
+    weights, rules = _admit(n, label), _LABELS[label]
+    if checkpoint is None and rules.exact and (rows := rules.nodes(n, 0, 0, weights)) > MAX_UNCHECKPOINTED_ROWS:
         raise CapExceeded(
             f"{label} at order {n} walks {rows} rows; a walk of more than 2^24 rows needs a checkpoint"
         )
@@ -624,7 +665,7 @@ def run_search(
     # A checkpointed run always splits at the cap, whatever --jobs.
     # plen >= 1, as n >= 1 and jobs >= 1, so the shards pair off below.
     plen = min(n, _SPLIT_BITS, _SPLIT_BITS if checkpoint is not None else (4 * jobs - 1).bit_length())
-    done = {} if checkpoint is None else _load_checkpoint(checkpoint, n, label, plen)
+    done = {} if checkpoint is None else _load_checkpoint(checkpoint, n, label, plen, weights)
     # Shard p holds the negations of shard mask - p and visits as many
     # nodes, as negation also swaps the DFS weight bounds: only the first
     # half runs, and a shard whose mirror is done is filled in from it.
@@ -671,9 +712,6 @@ def run_search(
                 _, nodes, sols, _ = results[mask - prefix]
                 record((prefix, nodes, tuple(s.translate(_NEGATE) for s in reversed(sols)), 0))
 
-    nodes = sum(r[1] for r in results.values())
-    if done and (fault := _node_fault(n, label, weights, nodes)):
-        raise ValueError(f"checkpoint {checkpoint}: {fault}")
     all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:
         if not is_circulant_hadamard(Sequence.from_string(text)):
@@ -687,7 +725,7 @@ def run_search(
         raw_count=len(all_solutions),
         canonical_count=len(canonical),
         solutions=tuple(all_solutions[:list_cap]),
-        nodes_explored=nodes,
+        nodes_explored=sum(r[1] for r in results.values()),
         elapsed_ms=elapsed_ms,
         cap=list_cap,
     )
@@ -813,7 +851,7 @@ class CrossValidation:
 
 
 def cross_validate(n: int) -> CrossValidation:
-    """Run every label in ``_REPORT_STRATEGIES`` and check they agree solution-for-solution.
+    """Run every label in ``_LABELS`` and check they agree solution-for-solution.
 
     Weighted labels run at perfect-square orders only.  Each found row is
     also pushed through the exact matrix product, the order checks, and
@@ -825,9 +863,10 @@ def cross_validate(n: int) -> CrossValidation:
     and go unseen here; the mirror is checked instead against each
     shard's own kernel run (``tests/test_search.py``).
     """
-    reports = [run_search(n, label.partition("+")[0], weight_filter="+" in label)
-               for label, (_, weighted) in _REPORT_STRATEGIES.items()
-               if not weighted or expected_minus_counts(n) is not None]
+    reports = [run_search(n, strategy, weight_filter=weight_filter)
+               for strategy in STRATEGIES for weight_filter in (False, True)
+               if (rules := _LABELS.get(_label(strategy, weight_filter)))
+               and (not rules.weighted or expected_minus_counts(n) is not None)]
 
     problems = []
     baseline = reports[0]

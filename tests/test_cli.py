@@ -377,7 +377,8 @@ def test_search_checkpoint_wider_than_any_split_is_invalid_input(capsys, tmp_pat
 @pytest.mark.parametrize("strategy, message", [
     ("exhaustive", "is not the number of rows every exhaustive run of order 4"),
     ("weight-constrained", "is not the number of rows every weight-constrained run of order 4"),
-    ("pruned-dfs", "nodes_explored 1059 is more than the 64 nodes any pruned-dfs run of order 4 visits"),
+    ("pruned-dfs", "shard 0000: nodes_explored 999 is more than the 4 nodes any pruned-dfs run of order 4"
+                   " visits on this shard"),
 ], ids=["exhaustive", "weight-constrained", "pruned-dfs"])
 def test_search_resume_whose_node_counts_do_not_add_up_is_invalid_input(capsys, tmp_path, strategy, message):
     cp, out_file = tmp_path / "cp.txt", tmp_path / "r.json"
@@ -387,10 +388,11 @@ def test_search_resume_whose_node_counts_do_not_add_up_is_invalid_input(capsys, 
     text = cp.read_text()
     first = re.search(r"^prefix=\S+ raw_count=\d+ nodes_explored=(\d+) ", text, re.M)
     cp.write_text(text[:first.start(1)] + "999" + text[first.end(1):])
+    before = cp.read_bytes()
     code, out, err = run(capsys, *argv, "--out", str(out_file))
     assert code == 2
     assert out == "" and str(cp) in err and message in err
-    assert not out_file.exists()
+    assert not out_file.exists() and cp.read_bytes() == before
 
 
 # ---------------------------------------------------------------------------

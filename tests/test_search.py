@@ -1,6 +1,7 @@
 """Enumeration strategies, canonical forms, checkpoints, cross-validation."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
@@ -45,6 +46,25 @@ def naive_count(n):
         if is_circulant_hadamard(s):
             count += 1
     return count
+
+
+# Every report label as the (strategy, weight_filter) pair that runs it.
+LABELS = [
+    (strategy, weight_filter)
+    for strategy in search.STRATEGIES for weight_filter in (False, True)
+    if search._label(strategy, weight_filter) in search._LABELS
+]
+
+
+def patch_kernel(monkeypatch, kernel, replacement):
+    """Run ``replacement`` instead of ``kernel`` for every label whose record holds it.
+
+    The records hold the kernels themselves, so setting the module's
+    ``_walk_shard`` or ``_dfs_shard`` would not reach a run.
+    """
+    for label, rules in search._LABELS.items():
+        if rules.kernel is kernel:
+            monkeypatch.setitem(search._LABELS, label, rules._replace(kernel=replacement))
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +607,7 @@ def test_full_enumeration_past_2_24_rows_needs_a_checkpoint(monkeypatch, tmp_pat
     report = run_search(25, STRATEGY_DFS)
     assert report.raw_count == 0 and revalidate_report(report) == []
     # Exactly 2^24 rows need no checkpoint (the shards are stubbed: only admission is tested).
-    monkeypatch.setattr(search, "_walk_shard", lambda *task: (0, []))
+    patch_kernel(monkeypatch, search._walk_shard, lambda *task: (0, []))
     assert run_search(24, STRATEGY_EXHAUSTIVE).raw_count == 0
 
 
@@ -696,10 +716,10 @@ def test_checkpoint_shard_listed_twice_is_rejected(tmp_path, n, strategy):
         run_search(n, strategy, checkpoint=str(cp))
 
 
-def order_four_checkpoint(tmp_path, prefix, line):
-    """An order-4 exhaustive checkpoint (one row per shard) with one shard line replaced."""
+def checkpoint_with_line(tmp_path, n, strategy, prefix, line):
+    """A checkpoint of order n (at order 4 one row per shard) with one shard line replaced."""
     cp = tmp_path / "cp.txt"
-    run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    run_search(n, strategy, checkpoint=str(cp))
     lines = cp.read_text().splitlines()
     assert sum(l.startswith(f"prefix={prefix} ") for l in lines) == 1
     cp.write_text("".join(
@@ -709,45 +729,70 @@ def order_four_checkpoint(tmp_path, prefix, line):
 
 
 @pytest.mark.parametrize(
-    "prefix, line, problem",
+    "n, strategy, prefix, line, problem",
     [
-        ("0000", "prefix=0000 nodes_explored=3", "does not read"),
-        ("0000", "prefix=0000 raw_count=0 nodes_explored=x elapsed_ms=0 solutions=",
+        (4, STRATEGY_EXHAUSTIVE, "0000", "prefix=0000 nodes_explored=3", "does not read"),
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=0000 raw_count=0 nodes_explored=x elapsed_ms=0 solutions=",
          "does not read"),
-        ("0000", "prefix=0000 raw_count=0 nodes_explored=1 solutions=", "does not read"),
-        ("0000", "prefix=0000 raw_count=-5 nodes_explored=1 elapsed_ms=0 solutions=",
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=0000 raw_count=0 nodes_explored=1 solutions=", "does not read"),
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=0000 raw_count=-5 nodes_explored=1 elapsed_ms=0 solutions=",
          "does not read"),
-        ("0000", "prefix=0000 raw_count=0 nodes_explored=-1 elapsed_ms=0 solutions=",
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=0000 raw_count=0 nodes_explored=-1 elapsed_ms=0 solutions=",
          "does not read"),
-        ("1000", "prefix=1000 raw_count=2 nodes_explored=1 elapsed_ms=0 solutions=-+++",
+        (4, STRATEGY_EXHAUSTIVE, "1000",
+         "prefix=1000 raw_count=2 nodes_explored=1 elapsed_ms=0 solutions=-+++",
          "raw_count 2 but 1 rows listed"),
-        ("1000", "prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-++",
+        (4, STRATEGY_EXHAUSTIVE, "1000",
+         "prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-++",
          "is not 4 signs"),
-        ("1000", "prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+-++",
+        (4, STRATEGY_EXHAUSTIVE, "1000",
+         "prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+-++",
          "starting '-+++'"),
-        ("0000", "prefix=0000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=++++",
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=0000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=++++",
          "not a Hadamard row"),
-        ("1000", "prefix=1000 raw_count=2 nodes_explored=1 elapsed_ms=0 solutions=-+++,-+++",
+        (4, STRATEGY_EXHAUSTIVE, "1000",
+         "prefix=1000 raw_count=2 nodes_explored=1 elapsed_ms=0 solutions=-+++,-+++",
          "shard 1000: a row is listed twice"),
-        ("0000", "prefix=00x0 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=00x0 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
          "does not read"),
-        ("0000", f"prefix=0000 raw_count=0 nodes_explored={'9' * 5000} elapsed_ms=0 solutions=",
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         f"prefix=0000 raw_count=0 nodes_explored={'9' * 5000} elapsed_ms=0 solutions=",
          "does not read"),
-        ("0000", "prefix=000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
          "prefix width 3 does not match its header (4)"),
-        ("0000", "prefix=00000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=00000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
          "prefix width 5 does not match its header (4)"),
+        # Each line's node count is held to the label's node rule as it is read.
+        (4, STRATEGY_EXHAUSTIVE, "0100",
+         "prefix=0100 raw_count=1 nodes_explored=2 elapsed_ms=0 solutions=+-++",
+         "shard 0100: nodes_explored 2 is not the number of rows every exhaustive run of order 4 visits"
+         " on this shard"),
+        (4, STRATEGY_WEIGHT, "0000", "prefix=0000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "shard 0000: nodes_explored 1 is not the number of rows every weight-constrained run of order 4"),
+        (12, STRATEGY_DFS, "10000000",
+         "prefix=10000000 raw_count=0 nodes_explored=4014 elapsed_ms=0 solutions=",
+         "shard 10000000: nodes_explored 4014 is more than the 38 nodes any pruned-dfs run of order 12"
+         " visits on this shard"),
     ],
     ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
          "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
          "row_off_prefix", "row_not_hadamard", "row_listed_twice", "prefix_not_bits",
-         "nodes_past_int_digit_limit", "prefix_too_short", "prefix_too_long"],
+         "nodes_past_int_digit_limit", "prefix_too_short", "prefix_too_long",
+         "nodes_not_the_shard_rows", "nodes_off_the_shard_weights", "dfs_nodes_over_the_shard_ceiling"],
 )
-def test_checkpoint_shard_line_is_validated(tmp_path, prefix, line, problem):
-    cp = order_four_checkpoint(tmp_path, prefix, line)
+def test_checkpoint_shard_line_is_validated(tmp_path, n, strategy, prefix, line, problem):
+    cp = checkpoint_with_line(tmp_path, n, strategy, prefix, line)
     before = open(cp, "rb").read()
     with pytest.raises(ValueError, match=re.escape(problem)):
-        run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=cp)
+        run_search(n, strategy, checkpoint=cp)
     assert open(cp, "rb").read() == before
 
 
@@ -997,9 +1042,6 @@ def test_real_pool_checkpoint_matches_serial_and_resumes_mid_batch(tmp_path):
 # ---------------------------------------------------------------------------
 # mirrored shards: shard p >= 2^P / 2 is filled in from shard 2^P - 1 - p
 
-LABELS = [(label.partition("+")[0], "+" in label) for label in search._REPORT_STRATEGIES]
-
-
 def masked_line(line):
     return re.sub(r"elapsed_ms=[0-9]+", "elapsed_ms=0", line)
 
@@ -1008,13 +1050,16 @@ def masked_line(line):
 def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strategy, weight_filter):
     # Every label shares the mirror, so cross_validate cannot see a fault
     # in it: each filled-in line must read as the shard's own kernel run
-    # writes it (nodes, rows, row order).
-    label = strategy + "+weight" if weight_filter else strategy
-    weighted = search._REPORT_STRATEGIES[label][1]
+    # writes it (nodes, rows, row order).  Every line, run or filled in,
+    # must also keep the label's node rule: its exact count, or at most
+    # its ceiling.
+    label = search._label(strategy, weight_filter)
+    rules = search._LABELS[label]
     pairs = 0
+    reached = set()  # the orders at which some shard visits its whole ceiling
     for n in range(1, 17):
-        weights = expected_minus_counts(n) if weighted else None
-        if weighted and weights is None:
+        weights = expected_minus_counts(n) if rules.weighted else None
+        if rules.weighted and weights is None:
             continue
         for width in sorted({min(n, w) for w in (1, 2, 3, 8)}):
             monkeypatch.setattr(search, "_SPLIT_BITS", width)
@@ -1026,19 +1071,33 @@ def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strat
                 own = search._shard_line(width, search._run_shard((label, n, prefix, width, weights)))
                 assert masked_line(lines[prefix]) == masked_line(own.rstrip("\n")), (n, width, prefix)
                 pairs += 1
+            for prefix, line in enumerate(lines):
+                # Lines are in split order: bit i of the prefix is entry i.
+                assert line.startswith(f"prefix={format(prefix, f'0{width}b')[::-1]} ")
+                nodes = int(re.search(r"nodes_explored=([0-9]+)", line).group(1))
+                rule = rules.nodes(n, prefix, width, weights)
+                assert nodes == rule if rules.exact else nodes <= rule, (n, width, prefix)
+                if nodes == rule and not rules.exact:
+                    reached.add(n)
+            if width == min(n, 8):
+                # Summed over the widest split, the rule is the bound a report is held to.
+                total = sum(rules.nodes(n, prefix, width, weights) for prefix in range(1 << width))
+                fault = functools.partial(search._node_fault, n, label, weights)
+                assert fault(total) is None and fault(total + 1) is not None, (n, total)
+                assert rules.exact == (fault(total - 1) is not None), (n, total)
     # Half of 2^width shards per (n, width): 1374 for a label that takes
     # every order, 286 for one that takes only the squares 1, 4, 9, 16.
-    assert pairs == (286 if weighted else 1374)
+    assert pairs == (286 if rules.weighted else 1374)
+    # The ceiling is reached, so it is no looser than it need be at small orders.
+    if not rules.exact:
+        assert reached >= ({1, 4} if rules.weighted else {1, 2, 4, 6, 8}), reached
 
 
 def counting_kernels(monkeypatch):
     """Wrap both kernels so every call is recorded; returns the list of calls."""
     calls = []
-    for name in ("_walk_shard", "_dfs_shard"):
-        real = getattr(search, name)
-        monkeypatch.setattr(
-            search, name, lambda *args, real=real: calls.append(args) or real(*args)
-        )
+    for real in (search._walk_shard, search._dfs_shard):
+        patch_kernel(monkeypatch, real, lambda *args, real=real: calls.append(args) or real(*args))
     return calls
 
 
@@ -1075,8 +1134,14 @@ def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_pa
         masked_line(l.decode().rstrip("\n")) for l in shards[128:] + shards[:128]
     ]
 
+    # The wrapped kernels are the ones a run calls: a fresh run records every shard it runs.
+    assert same_but_elapsed(resume(tmp_path / "fresh.ckpt"), base)
+    assert len(calls) == 128 and sizes == [2]
 
-def test_tampered_first_half_line_is_refused_through_its_mirror(tmp_path):
+
+def test_tampered_first_half_line_is_refused_through_its_mirror(monkeypatch, tmp_path):
+    # A raised count would be copied to its mirror; the line is refused
+    # as it is read instead, before any shard runs or any line is appended.
     cp = tmp_path / "cp.ckpt"
     run_search(12, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
     lines = cp.read_text().splitlines(True)[: 4 + 128]  # the header and the first half
@@ -1084,10 +1149,14 @@ def test_tampered_first_half_line_is_refused_through_its_mirror(tmp_path):
         r"nodes_explored=([0-9]+)", lambda m: f"nodes_explored={int(m.group(1)) + 1}", lines[4 + 5]
     )
     cp.write_text("".join(lines))
-    # The mirror copies the raised count, so the total is 2 over 2^12.
-    message = f"checkpoint {cp}: nodes_explored {(1 << 12) + 2} is not the number of rows"
+    before = cp.read_bytes()
+    calls = counting_kernels(monkeypatch)
+    message = (f"checkpoint {cp}: shard 10100000: nodes_explored 17 is not the number of rows"
+               " every exhaustive run of order 12 visits on this shard")
     with pytest.raises(ValueError, match=re.escape(message)):
         run_search(12, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    assert cp.read_bytes() == before
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -1173,7 +1242,7 @@ def test_cross_validate_order_four():
 def test_cross_validate_reports_a_strategy_that_disagrees(monkeypatch):
     # A DFS shard that drops its rows (jobs = 1 runs shards in process).
     real_shard = search._dfs_shard
-    monkeypatch.setattr(search, "_dfs_shard", lambda *args: (real_shard(*args)[0], []))
+    patch_kernel(monkeypatch, real_shard, lambda *args: (real_shard(*args)[0], []))
     cv = cross_validate(4)
     assert not cv.passed and cv.raw_count == 8
     assert "strategy pruned-dfs found 0 rows, exhaustive found 8" in cv.problems
@@ -1294,14 +1363,14 @@ def test_run_search_refuses_exactly_what_revalidate_flags(monkeypatch):
     # Admitted runs return at once, so every (label, order) pair costs only
     # its admission; the checkpoint rule bounds one run's work, not which
     # reports are valid, so it is lifted for the comparison.
-    monkeypatch.setattr(search, "_walk_shard", lambda *task: (0, []))
-    monkeypatch.setattr(search, "_dfs_shard", lambda *task: (0, []))
+    patch_kernel(monkeypatch, search._walk_shard, lambda *task: (0, []))
+    patch_kernel(monkeypatch, search._dfs_shard, lambda *task: (0, []))
     monkeypatch.setattr(search, "MAX_UNCHECKPOINTED_ROWS", 1 << 36)
-    for label in search._REPORT_STRATEGIES:
-        strategy, _, weight = label.partition("+")
+    for strategy, weight_filter in LABELS:
+        label = search._label(strategy, weight_filter)
         for n in [*range(51), 1000, 1024]:
             try:
-                run_search(n, strategy, weight_filter=bool(weight))
+                run_search(n, strategy, weight_filter=weight_filter)
                 refusal = None
             except (ValueError, CapExceeded) as exc:
                 refusal = str(exc)
