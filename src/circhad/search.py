@@ -36,7 +36,8 @@ not pay one pool round trip per shard; results still come back, and
 are logged one line per shard, in prefix order, the filled-in shards
 after the computed ones.  A checkpoint file
 must read exactly as this run writes it: its header, then one line per
-finished shard, each prefix once; anything else is refused.  Every shard
+finished shard, each prefix once, a shard and its mirror alike; anything
+else is refused.  Every shard
 returns its node count and its rows, whatever the strategy; counts of
 rows are always the length of a listing.  Every row a strategy emits is
 re-verified with the exact integer autocorrelation before it is reported.
@@ -487,10 +488,25 @@ _BITS_SIGNS = str.maketrans("01+-", "+-01")  # bits to signs and back
 _NEGATE = str.maketrans("+-", "-+")
 
 
+def _bitstring(prefix: int, plen: int) -> str:
+    """The prefix as a checkpoint line names it: bit i of the prefix at position i."""
+    return _bits_to_string(prefix, plen).translate(_BITS_SIGNS)
+
+
 def _shard_line(plen: int, result: tuple) -> str:
     prefix, nodes, sols, elapsed = result
-    bitstring = _bits_to_string(prefix, plen).translate(_BITS_SIGNS)
-    return _SHARD.format(bitstring, len(sols), nodes, elapsed, ",".join(sols)) + "\n"
+    return _SHARD.format(_bitstring(prefix, plen), len(sols), nodes, elapsed, ",".join(sols)) + "\n"
+
+
+def _mirror_rows(sols: tuple[str, ...]) -> tuple[str, ...]:
+    """The rows of a shard's mirror, from its own: negated, in reverse order.
+
+    Every kernel orders a shard's rows by their free entries, one sign
+    first (the walkers -1, the DFS +1), and the weighted walker its
+    counts ascending; negation swaps both, so this is the order the
+    mirror's own kernel emits them in.
+    """
+    return tuple(s.translate(_NEGATE) for s in reversed(sols))
 
 
 def _parse_shard_line(path: str, line: str, n: int, label: str, plen: int,
@@ -515,7 +531,7 @@ def _parse_shard_line(path: str, line: str, n: int, label: str, plen: int,
     prefix = int(bitstring[::-1], 2)
     if fault := _node_fault(n, label, weights, nodes, prefix, plen):
         raise ValueError(f"checkpoint {path}: shard {bitstring}: {fault}")
-    sols = tuple(filter(None, listing.split(",")))
+    sols = tuple(listing.split(",")) if listing else ()
     if raw != len(sols):
         raise ValueError(
             f"checkpoint {path}: shard {bitstring}: raw_count {raw} but {len(sols)} rows listed"
@@ -543,8 +559,9 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
     line per finished prefix, each prefix once.  A header that differs
     in any field is refused, so a file from another run is never merged.
     Every shard line is checked against the width, the label's node rule
-    and its own listing, before any shard runs; anything that does not
-    hold raises a ValueError naming the file and leaves the file as it was.
+    and its own listing, and every listed pair of mirror shards against
+    each other, before any shard runs; anything that does not hold raises
+    a ValueError naming the file and leaves the file as it was.
 
     A file that holds no more than the start of that header is begun
     afresh.  A crash mid-append leaves an unterminated last line: the
@@ -576,6 +593,20 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
         if shard[0] in done:
             raise ValueError(f"checkpoint {path}: shard {line.split()[0]} is listed twice")
         done[shard[0]] = shard
+    # Shard p holds the negations of shard mask - p: when both are listed,
+    # they must read as each other's mirror.  Only a nonempty listing is
+    # negated, so the common empty pair costs two comparisons.
+    mask = (1 << plen) - 1
+    for p in range(1 << plen >> 1):
+        if p in done and mask - p in done:
+            _, nodes, sols, _ = done[p]
+            _, mirror_nodes, mirror_sols, _ = done[mask - p]
+            if nodes != mirror_nodes or mirror_sols != (_mirror_rows(sols) if sols else ()):
+                raise ValueError(
+                    f"checkpoint {path}: shards {_bitstring(p, plen)} and {_bitstring(mask - p, plen)}"
+                    " are not mirrors: each must have the other's nodes_explored and its rows"
+                    " negated, in reverse order"
+                )
     if end < len(data):
         os.truncate(path, end)
     return done
@@ -703,14 +734,10 @@ def run_search(
         )
         for res in shards:
             record(res)
-        # Every kernel orders a shard's rows by their free entries, one
-        # sign first (the walkers -1, the DFS +1), and the weighted walker
-        # its counts ascending; negation swaps both, so the mirror's rows
-        # negated and reversed are in the order this shard's kernel emits.
         for prefix in range(mask + 1):
             if prefix not in results:
                 _, nodes, sols, _ = results[mask - prefix]
-                record((prefix, nodes, tuple(s.translate(_NEGATE) for s in reversed(sols)), 0))
+                record((prefix, nodes, _mirror_rows(sols), 0))
 
     all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:

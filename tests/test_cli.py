@@ -1,13 +1,17 @@
 """CLI surface: wire formats, exit codes, file round trips."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import circhad
 from circhad import cli
 from circhad.cli import main
 
@@ -538,6 +542,29 @@ def test_integer_options_take_ascii_digits_only(capsys, argv, value):
     code, out, err = run(capsys, *(value if a == "V" else a for a in argv))
     assert code == 2
     assert out == "" and flag in err and len(err.encode()) < 400
+
+
+# ---------------------------------------------------------------------------
+# the entry point in a process of its own
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--seq", "-+++"), 0),
+    (("verify", "--seq", "++++"), 1),
+    (("verify", "--seq", "+x+"), 2),
+    (("search", "--n", "25"), 3),
+], ids=("pass", "fail", "invalid_input", "cap"))
+def test_module_entry_point_exit_codes(argv, code):
+    # Run on this package, as a shell sees it: the exit status, a verdict
+    # or nothing on stdout, and a refusal on stderr with no traceback.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(circhad.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "circhad.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code < 2:
+        assert proc.stdout and proc.stderr == ""
+    else:
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

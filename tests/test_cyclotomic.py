@@ -1,7 +1,10 @@
 """Ring arithmetic, canonical reduction, cosine-basis folding and ranks."""
 
 import cmath
+import doctest
+import importlib
 import math
+import pkgutil
 import random
 
 import pytest
@@ -9,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circhad
 from circhad import cyclotomic
 from circhad.cyclotomic import (
     CycloElement,
@@ -381,9 +385,10 @@ def test_basis_rows_are_the_cosine_residues(monkeypatch):
 
 def test_rank_is_the_real_subfield_degree():
     # The first-quadrant cosines span the real subfield, of degree phi(n)/2.
-    for n in range(4, 401, 4):
+    for n in (*range(4, 401, 4), 1000):
         rep = real_basis_rank(n)
         assert rep.rank == rep.euler_half == int(sympy.totient(n)) // 2, n
+    assert rep.independent is False  # 250 cosines at n = 1000, rank 200
 
 
 def test_rank_rejects_bad_orders():
@@ -392,8 +397,12 @@ def test_rank_rejects_bad_orders():
 
 
 def test_module_doctests():
-    import doctest
-
-    import circhad.cyclotomic as module
-
-    assert doctest.testmod(module).failed == 0
+    # Every module of the package, so an example added anywhere runs; today
+    # the two examples are this module's.
+    attempted = 0
+    for module in (circhad, *(importlib.import_module(m.name)
+                              for m in pkgutil.iter_modules(circhad.__path__, "circhad."))):
+        result = doctest.testmod(module)
+        assert result.failed == 0, module.__name__
+        attempted += result.attempted
+    assert attempted >= 2

@@ -596,7 +596,7 @@ def test_order_cap_refuses_every_label_above_36(tmp_path):
     assert not cp.exists()
 
 
-def test_full_enumeration_past_2_24_rows_needs_a_checkpoint(monkeypatch, tmp_path):
+def test_full_enumeration_past_2_24_rows_needs_a_checkpoint(tmp_path):
     with pytest.raises(CapExceeded, match="exhaustive at order 25 walks 33554432 rows"):
         run_search(25, STRATEGY_EXHAUSTIVE)
     # At odd order no row qualifies, so the walk only counts its rows.
@@ -606,9 +606,9 @@ def test_full_enumeration_past_2_24_rows_needs_a_checkpoint(monkeypatch, tmp_pat
     # The DFS is bounded by the order cap alone.
     report = run_search(25, STRATEGY_DFS)
     assert report.raw_count == 0 and revalidate_report(report) == []
-    # Exactly 2^24 rows need no checkpoint (the shards are stubbed: only admission is tested).
-    patch_kernel(monkeypatch, search._walk_shard, lambda *task: (0, []))
-    assert run_search(24, STRATEGY_EXHAUSTIVE).raw_count == 0
+    # Exactly 2^24 rows need no checkpoint.
+    report = run_search(24, STRATEGY_EXHAUSTIVE, jobs=2)
+    assert (report.nodes_explored, report.raw_count) == (1 << 24, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -781,12 +781,28 @@ def checkpoint_with_line(tmp_path, n, strategy, prefix, line):
          "prefix=10000000 raw_count=0 nodes_explored=4014 elapsed_ms=0 solutions=",
          "shard 10000000: nodes_explored 4014 is more than the 38 nodes any pruned-dfs run of order 12"
          " visits on this shard"),
+        # A listing is empty or rows joined by commas: no item is empty.
+        (4, STRATEGY_EXHAUSTIVE, "0000",
+         "prefix=0000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=,,,",
+         "shard 0000: raw_count 0 but 4 rows listed"),
+        (4, STRATEGY_EXHAUSTIVE, "1000",
+         "prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=,-+++,",
+         "shard 1000: raw_count 1 but 3 rows listed"),
+        # Shard 0111 still lists +---, the negation of the row this line drops.
+        (4, STRATEGY_EXHAUSTIVE, "1000",
+         "prefix=1000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "shards 1000 and 0111 are not mirrors"),
+        # Under its ceiling, but not the count of shard 01111111.
+        (12, STRATEGY_DFS, "10000000",
+         "prefix=10000000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "shards 10000000 and 01111111 are not mirrors"),
     ],
     ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
          "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
          "row_off_prefix", "row_not_hadamard", "row_listed_twice", "prefix_not_bits",
          "nodes_past_int_digit_limit", "prefix_too_short", "prefix_too_long",
-         "nodes_not_the_shard_rows", "nodes_off_the_shard_weights", "dfs_nodes_over_the_shard_ceiling"],
+         "nodes_not_the_shard_rows", "nodes_off_the_shard_weights", "dfs_nodes_over_the_shard_ceiling",
+         "empty_items", "empty_items_around_a_row", "mirror_rows_disagree", "mirror_nodes_disagree"],
 )
 def test_checkpoint_shard_line_is_validated(tmp_path, n, strategy, prefix, line, problem):
     cp = checkpoint_with_line(tmp_path, n, strategy, prefix, line)

@@ -402,7 +402,8 @@ def test_spectral_verdict_counts_one_table_and_one_zero_test_per_divisor(monkeyp
     assert calls["zero_tests"] == 9
 
 
-@pytest.mark.parametrize("n, k", [(4, 0), (4, 3), (36, 8), (144, 35), (144, 72)])
+@pytest.mark.parametrize("n, k", [(4, 0), (4, 3), (36, 8), (144, 35), (144, 72), (1000, 8), (1000, 200),
+                                  (1000, 500)])
 def test_one_mode_counts_one_table_one_fold_and_one_zero_test(monkeypatch, capsys, n, k):
     rng = random.Random(n + k)
     J = random_index_set(rng, n, (n - math.isqrt(n)) // 2)
