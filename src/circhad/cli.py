@@ -83,30 +83,54 @@ def _load_sequences(args) -> list[sequences.Sequence]:
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_JSON_BOOL = ("false", "true")
 
 
 def _json_text(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, without the stdlib's per-item pass.
 
     With an indent the stdlib encodes in pure Python, one generator step
-    per list entry; a payload's longest lists (``cVector``, ``J``) are
-    flat integer lists, joined here by one ``str.join``.  ``bool`` is an
-    ``int`` subclass printed as ``true``/``false``, so only lists whose
-    entries are all exactly ``int`` take that path.  Such a list is
-    encoded once per call and indent and then reused (``analyze`` shares
-    one tuple between modes k and n-k); the type check comes first, as
-    ``(1, True) == (1, 1)``.  Every piece goes to one output list.  Keys
-    must be strings; any scalar but a string, ``int``, ``bool`` or
+    per list entry; a list whose entries are all exactly ``int`` is
+    joined by ``_int_list`` in one ``str.join`` instead.  ``bool`` is an
+    ``int`` subclass printed as ``true``/``false``, so a list holding
+    one takes the general path.  Every piece goes to one output list.
+    Keys must be strings; any scalar but a string, ``int``, ``bool`` or
     ``None`` goes to ``json.dumps``, which prints it (or refuses it) as
     the stdlib would.
     """
     out: list[str] = []
-    _write_json(obj, "", out, {})
+    _write_json(obj, "", out)
     return "".join(out)
 
 
-def _write_json(obj, indent: str, out: list[str], encoded: dict[tuple[tuple, str], str]) -> None:
-    """Append the text of obj at this indent to out; ``encoded`` maps (all-int tuple, indent) to its text."""
+def _int_list(values, indent: str, text=int.__repr__) -> str:
+    """The indent-2 JSON text of a sequence of plain ``int``, its closing bracket at this indent.
+
+    ``text`` gives each entry's decimal text: ``int.__repr__``, or the
+    lookup of an ``_IntTexts`` where the same values recur.
+    """
+    if not values:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(map(text, values)) + f"\n{indent}]"
+
+
+class _IntTexts(dict):
+    """Maps each ``int`` looked up to its decimal text, made on the first lookup.
+
+    ``analyze`` keeps one per output: its about n²/4 cosine coordinates
+    take a few dozen distinct values at n = 144, and a lookup costs less
+    than a conversion.  The small payloads keep ``int.__repr__``, where
+    a first lookup would cost more.
+    """
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = int.__repr__(value)
+        return text
+
+
+def _write_json(obj, indent: str, out: list[str]) -> None:
+    """Append the text of obj at this indent to out."""
     if isinstance(obj, str):
         out.append(_encode_str(obj))
     elif obj is None:
@@ -121,17 +145,14 @@ def _write_json(obj, indent: str, out: list[str], encoded: dict[tuple[tuple, str
         if not obj:
             out.append("[]")
             return
-        inner = indent + "  "
         if set(map(type, obj)) == {int}:
-            key = (tuple(obj), indent)
-            if key not in encoded:
-                encoded[key] = f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, obj)) + f"\n{indent}]"
-            out.append(encoded[key])
+            out.append(_int_list(obj, indent))
             return
+        inner = indent + "  "
         lead = f"[\n{inner}"
         for v in obj:
             out.append(lead)
-            _write_json(v, inner, out, encoded)
+            _write_json(v, inner, out)
             lead = f",\n{inner}"
         out.append(f"\n{indent}]")
     elif isinstance(obj, dict):
@@ -142,7 +163,7 @@ def _write_json(obj, indent: str, out: list[str], encoded: dict[tuple[tuple, str
         lead = f"{{\n{inner}"
         for k, v in obj.items():
             out.append(f"{lead}{_encode_str(k)}: ")
-            _write_json(v, inner, out, encoded)
+            _write_json(v, inner, out)
             lead = f",\n{inner}"
         out.append(f"\n{indent}}}")
     else:
@@ -212,21 +233,28 @@ def _cmd_analyze(args) -> int:
             k = 0  # mode_verdict refuses the order before it reads k
         modes = (spectra.mode_verdict(index_set, k),)
         overall = modes[0].mag_sq_equals_order
-    payload = {
-        "n": seq.n,
-        "J": index_set.members,
-        "perK": [
-            {
-                "k": m.k,
-                "c0pass": m.constant_term_ok,
-                "cVector": m.coefficients.coeffs,
-                "lambdaSqEqualsN": m.mag_sq_equals_order,
-            }
-            for m in modes
-        ],
-        "overall": overall,
-    }
-    print(_json_text(payload))
+    # json.dumps(payload, indent=2) of {"n", "J", "perK": [{"k", "c0pass",
+    # "cVector", "lambdaSqEqualsN"}, ...], "overall"}, from one template per
+    # mode.  Modes k and n-k share one coefficient tuple, so each tuple is
+    # joined once (keyed by identity while modes holds it) and its text is
+    # one shared piece of the output, not copied into each mode's record.
+    pieces = [f'{{\n  "n": {seq.n},\n  "J": {_int_list(index_set.members, "  ")},\n  "perK": [']
+    text = _IntTexts().__getitem__  # J's members are distinct; the coordinates repeat
+    vectors: dict[int, str] = {}
+    lead = "\n    {"
+    for m in modes:
+        coeffs = m.coefficients.coeffs
+        vector = vectors.get(id(coeffs))
+        if vector is None:
+            vector = vectors[id(coeffs)] = _int_list(coeffs, "      ", text)
+        pieces += (
+            f'{lead}\n      "k": {m.k},\n      "c0pass": {_JSON_BOOL[m.constant_term_ok]},\n      "cVector": ',
+            vector,
+            f',\n      "lambdaSqEqualsN": {_JSON_BOOL[m.mag_sq_equals_order]}\n    }}',
+        )
+        lead = ",\n    {"
+    pieces.append(f'\n  ],\n  "overall": {_JSON_BOOL[overall]}\n}}')
+    print("".join(pieces))
     return EXIT_PASS if overall else EXIT_FAIL
 
 
@@ -298,6 +326,8 @@ def _cmd_congruence(args) -> int:
 # basis-rank
 
 def _cmd_basis_rank(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"order must be positive, got --n {args.n!r:.60}")
     if args.n > cyclotomic.MAX_BASIS_RANK_ORDER:
         raise search.CapExceeded(
             f"order {args.n!r:.60} exceeds the basis-rank cap {cyclotomic.MAX_BASIS_RANK_ORDER}"
@@ -329,9 +359,9 @@ def _cmd_lemma(args) -> int:
     if n is None:
         raise ValueError("give --n or --seq")
     if seq is not None and args.n is not None and seq.n != args.n:
-        raise ValueError(f"--n {args.n} disagrees with the sequence length {seq.n}")
+        raise ValueError(f"--n {args.n!r:.60} disagrees with the sequence length {seq.n}")
     if n < 1:
-        raise ValueError(f"order must be positive, got --n {n}")
+        raise ValueError(f"order must be positive, got --n {n!r:.60}")
 
     payload: dict = {"n": n}
     failed = False

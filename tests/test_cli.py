@@ -1,7 +1,9 @@
 """CLI surface: wire formats, exit codes, file round trips."""
 
+import itertools
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import circhad
-from circhad import cli
+from circhad import cli, sequences, spectra
 from circhad.cli import main
 
 
@@ -133,6 +135,50 @@ def test_analyze_non_integer_mode_names_the_flag(capsys):
     code, out, err = run(capsys, "analyze", "--seq", "-+++", "--k", "abc")
     assert code == 2
     assert out == "" and "--k" in err and "invalid literal" not in err
+
+
+def _analyze_payload(row, k=None):
+    """The payload ``analyze`` prints, rebuilt from the spectral layer for ``json.dumps``."""
+    index_set = sequences.minus_indices(sequences.Sequence.from_string(row))
+    if k is None:
+        verdict = spectra.spectral_verdict(index_set)
+        modes, overall = verdict.per_mode, verdict.overall
+    else:
+        modes = (spectra.mode_verdict(index_set, k),)
+        overall = modes[0].mag_sq_equals_order
+    return {
+        "n": index_set.n,
+        "J": index_set.members,
+        "perK": [
+            {
+                "k": m.k,
+                "c0pass": m.constant_term_ok,
+                "cVector": m.coefficients.coeffs,
+                "lambdaSqEqualsN": m.mag_sq_equals_order,
+            }
+            for m in modes
+        ],
+        "overall": overall,
+    }
+
+
+# Every order-4 row (++++ has an empty J), and one seeded row per larger order.
+ANALYZE_ROWS = ["".join(signs) for signs in itertools.product("+-", repeat=4)] + [
+    "".join(random.Random(n).choice("+-") for _ in range(n)) for n in (8, 12, 16, 36, 64, 100, 144, 1000)
+]
+
+
+@pytest.mark.parametrize("row", ANALYZE_ROWS, ids=lambda row: row if len(row) == 4 else f"n{len(row)}")
+def test_analyze_prints_what_the_stdlib_prints(capsys, row):
+    n = len(row)
+    for k in (None, 0, 1, n // 4 - 1, n // 2, n - 1):
+        argv = ("analyze", "--seq", row) + (() if k is None else ("--k", str(k)))
+        code, out, _ = run(capsys, *argv)
+        payload = _analyze_payload(row, k)
+        # Line lists, so a failure names the first line that differs without
+        # a string diff of megabytes.
+        assert out.split("\n") == (json.dumps(payload, indent=2) + "\n").split("\n"), argv
+        assert code == (0 if payload["overall"] else 1), argv
 
 
 @pytest.mark.parametrize("digits", (4000, 5000))
@@ -437,6 +483,10 @@ def test_basis_rank_json(capsys):
 def test_basis_rank_past_its_cap_is_refused(capsys, monkeypatch):
     code, out, err = run(capsys, "basis-rank", "--n", "4004")
     assert (code, out, err) == (3, "", "error: order 4004 exceeds the basis-rank cap 4000\n")
+    for order in ("0", "-4"):
+        assert run(capsys, "basis-rank", "--n", order) == (
+            2, "", f"error: order must be positive, got --n {order}\n"
+        )
     monkeypatch.setattr(cli.cyclotomic, "MAX_BASIS_RANK_ORDER", 36)
     assert run(capsys, "basis-rank", "--n", "36")[:2] == (
         0, "n,basis_size,rank,euler_half,independent\n36,9,6,6,false\n"
@@ -492,6 +542,18 @@ def test_lemma_rejects_a_non_positive_order_before_any_check(capsys, order):
     code, out, err = run(capsys, "lemma", "--n", order, "--which", "2")
     assert code == 2
     assert out == "" and f"order must be positive, got --n {order}" in err
+
+
+def test_order_refusals_quote_a_long_order_cut_short(capsys):
+    digits = "9" * 4000
+    for argv in (
+        ("lemma", "--n", "-" + digits),
+        ("basis-rank", "--n", "-" + digits),
+        ("lemma", "--n", digits, "--seq", "-+++"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert digits[:50] in err and len(err) < 200, argv
 
 
 def test_lemma_check3_unsupported_order(capsys):
@@ -579,7 +641,7 @@ scalars = (
     | awkward_text
     | st.text()
 )
-SHARED = (1, 2, 3)  # one tuple at several depths: encoded once per indent
+SHARED = (1, 2, 3)  # one tuple at several depths, so at several indents
 json_values = st.recursive(
     scalars,
     lambda inner: st.lists(inner)
@@ -641,6 +703,8 @@ def test_every_json_payload_prints_as_the_stdlib_would(capsys, monkeypatch, tmp_
         payloads.clear()
         main(list(argv))
         out = capsys.readouterr().out
+        if argv[0] == "analyze":  # printed from its own template, not through _json_text
+            payloads.append(_analyze_payload(argv[2], *map(int, argv[4:])))
         assert len(payloads) == 1, argv
         assert out == json.dumps(payloads[0], indent=2) + "\n", argv
     assert report.read_text() == json.dumps(json.loads(report.read_text()), indent=2) + "\n"
