@@ -10,9 +10,7 @@ another.
 
 from .congruences import (
     CongruenceSolution,
-    GcdChainVerdict,
     HalfPeriodReport,
-    gcd_reduction_check,
     half_period_report,
     solve_linear_congruence,
 )
@@ -23,8 +21,6 @@ from .cyclotomic import (
     cyclotomic_polynomial,
     from_integer,
     real_basis_rank,
-    reduce_to_real_basis,
-    root_power,
 )
 from .search import (
     CapExceeded,
@@ -47,9 +43,6 @@ from .sequences import (
     Sequence,
     SquareWeightVerdict,
     autocorrelation,
-    build_circulant,
-    eigenvalue,
-    eigenvalue_mag_sq,
     even_order_check,
     expected_minus_counts,
     has_flat_spectrum,

@@ -59,7 +59,7 @@ class HalfPeriodReport:
 
     Only defined for n = 4t^2.  ``gcd_chain`` records gcd(k, n), read
     from the congruence solve, followed by its reduction gcd(4, k mod 4);
-    the two agree for every t, which ``gcd_reduction_check`` sweeps.  For
+    the two agree for every t.  For
     odd t the congruence is unsolvable because the chain ends at 4 while
     n/8 = t^2/2 is not an integer.  ``turyn_excluded`` marks even t,
     where the order is ruled out by Turyn's classical result instead.
@@ -101,27 +101,3 @@ def half_period_report(n: int) -> HalfPeriodReport:
         turyn_excluded=t % 2 == 0,
         degenerate_multiplier=k == 0,
     )
-
-
-@dataclass(frozen=True)
-class GcdChainVerdict:
-    """Result of sweeping the gcd reduction identity over t = 1..t_max."""
-
-    t_max: int
-    passed: bool
-    counterexample: tuple[int, int, int] | None  # (t, gcd(k, n), gcd(4, k mod 4))
-
-
-def gcd_reduction_check(t_max: int) -> GcdChainVerdict:
-    """Check gcd(n/4 - 1, n) = gcd(4, (n/4 - 1) mod 4) for every n = 4t^2, t <= t_max.
-
-    Each t checks the ``gcd_chain`` that ``half_period_report(4t^2)``
-    reports, so the sweep and check 3 read one chain.
-    """
-    if t_max < 1:
-        raise ValueError("t_max must be at least 1")
-    for t in range(1, t_max + 1):
-        lhs, rhs = half_period_report(4 * t * t).gcd_chain
-        if lhs != rhs:
-            return GcdChainVerdict(t_max=t_max, passed=False, counterexample=(t, lhs, rhs))
-    return GcdChainVerdict(t_max=t_max, passed=True, counterexample=None)

@@ -17,11 +17,10 @@ of order n; it decides the power map k for every k with gcd(k, n) = g.
 
 The module also provides the first-quadrant cosine basis used for
 spectral analysis: the real numbers 1, 2cos(2*pi/n), 2cos(4*pi/n), ...
-up to index n/4 - 1.  Real (conjugation-symmetric) elements fold onto
-this basis through the sign identities of the cosine, and an exact
-integer row echelon reports whether the basis members are actually
-linearly independent for a given order (they are not for every order
-divisible by 4, e.g. n = 36).
+up to index n/4 - 1.  Coordinates over it are ``RealBasisVector``s, and
+an exact integer row echelon reports whether the basis members are
+actually linearly independent for a given order (they are not for every
+order divisible by 4, e.g. n = 36).
 
 Coefficients are plain Python integers throughout, so nothing here can
 overflow or round.
@@ -188,15 +187,6 @@ class CycloElement:
         return (self - other).is_zero()
 
 
-def root_power(n: int, e: int) -> CycloElement:
-    """The element carrying a single unit at root power e mod n."""
-    if n < 1:
-        raise ValueError("root order must be positive")
-    coeffs = [0] * n
-    coeffs[e % n] = 1
-    return CycloElement(n, tuple(coeffs))
-
-
 def from_integer(n: int, value: int) -> CycloElement:
     """The rational integer ``value`` as an order-n element."""
     if n < 1:
@@ -226,49 +216,6 @@ class RealBasisVector:
             raise ValueError("cosine-basis coordinates need an order divisible by 4")
         if len(self.coeffs) != self.n // 4:
             raise ValueError(f"expected {self.n // 4} coordinates, got {len(self.coeffs)}")
-
-    def to_cyclo_element(self) -> CycloElement:
-        """Re-expand onto root powers: coordinate l becomes the conjugate pair l, n-l."""
-        n = self.n
-        out = [0] * n
-        out[0] = self.coeffs[0]
-        for l in range(1, n // 4):
-            c = self.coeffs[l]
-            if c:
-                out[l] += c
-                out[n - l] += c
-        return CycloElement(n, tuple(out))
-
-
-def reduce_to_real_basis(a: CycloElement) -> RealBasisVector:
-    """Fold a real element onto the first-quadrant cosine basis.
-
-    The input must be conjugation-symmetric (coeffs[e] == coeffs[n-e]),
-    i.e. a real number.  Conjugate pairs e, n-e carry weight on the
-    cosine of index e; indices past the quarter fold back with a sign
-    via 2cos(2*pi*(n/2 - e)/n) = -2cos(2*pi*e/n), the half-turn root is
-    -1, and the quarter-turn cosine is zero.  Re-expanding the result
-    always yields an element canonically equal to the input.
-    """
-    n = a.n
-    if n % 4:
-        raise ValueError("cosine-basis reduction needs an order divisible by 4")
-    c = a.coeffs
-    for e in range(1, n):
-        if c[e] != c[n - e]:
-            raise ValueError("element is not conjugation-symmetric, so not a real number")
-    quarter, half = n // 4, n // 2
-    out = [0] * quarter
-    out[0] = c[0] - c[half]
-    for e in range(1, half):
-        w = c[e]
-        if not w or e == quarter:
-            continue
-        if e < quarter:
-            out[e] += w
-        else:
-            out[half - e] -= w
-    return RealBasisVector(n, tuple(out))
 
 
 @dataclass(frozen=True)

@@ -109,25 +109,14 @@ def is_circulant_hadamard(seq: Sequence) -> bool:
     return True
 
 
-def build_circulant(seq: Sequence) -> tuple[tuple[int, ...], ...]:
-    """The circulant matrix: row i is the row cyclically shifted i places right.
-
-    Entry (i, j) is h[(j - i) mod n]; each row is one rotation slice
-    ``h[n-i:] + h[:n-i]`` of the first.
-    """
-    h = seq.entries
-    n = len(h)
-    return tuple(h[n - i :] + h[: n - i] for i in range(n))
-
-
 def has_orthogonal_rows(seq: Sequence) -> bool:
     """Exact matrix-level check that H Ht = n I for the circulant matrix.
 
     Deliberately computed as a full row-by-row inner product of the
-    matrix rows, independent of the autocorrelation shortcut.  Each row
-    is the rotation slice of ``build_circulant``, built only when its
-    product is taken, so memory stays O(n) and the first product that
-    is off stops the check.
+    matrix rows, independent of the autocorrelation shortcut.  Row i is
+    the first row cyclically shifted i places right, the rotation slice
+    ``h[n-i:] + h[:n-i]``, built only when its product is taken, so
+    memory stays O(n) and the first product that is off stops the check.
     """
     h = seq.entries
     n = len(h)
@@ -138,33 +127,6 @@ def has_orthogonal_rows(seq: Sequence) -> bool:
             if dot != (n if i == j else 0):
                 return False
     return True
-
-
-def _check_mode(n: int, k: int) -> None:
-    if not 0 <= k < n:
-        raise ValueError(f"mode index k must lie in [0, {n - 1}], got {k}")
-
-
-def eigenvalue(seq: Sequence, k: int) -> CycloElement:
-    """The exact k-th eigenvalue of the circulant matrix.
-
-    Circulant eigenvalues are the Fourier sums of the first row: entry
-    alpha contributes its sign at root power k*alpha.  The Fourier
-    vector with phases k is the matching eigenvector, exactly.
-    """
-    _check_mode(seq.n, k)
-    return CycloElement(seq.n, seq.entries).power_map(k)
-
-
-def eigenvalue_mag_sq(seq: Sequence, k: int) -> CycloElement:
-    """Exact squared modulus of the k-th eigenvalue.
-
-    Assembled from the autocorrelation: |eigenvalue_k|^2 equals
-    sum_t r[t] * (root power k*t), which is canonically equal to the
-    eigenvalue times its conjugate.
-    """
-    _check_mode(seq.n, k)
-    return CycloElement(seq.n, autocorrelation(seq)).power_map(k)
 
 
 def has_flat_spectrum(seq: Sequence) -> bool:

@@ -105,10 +105,11 @@ def _gather(vector: tuple[int, ...], index: tuple[int, ...]) -> tuple[int, ...]:
 def basis_coefficients(table: DifferenceCounts) -> RealBasisVector:
     """Cosine-basis coordinates of the pair sum: coordinate l is counts[l] - counts[n/2 - l].
 
-    Exactly agrees with reducing the pair-sum element through the
-    cyclotomic module (the conjugate pair at l carries one cosine unit,
-    and classes past the quarter fold back with a sign).  The order must
-    be divisible by 4.  The table is given whole, so no remap is read.
+    Exactly agrees with the tests' oracle in ``tests/oracles.py``, which
+    folds the pair-sum element onto the cosine basis (the conjugate pair
+    at l carries one cosine unit, and classes past the quarter fold back
+    with a sign).  The order must be divisible by 4.  The table is given
+    whole, so no remap is read.
     """
     counts, quarter, half = table.counts, table.n // 4, table.n // 2
     return RealBasisVector(table.n, tuple(map(operator.sub, counts[:quarter], counts[half:quarter:-1])))

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from circhad.congruences import half_period_report, solve_linear_congruence
-from circhad.cyclotomic import CycloElement, from_integer, real_basis_rank, reduce_to_real_basis
+from circhad.cyclotomic import CycloElement, real_basis_rank
 from circhad.search import (
     STRATEGY_DFS,
     STRATEGY_EXHAUSTIVE,
@@ -24,13 +24,12 @@ from circhad.search import (
 from circhad.sequences import (
     IndexSet,
     Sequence,
-    build_circulant,
-    eigenvalue,
     has_flat_spectrum,
     has_orthogonal_rows,
     is_circulant_hadamard,
 )
 from circhad.spectra import basis_coefficients, difference_counts
+from oracles import eigen_identity_exact, reduce_to_real_basis
 
 
 def _criterion(num: int, description: str, ok: bool) -> None:
@@ -186,33 +185,12 @@ def test_criterion_9_spectral_equivalence(n):
     _criterion(9, f"order {n}: Hadamard iff flat exact spectrum, all 2^{n} rows", ok)
 
 
-def _eigen_identity_exact(s: Sequence) -> bool:
-    # Row i of the matrix against the mode-k Fourier vector, assembled as
-    # one coefficient vector per pair; the eigenvalue side is the matching
-    # monomial product.  All integer arithmetic.
-    n = s.n
-    rows = build_circulant(s)
-    for k in range(n):
-        lam = eigenvalue(s, k).coeffs
-        for i in range(n):
-            lhs = [0] * n
-            row = rows[i]
-            for j in range(n):
-                lhs[(j * k) % n] += row[j]
-            shift = (i * k) % n
-            for e in range(n):
-                lhs[(e + shift) % n] -= lam[e]
-            if not CycloElement(n, tuple(lhs)).is_zero():
-                return False
-    return True
-
-
 def test_criterion_10_eigen_identity():
     rng = random.Random(2468)
     ok = True
     for n in (4, 8, 12, 16, 36):
         for _ in range(40):
             s = Sequence(tuple(rng.choice((-1, 1)) for _ in range(n)))
-            if not _eigen_identity_exact(s):
+            if not eigen_identity_exact(s):
                 ok = False
     _criterion(10, "matrix x Fourier vector = eigenvalue x vector, 200 random rows", ok)

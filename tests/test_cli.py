@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import circhad
 from circhad import cli, sequences, spectra
 from circhad.cli import main
+from oracles import analyze_payload
 
 
 def run(capsys, *argv):
@@ -142,24 +143,9 @@ def _analyze_payload(row, k=None):
     index_set = sequences.minus_indices(sequences.Sequence.from_string(row))
     if k is None:
         verdict = spectra.spectral_verdict(index_set)
-        modes, overall = verdict.per_mode, verdict.overall
-    else:
-        modes = (spectra.mode_verdict(index_set, k),)
-        overall = modes[0].mag_sq_equals_order
-    return {
-        "n": index_set.n,
-        "J": index_set.members,
-        "perK": [
-            {
-                "k": m.k,
-                "c0pass": m.constant_term_ok,
-                "cVector": m.coefficients.coeffs,
-                "lambdaSqEqualsN": m.mag_sq_equals_order,
-            }
-            for m in modes
-        ],
-        "overall": overall,
-    }
+        return analyze_payload(index_set, verdict.per_mode, verdict.overall)
+    mode = spectra.mode_verdict(index_set, k)
+    return analyze_payload(index_set, (mode,), mode.mag_sq_equals_order)
 
 
 # Every order-4 row (++++ has an empty J), and one seeded row per larger order.

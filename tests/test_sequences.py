@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circhad.cyclotomic import CycloElement, from_integer, root_power
+from circhad.cyclotomic import CycloElement, from_integer
 from circhad.sequences import (
     IndexSet,
     Sequence,
     autocorrelation,
-    build_circulant,
-    eigenvalue,
-    eigenvalue_mag_sq,
     even_order_check,
     expected_minus_counts,
     has_flat_spectrum,
@@ -23,6 +20,7 @@ from circhad.sequences import (
     minus_indices,
     square_weight_check,
 )
+from oracles import build_circulant, eigen_identity_exact, eigenvalue, root_power
 
 
 def seq(text: str) -> Sequence:
@@ -32,7 +30,6 @@ def seq(text: str) -> Sequence:
 def naive_autocorrelation(entries, t):
     n = len(entries)
     return sum(entries[i] * entries[(i + t) % n] for i in range(n))
-
 
 sequences_st = st.integers(1, 24).flatmap(
     lambda n: st.tuples(*([st.sampled_from((-1, 1))] * n)).map(Sequence)
@@ -159,34 +156,24 @@ def test_eigenvalue_examples():
     assert eigenvalue(seq("++-+"), 1).equivalent(from_integer(4, 2))
 
 
-def test_eigenvalue_mode_range():
-    with pytest.raises(ValueError):
-        eigenvalue(seq("-+++"), 4)
-    with pytest.raises(ValueError):
-        eigenvalue_mag_sq(seq("-+++"), -1)
-
-
-def test_eigenvalue_mag_sq_examples():
-    assert eigenvalue_mag_sq(seq("-+++"), 2).equivalent(from_integer(4, 4))
-    assert eigenvalue_mag_sq(seq("++++"), 1).is_zero()
-    assert eigenvalue_mag_sq(seq("++-+"), 1).equivalent(from_integer(4, 4))
-
-
 @given(sequences_st)
 @settings(max_examples=60)
 def test_mag_sq_equals_eigenvalue_times_conjugate(s):
+    # |eigenvalue_k|^2 is the power map k of the autocorrelation element.
+    r = CycloElement(s.n, autocorrelation(s))
     for k in range(s.n):
         lam = eigenvalue(s, k)
-        assert eigenvalue_mag_sq(s, k).equivalent(lam * lam.conjugate())
+        assert r.power_map(k).equivalent(lam * lam.conjugate())
 
 
 @given(sequences_st)
 @settings(max_examples=60)
 def test_parseval_sum_is_order_squared(s):
     n = s.n
+    r = CycloElement(n, autocorrelation(s))
     total = CycloElement.zero(n)
     for k in range(n):
-        total = total + eigenvalue_mag_sq(s, k)
+        total = total + r.power_map(k)
     assert total.equivalent(from_integer(n, n * n))
 
 
@@ -225,17 +212,7 @@ def test_eigen_identity_larger_random():
     for n in (15, 20, 25, 32):
         for _ in range(2):
             s = Sequence(tuple(rng.choice((-1, 1)) for _ in range(n)))
-            rows = build_circulant(s)
-            for k in range(n):
-                lam = eigenvalue(s, k).coeffs
-                for i in range(n):
-                    lhs = [0] * n
-                    for j in range(n):
-                        lhs[(j * k) % n] += rows[i][j]
-                    shift = (i * k) % n
-                    for e in range(n):
-                        lhs[(e + shift) % n] -= lam[e]
-                    assert CycloElement(n, tuple(lhs)).is_zero()
+            assert eigen_identity_exact(s)
 
 
 def test_flat_spectrum_matches_per_mode_calls():
@@ -249,9 +226,8 @@ def test_flat_spectrum_matches_per_mode_calls():
                 rows.append(Sequence(tuple(-1 if i in members else 1 for i in range(n))))
     for s in rows:
         n = s.n
-        per_mode = all(
-            (eigenvalue_mag_sq(s, k) - from_integer(n, n)).is_zero() for k in range(n)
-        )
+        r = CycloElement(n, autocorrelation(s))
+        per_mode = all((r.power_map(k) - from_integer(n, n)).is_zero() for k in range(n))
         assert has_flat_spectrum(s) == per_mode
 
 

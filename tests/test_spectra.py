@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from circhad import spectra
 from circhad.cli import main
-from circhad.cyclotomic import CycloElement, RealBasisVector, from_integer, reduce_to_real_basis
+from circhad.cyclotomic import CycloElement, RealBasisVector, from_integer
 from circhad.sequences import (
     IndexSet,
     Sequence,
@@ -30,6 +30,7 @@ from circhad.spectra import (
     mode_verdict,
     spectral_verdict,
 )
+from oracles import analyze_payload, reduce_to_real_basis
 
 J16 = IndexSet.from_iterable(16, range(6))
 
@@ -434,28 +435,15 @@ def test_cli_output_at_benchmark_orders_matches_recount(n, capsys):
     root = math.isqrt(n)
     members = sorted(rng.sample(range(n), (n - root) // 2))
     row = "".join("-" if i in members else "+" for i in range(n))
-    reference = recount_verdict(IndexSet(n, tuple(members)))
+    index_set = IndexSet(n, tuple(members))
+    reference = recount_verdict(index_set)
 
     def cli_run(*argv):
         code = main(list(argv))
         return code, capsys.readouterr().out
 
     def analyze_text(modes, overall):
-        payload = {
-            "n": n,
-            "J": members,
-            "perK": [
-                {
-                    "k": m.k,
-                    "c0pass": m.constant_term_ok,
-                    "cVector": list(m.coefficients.coeffs),
-                    "lambdaSqEqualsN": m.mag_sq_equals_order,
-                }
-                for m in modes
-            ],
-            "overall": overall,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(analyze_payload(index_set, modes, overall), indent=2) + "\n"
 
     assert cli_run("analyze", "--seq", row) == (
         0 if reference.overall else 1,
