@@ -54,11 +54,18 @@ into a bit-sliced counter, which holds every row's count at once, and
 reused by all those blocks.  Fixed pairs (both ends fixed) add one
 constant, a popcount of the fixed bits against their rotation, taken
 off the n/2 target.  Boundary pairs, at most 2t, add a free plane or its
-complement, by the fixed entry; only these are added per block.  The
-rows whose total is the target are kept as a mask, and a block is done
-when its mask is empty.  At odd n every r_t is odd, so no counter is
-built at all.  This is the same exact integer arithmetic, a few hundred
-big-integer operations per block instead of a Python loop per row.  Both
+complement, by the fixed entry.  Those whose fixed end lies in the shard
+prefix are alike in every block, so they join the shared counter; the
+rest depend on the block's entries past the prefix.  The blocks on one
+(a, k) run together, ordered by their fixed entries read from position
+a - 1 down, so blocks that agree on the entries a shift reads are
+adjacent: each shift keeps its last tally of those boundary pairs, and
+the mask built from it for each target, while that pattern repeats.
+The rows whose total is the target are kept as a mask, and a block is
+done when its mask is empty.  At odd n every r_t is odd, so no counter
+is built at all.  This is the same exact integer arithmetic, a few
+hundred big-integer operations per pattern instead of a Python loop per
+row; rows found are put back in block order.  Both
 full enumerations take their blocks from one generator and their planes
 from one recursion, which split rows alike (on the first free position,
 a -1 there first), so both walk a shard's rows in one order.  Both count
@@ -153,11 +160,11 @@ def canonicalize(seq: Sequence) -> Sequence:
 # and its node rule: the nodes a shard visits, or a ceiling on them.
 #
 # The walker's blocks (see the module docstring) come from ``_blocks``
-# and are (full, a, k, fixed): the rows agree with ``fixed`` before
+# and are (rows, a, k, fixed): the rows agree with ``fixed`` before
 # position a and run through the free planes of n - a positions (every
 # sign, k None, or k -1s) from it on, plane m bit j set when row j has -1
-# at position a + m.  full has one bit per row of the block, so its bit
-# length is the block's node count.
+# at position a + m.  rows is the block's row count, so its node count;
+# every block on the same (a, k) has as many.
 
 _BLOCK_BITS = 16  # at most 2^16 rows per block: planes of 8 KiB each
 
@@ -178,7 +185,7 @@ def _planes(b: int, k: int | None) -> tuple[int, ...]:
 
 
 def _blocks(n: int, a: int, k: int | None, fixed: int):
-    """(full, a, k, fixed) blocks of the rows fixed before position a, free from it on.
+    """(rows, a, k, fixed) blocks of the rows fixed before position a, free from it on.
 
     The free positions take every sign (k None) or exactly k -1s.  A set
     too large for one block is split on position a, the rows with a -1
@@ -187,38 +194,43 @@ def _blocks(n: int, a: int, k: int | None, fixed: int):
     """
     rows = 1 << (n - a) if k is None else math.comb(n - a, k)
     if rows <= 1 << _BLOCK_BITS:
-        yield (1 << rows) - 1, a, k, fixed
+        yield rows, a, k, fixed
     else:
         yield from _blocks(n, a + 1, None if k is None else k - 1, fixed | 1 << a)
         yield from _blocks(n, a + 1, k, fixed)
 
 
 class _Pairs(NamedTuple):
-    """The pairs (i, i+t mod n), i = 0..n-1, of one shift t, split at a fixed width."""
+    """The pairs (i, i+t mod n), i = 0..n-1, of one shift t, split at a fixed width and a prefix."""
 
     t: int
     fixed: int                              # bit i set when both ends are fixed
-    boundary: tuple[tuple[int, int], ...]   # (free plane, fixed position)
+    shared: tuple[tuple[int, int], ...]     # (free plane, prefix position)
+    boundary: tuple[tuple[int, int], ...]   # (free plane, fixed position past the prefix)
+    reads: int                              # bit p set when a boundary pair reads position p
     free: tuple[tuple[int, int], ...]       # (free plane, free plane)
 
 
 @functools.cache
-def _pair_classes(n: int, a: int) -> tuple[_Pairs, ...]:
-    """The pairs of the shifts t = 1..n/2 at order n when positions below a are fixed."""
+def _pair_classes(n: int, a: int, plen: int) -> tuple[_Pairs, ...]:
+    """The pairs of the shifts t = 1..n/2 at order n when positions below a, the first plen a prefix, are fixed."""
     classes = []
     for t in range(1, n // 2 + 1):
-        fixed, boundary, free = 0, [], []
+        fixed, shared, boundary, reads, free = 0, [], [], 0, []
         for i in range(n):
             j = (i + t) % n
             if i < a and j < a:
                 fixed |= 1 << i
-            elif i < a:
-                boundary.append((j - a, i))
-            elif j < a:
-                boundary.append((i - a, j))
+            elif i < a or j < a:
+                m, p = (j - a, i) if i < a else (i - a, j)
+                if p < plen:
+                    shared.append((m, p))
+                else:
+                    boundary.append((m, p))
+                    reads |= 1 << p
             else:
                 free.append((i - a, j - a))
-        classes.append(_Pairs(t, fixed, tuple(boundary), tuple(free)))
+        classes.append(_Pairs(t, fixed, tuple(shared), tuple(boundary), reads, tuple(free)))
     return tuple(classes)
 
 
@@ -250,25 +262,38 @@ def _tally(planes: list[int], counter: list[int]) -> list[int]:
     return out
 
 
-def _free_counter(n: int, pairs: _Pairs, free: tuple[int, ...]) -> list[int]:
-    """The counter of one shift's pairs with both ends free."""
-    return _tally([free[i] ^ free[j] for i, j in pairs.free], [0] * n.bit_length())
+def _shared_counter(n: int, pairs: _Pairs, prefix: int, free: tuple[int, ...], full: int) -> list[int]:
+    """The counter of one shift's pairs that every block of a shard on these planes shares.
 
-
-def _zero_shift_mask(n: int, pairs: _Pairs, fixed: int, free: tuple[int, ...], full: int,
-                     counter: list[int]) -> int:
-    """The block rows with c_t = n/2, that is r_t = 0 (n even), given the shift's free counter.
-
-    The counter has n.bit_length() levels, so no count of the at most n
-    pairs overflows it.
+    Those are the pairs with both ends free and the boundary pairs whose
+    fixed end lies in the prefix.  The counter has n.bit_length() levels,
+    so no count of the at most n pairs overflows it.
     """
+    planes = [free[i] ^ free[j] for i, j in pairs.free]
+    planes += [free[m] ^ full if prefix >> p & 1 else free[m] for m, p in pairs.shared]
+    return _tally(planes, [0] * n.bit_length())
+
+
+def _boundary_tally(pairs: _Pairs, fixed: int, free: tuple[int, ...], full: int, counter: list[int]) -> list[int]:
+    """The shared counter plus the boundary pairs past the prefix, by the block's fixed entries there.
+
+    Blocks that agree on ``fixed & pairs.reads`` get the same tally.
+    """
+    return _tally([free[m] ^ full if fixed >> p & 1 else free[m] for m, p in pairs.boundary], counter)
+
+
+def _shift_target(n: int, pairs: _Pairs, fixed: int) -> int:
+    """The count of differing non-fixed pairs that makes r_t = 0 (n even): n/2 less the fixed pairs'."""
     t = pairs.t
-    target = (n >> 1) - ((fixed ^ (fixed >> t | fixed << (n - t))) & pairs.fixed).bit_count()
+    return (n >> 1) - ((fixed ^ (fixed >> t | fixed << (n - t))) & pairs.fixed).bit_count()
+
+
+def _zero_shift_mask(levels: list[int], target: int, full: int) -> int:
+    """The rows of a block whose count in ``levels`` is ``target``; none when it is negative."""
     if target < 0:
         return 0
-    boundary = [free[m] ^ full if fixed >> p & 1 else free[m] for m, p in pairs.boundary]
     mask = full
-    for k, level in enumerate(_tally(boundary, counter)):
+    for k, level in enumerate(levels):
         mask &= level if target >> k & 1 else full ^ level
     return mask
 
@@ -284,34 +309,50 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
     """Test every row on the prefix, or only those with an admissible -1 count.
 
     ``weights`` lists the admissible counts ascending and distinct, as
-    ``expected_minus_counts`` returns them.  The free counter of a shift
-    is built for the first block on its planes (a, k) that reaches that
-    shift, and reused by the others.
+    ``expected_minus_counts`` returns them.  The blocks on one (a, k) run
+    together, in the numeric order of their fixed entries, so blocks that
+    agree on the entries a shift reads from position a - 1 down are
+    adjacent.  The shared counter of a shift is built for the first of
+    them that reaches that shift; its boundary tally, and the zero mask of
+    each target, are reused while the next block reads the same entries.
+    Rows come back in ``_blocks`` order, ascending within a block.
     """
-    blocks = (block for k in _free_counts(n, prefix, plen, weights) for block in _blocks(n, plen, k, prefix))
+    blocks = [block for k in _free_counts(n, prefix, plen, weights) for block in _blocks(n, plen, k, prefix)]
+    nodes = sum(rows for rows, *_ in blocks)
     if n & 1 and n > 1:
         # Every r_t is odd, so no row qualifies and no counter is built.
-        return sum(full.bit_length() for full, *_ in blocks), []
-    nodes = 0
-    sols = []
-    shared: dict[tuple, list[int]] = {}  # (a, k, t) -> free counter, for this shard only
-    for full, a, k, fixed in blocks:
-        nodes += full.bit_length()
+        return nodes, []
+    groups: dict[tuple, list[tuple[int, int]]] = {}  # (rows, a, k) -> (fixed, block index)
+    for index, (rows, a, k, fixed) in enumerate(blocks):
+        groups.setdefault((rows, a, k), []).append((fixed, index))
+    found = []  # (block index, row)
+    for (rows, a, k), members in groups.items():
+        full = (1 << rows) - 1
         free = _planes(n - a, k)
-        alive = full
-        # r[t] = r[n-t], so the shifts 0 < t <= n/2 decide the row.
-        for pairs in _pair_classes(n, a):
-            counter = shared.get((a, k, pairs.t))
-            if counter is None:
-                counter = shared[a, k, pairs.t] = _free_counter(n, pairs, free)
-            alive &= _zero_shift_mask(n, pairs, fixed, free, full, counter)
-            if not alive:
-                break
-        while alive:
-            j = (alive & -alive).bit_length() - 1
-            sols.append(fixed | sum(1 << (a + m) for m, plane in enumerate(free) if plane >> j & 1))
-            alive &= alive - 1
-    return nodes, sols
+        counters: dict[int, list[int]] = {}  # t -> shared counter, for this group only
+        memos: dict[int, tuple] = {}  # t -> (entries read, boundary tally, {target: zero mask})
+        for fixed, index in sorted(members):
+            alive = full
+            # r[t] = r[n-t], so the shifts 0 < t <= n/2 decide the row.
+            for pairs in _pair_classes(n, a, plen):
+                t, pattern = pairs.t, fixed & pairs.reads
+                if t not in memos or memos[t][0] != pattern:
+                    if t not in counters:
+                        counters[t] = _shared_counter(n, pairs, prefix, free, full)
+                    memos[t] = (pattern, _boundary_tally(pairs, fixed, free, full, counters[t]), {})
+                _, levels, masks = memos[t]
+                target = _shift_target(n, pairs, fixed)
+                if target not in masks:
+                    masks[target] = _zero_shift_mask(levels, target, full)
+                alive &= masks[target]
+                if not alive:
+                    break
+            while alive:
+                j = (alive & -alive).bit_length() - 1
+                found.append((index, fixed | sum(1 << (a + m) for m, plane in enumerate(free) if plane >> j & 1)))
+                alive &= alive - 1
+    found.sort(key=lambda hit: hit[0])  # stable: ascending within a block
+    return nodes, [row for _, row in found]
 
 
 # The pruned DFS keeps every partial autocorrelation in one integer.

@@ -298,12 +298,13 @@ def test_dfs_kernel_matches_reference_on_order_36_shards():
 # the bit-sliced full-enumeration walker against the per-row loop and a
 # naive filter
 
-def reference_walk_shard(n, prefix, plen, weights):
+def reference_walk_shard(n, prefix, plen, weights, shifts=None):
     """The full enumeration written row by row, one rotated-XOR popcount per shift.
 
     Rows come in the walker's order: those with a -1 at the first free
     position, then those without, each half in that order on the rest
-    (for a fixed -1 count, ``itertools.combinations`` order).
+    (for a fixed -1 count, ``itertools.combinations`` order).  A row is
+    kept when r_t = 0 at every shift in ``shifts``, by default 1..n/2.
     """
     free = range(plen, n)
     if weights is None:
@@ -321,7 +322,7 @@ def reference_walk_shard(n, prefix, plen, weights):
     mask = (1 << n) - 1
     sols = []
     for bits in rows:
-        for t in range(1, n // 2 + 1):
+        for t in shifts or range(1, n // 2 + 1):
             rot = ((bits >> t) | (bits << (n - t))) & mask
             if 2 * (bits ^ rot).bit_count() != n:
                 break
@@ -352,12 +353,19 @@ def test_planes_hold_each_row_once_in_split_order(b):
         assert [_decode(planes, j) for j in range(len(expected))] == expected, k
 
 
-def _shift_masks(n, a, fixed, free, full):
-    """The walker's zero-shift mask at each t = 1..n/2, free counter built afresh."""
-    return {
-        pairs.t: search._zero_shift_mask(n, pairs, fixed, free, full, search._free_counter(n, pairs, free))
-        for pairs in search._pair_classes(n, a)
-    }
+def _shift_masks(n, a, plen, fixed, free, full):
+    """The walker's zero-shift mask at each t = 1..n/2, the first plen entries a prefix.
+
+    The shared counter and the boundary tally are built afresh, from the
+    same functions the walker calls, so the masks hold whichever block
+    of the shard the tally is reused for.
+    """
+    masks = {}
+    for pairs in search._pair_classes(n, a, plen):
+        counter = search._shared_counter(n, pairs, fixed & ((1 << plen) - 1), free, full)
+        levels = search._boundary_tally(pairs, fixed, free, full, counter)
+        masks[pairs.t] = search._zero_shift_mask(levels, search._shift_target(n, pairs, fixed), full)
+    return masks
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -376,11 +384,13 @@ def test_zero_shift_mask_matches_autocorrelation_on_every_row(n):
         full = (1 << (1 << (n - a))) - 1
         for fixed in sorted({0, (1 << a) - 1, rng.getrandbits(a), rng.getrandbits(a)}):
             rows = [fixed | _decode(free, j) << a for j in range(1 << (n - a))]
-            masks = _shift_masks(n, a, fixed, free, full)
-            assert sorted(masks) == list(range(1, n // 2 + 1))
-            for t, mask in masks.items():
-                expected = sum(1 << j for j, bits in enumerate(rows) if correlations[bits][t] == 0)
-                assert mask == expected, (a, fixed, t)
+            expected = {
+                t: sum(1 << j for j, bits in enumerate(rows) if correlations[bits][t] == 0)
+                for t in range(1, n // 2 + 1)
+            }
+            # The prefix empty, half the fixed entries, and all of them.
+            for plen in sorted({0, a // 2, a}):
+                assert _shift_masks(n, a, plen, fixed, free, full) == expected, (a, plen, fixed)
 
 
 @pytest.mark.parametrize("n", range(16, 25))
@@ -402,7 +412,8 @@ def test_zero_shift_mask_matches_autocorrelation_on_random_blocks(n):
         # and no odd order has one; a block with free positions has some.
         assert any(expected.values()) == (n % 4 == 0) or a == n, a
         if n % 2 == 0:
-            assert _shift_masks(n, a, fixed, free, full) == expected, a
+            for plen in sorted({0, a // 2, a}):
+                assert _shift_masks(n, a, plen, fixed, free, full) == expected, (a, plen)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -493,14 +504,14 @@ def test_deep_weighted_shards_match_reference(monkeypatch, n, plen, block_bits):
 
 def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypatch):
     monkeypatch.setattr(search, "_BLOCK_BITS", 3)
-    real = search._free_counter
+    real = search._shared_counter
     built = []
 
-    def recording(n, pairs, free):
+    def recording(n, pairs, prefix, free, full):
         built.append((n, pairs, free))
-        return real(n, pairs, free)
+        return real(n, pairs, prefix, free, full)
 
-    monkeypatch.setattr(search, "_free_counter", recording)
+    monkeypatch.setattr(search, "_shared_counter", recording)
     for n, plen, weights in ((16, 2, None), (16, 2, (6, 10)), (12, 0, (4, 5, 6))):
         for prefix in range(1 << plen):
             for _ in range(2):
@@ -516,6 +527,66 @@ def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypat
         for weights in (None, expected_minus_counts(n)):
             assert search._walk_shard(n, 1, plen, weights) == reference_walk_shard(n, 1, plen, weights)
     assert built == []
+
+
+def test_blocks_reuse_each_shifts_boundary_tally_per_pattern(monkeypatch):
+    # At n = 22 a shard of 2^20 rows holds 16 blocks on positions 6..21.
+    # Shift 1 reads only entry 5 past the two-entry prefix (its other
+    # boundary pair ends at entry 0), so its 16 blocks make 2 tallies, one
+    # per sign there; every row dies at shift 1 (c_1 is even, 11 is not).
+    real = search._boundary_tally
+    tallies = Counter()
+
+    def recording(pairs, *args):
+        tallies[pairs.t] += 1
+        return real(pairs, *args)
+
+    monkeypatch.setattr(search, "_boundary_tally", recording)
+    assert len(list(search._blocks(22, 2, None, 1))) == 16
+    assert search._walk_shard(22, 1, 2, None) == (1 << 20, [])
+    assert tallies == {1: 2}
+    # Blocks that read the same entries but differ on the others still
+    # get the zero mask of their own target: at n = 16 the 2048 blocks of
+    # 8 rows on a 2-entry prefix share 2 shift-1 tallies (entry 12), and
+    # the rows match the per-row reference.
+    monkeypatch.setattr(search, "_BLOCK_BITS", 3)
+    for prefix in range(4):
+        tallies.clear()
+        assert search._walk_shard(16, prefix, 2, None) == reference_walk_shard(16, prefix, 2, None)
+        assert tallies[1] == 2, prefix
+
+
+def without_half_period(monkeypatch):
+    """Drop the shift t = n/2 from the walker: its rows are then those with r_t = 0 for 0 < t < n/2."""
+    real = search._pair_classes
+    monkeypatch.setattr(
+        search, "_pair_classes", lambda n, a, plen: tuple(p for p in real(n, a, plen) if p.t != n // 2)
+    )
+
+
+@pytest.mark.parametrize("block_bits", (3, 16))
+def test_walker_finds_the_rows_of_every_shift_but_the_half_period(monkeypatch, block_bits):
+    # A positive control above order 4: with t = n/2 left out, the walk
+    # keeps the almost-perfect rows (Wolfmann 1992; Pott & Bradley 1995),
+    # plus order 4's perfect ones, so rows are emitted, reused masks and
+    # all, from shards that hold them.
+    without_half_period(monkeypatch)
+    monkeypatch.setattr(search, "_BLOCK_BITS", block_bits)
+    expected = {4: 12, 8: 40, 12: 144, 16: 128, 20: 80}
+    for n, count in expected.items():
+        plen = min(n, 8)
+        shifts = range(1, n // 2)
+        shards = {prefix: search._walk_shard(n, prefix, plen, None) for prefix in range(1 << plen)}
+        assert sum(len(rows) for _, rows in shards.values()) == count, n
+        if n <= 16:
+            for prefix, shard in shards.items():
+                assert shard == reference_walk_shard(n, prefix, plen, None, shifts), (n, prefix)
+        if n in (12, 16):
+            mask = (1 << plen) - 1
+            for prefix, (_, rows) in shards.items():
+                own = tuple(search._bits_to_string(b, n) for b in rows)
+                mirror = tuple(search._bits_to_string(b, n) for b in shards[mask - prefix][1])
+                assert search._mirror_rows(own) == mirror, (n, prefix)
 
 
 def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
