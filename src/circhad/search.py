@@ -29,12 +29,16 @@ r_t and swaps the two admissible -1 counts, so shard p holds exactly
 the negations of shard 2^P - 1 - p and visits as many nodes: only the
 shards p < 2^(P-1) whose mirror is not done yet run, and every other
 shard is filled in from its mirror, its rows negated and in reverse
-order, the order its own kernel would emit them in.  A process pool, built only
-when at least two workers would run, is sent the pending shards in
-batches, about 8 per worker, so a split into many short shards does
-not pay one pool round trip per shard; results still come back, and
-are logged one line per shard, in prefix order, the filled-in shards
-after the computed ones.  A checkpoint file
+order, the order its own kernel would emit them in.  Pending shards run in
+this process, in prefix order, until the run has taken 50 ms, a margin
+over what a process pool costs to start and stop; only the shards left then
+go to a pool, and only when at least two workers would run them.  So a
+run that ends within that time never pays for a pool, and a longer one
+pays at most that time before it goes parallel.  The pool is sent its
+shards in batches, about 8 per worker, so a split into many short
+shards does not pay one pool round trip per shard; results still come
+back, and are logged one line per shard, in prefix order, the
+filled-in shards after the computed ones.  A checkpoint file
 must read exactly as this run writes it: its header, then one line per
 finished shard, each prefix once, a shard and its mirror alike; anything
 else is refused.  Every shard
@@ -108,6 +112,13 @@ STRATEGY_WEIGHT = "weight-constrained"
 STRATEGY_DFS = "pruned-dfs"
 STRATEGIES = (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT, STRATEGY_DFS)
 _SPLIT_BITS = 8  # shards fix at most this many leading entries
+# A run starts a process pool only once it has taken this long, in
+# nanoseconds, in its own process (the module docstring says why).
+# A trivial 16-task map on a two-worker pool takes 10-20 ms to start and
+# stop on a 2-core Xeon, forking and reaping the two children alone 2-6
+# ms; the margin covers slower hosts and wider pools.  A clock, not a
+# node count, as rows per second differ a thousandfold between labels.
+_POOL_BUDGET_NS = 50_000_000
 
 
 class CapExceeded(RuntimeError):
@@ -507,9 +518,9 @@ def _bits_to_string(bits: int, n: int) -> str:
 def _run_shard(task: tuple) -> tuple[int, int, tuple[str, ...], int]:
     """(prefix, nodes, solution strings, elapsed_ms) of one shard."""
     label, n, prefix, plen, weights = task
-    start = time.monotonic()
+    start = time.monotonic_ns()
     nodes, sols = _LABELS[label].kernel(n, prefix, plen, weights)
-    elapsed = int((time.monotonic() - start) * 1000)
+    elapsed = (time.monotonic_ns() - start) // 1_000_000
     return prefix, nodes, tuple(_bits_to_string(b, n) for b in sols), elapsed
 
 
@@ -716,7 +727,7 @@ def run_search(
     could not be cut and resumed.  The report lists the first
     min(raw_count, list_cap) rows in ascending order.
     """
-    start = time.monotonic()
+    start = time.monotonic_ns()
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     if strategy not in STRATEGIES:
@@ -751,12 +762,7 @@ def run_search(
     # No more workers than the CPUs this process may run on; a one-worker
     # pool would only add its start-up and round trips.
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(jobs, len(pending), cpus)
-    parallel = workers > 1
     with (
-        concurrent.futures.ProcessPoolExecutor(max_workers=workers) if parallel
-        else contextlib.nullcontext()
-    ) as pool, (
         open(checkpoint, "a", encoding="ascii") if checkpoint is not None
         else contextlib.nullcontext()
     ) as log:
@@ -766,15 +772,22 @@ def run_search(
                 log.write(_shard_line(plen, res))
                 log.flush()
 
-        # The pool takes shards in batches, about 8 per worker: a round
-        # trip through it costs more than a short shard.  Results still
-        # come back in prefix order, and each shard gets its own line.
-        shards = (
-            pool.map(_run_shard, pending, chunksize=max(1, len(pending) // (8 * workers)))
-            if parallel else map(_run_shard, pending)
-        )
-        for res in shards:
-            record(res)
+        # Shards run here until the run has used the pool's budget, or all
+        # of them when no pool of two or more workers would take the rest.
+        ran = 0
+        while ran < len(pending) and (
+            min(jobs, len(pending) - ran, cpus) < 2 or time.monotonic_ns() - start < _POOL_BUDGET_NS
+        ):
+            record(_run_shard(pending[ran]))
+            ran += 1
+        if rest := pending[ran:]:
+            # The pool takes the rest in batches, about 8 per worker: a
+            # round trip through it costs more than a short shard.  Results
+            # still come back in prefix order, and each shard gets its own line.
+            workers = min(jobs, len(rest), cpus)
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                for res in pool.map(_run_shard, rest, chunksize=max(1, len(rest) // (8 * workers))):
+                    record(res)
         for prefix in range(mask + 1):
             if prefix not in results:
                 _, nodes, sols, _ = results[mask - prefix]
@@ -785,7 +798,7 @@ def run_search(
         if not is_circulant_hadamard(Sequence.from_string(text)):
             raise RuntimeError(f"internal error: emitted row {text} failed exact re-verification")
     canonical = {canonicalize(Sequence.from_string(s)).to_string() for s in all_solutions}
-    elapsed_ms = int((time.monotonic() - start) * 1000)
+    elapsed_ms = (time.monotonic_ns() - start) // 1_000_000
     return SearchReport(
         schema_version=SCHEMA_VERSION,
         n=n,

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import re
+import types
 from collections import Counter
 
 import pytest
@@ -1008,6 +1009,18 @@ def set_cpus(monkeypatch, count):
     monkeypatch.setattr(search.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
+@pytest.fixture
+def pool_at_once(monkeypatch):
+    """Pin the pool's budget to 0: a run that two or more workers may share starts its pool before any shard."""
+    monkeypatch.setattr(search, "_POOL_BUDGET_NS", 0)
+
+
+def set_clock(monkeypatch, clock):
+    """Let ``run_search`` and ``_run_shard`` read ``clock()`` as their monotonic clock."""
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic_ns=clock))
+
+
+@pytest.mark.usefixtures("pool_at_once")
 def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     sizes = []
     monkeypatch.setattr(
@@ -1072,6 +1085,7 @@ def test_one_shard_resume_builds_no_pool(monkeypatch, tmp_path):
     assert resumed[2] == resumed[1] == masked_bytes(full)
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_shard_split_is_bounded_whatever_jobs(monkeypatch):
     sizes, tasks = [], []
     monkeypatch.setattr(
@@ -1083,6 +1097,7 @@ def test_shard_split_is_bounded_whatever_jobs(monkeypatch):
     assert len(sizes) == 1 and 0 < len(tasks) <= 256
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_pool_takes_about_eight_batches_per_worker(monkeypatch, tmp_path):
     sizes, chunksizes = [], []
     monkeypatch.setattr(
@@ -1111,6 +1126,7 @@ def test_pool_takes_about_eight_batches_per_worker(monkeypatch, tmp_path):
     assert len(sizes) == 3
 
 
+@pytest.mark.usefixtures("pool_at_once")
 def test_real_pool_checkpoint_matches_serial_and_resumes_mid_batch(tmp_path):
     serial, pooled = tmp_path / "serial.ckpt", tmp_path / "pooled.ckpt"
     full = run_search(16, STRATEGY_DFS, weight_filter=True, checkpoint=str(serial))
@@ -1124,6 +1140,46 @@ def test_real_pool_checkpoint_matches_serial_and_resumes_mid_batch(tmp_path):
     resumed = run_search(16, STRATEGY_DFS, jobs=2, weight_filter=True, checkpoint=str(pooled))
     assert same_but_elapsed(resumed, full)
     assert masked_bytes(pooled) == masked_bytes(serial)
+
+
+@pytest.mark.parametrize("done", (0, 40), ids=["fresh", "resumed"])
+def test_pool_takes_the_shards_left_once_the_clock_passes_its_budget(monkeypatch, tmp_path, done):
+    serial_cp, cp = tmp_path / "serial.ckpt", tmp_path / "cp.ckpt"
+    serial = run_search(12, STRATEGY_DFS, checkpoint=str(serial_cp))
+    cp.write_bytes(b"".join(serial_cp.read_bytes().splitlines(True)[: 4 + done]))
+    sizes, tasks, chunksizes = [], [], []
+    monkeypatch.setattr(
+        search.concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes, tasks, chunksizes),
+    )
+    set_cpus(monkeypatch, 2)
+    calls = counting_kernels(monkeypatch)
+    # The clock stands at the run's start until k shards have run, then at the budget.
+    k = 37
+    set_clock(monkeypatch, lambda: search._POOL_BUDGET_NS if len(calls) >= k else 0)
+    report = run_search(12, STRATEGY_DFS, jobs=2, checkpoint=str(cp))
+    # The first k pending shards ran here, in prefix order; the pool got the rest, in order.
+    rest = [(STRATEGY_DFS, 12, prefix, 8, None) for prefix in range(done + k, 128)]
+    assert [call[1] for call in calls[:k]] == list(range(done, done + k))
+    assert (sizes, tasks, chunksizes) == ([2], rest, [len(rest) // 16])
+    assert same_but_elapsed(report, serial)
+    assert masked_bytes(cp) == masked_bytes(serial_cp)
+
+
+def test_a_run_within_the_budget_builds_no_pool(monkeypatch, tmp_path):
+    sizes = []
+    monkeypatch.setattr(
+        search.concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: RecordingPool(max_workers, sizes),
+    )
+    set_cpus(monkeypatch, 2)
+    serial_cp, cp = tmp_path / "serial.ckpt", tmp_path / "cp.ckpt"
+    serial = run_search(12, STRATEGY_DFS, checkpoint=str(serial_cp))
+    calls = counting_kernels(monkeypatch)
+    set_clock(monkeypatch, lambda: 0)  # the budget is never reached
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=str(cp)), serial)
+    assert len(calls) == 128 and sizes == []
+    assert masked_bytes(cp) == masked_bytes(serial_cp)
 
 
 # ---------------------------------------------------------------------------
@@ -1188,6 +1244,7 @@ def counting_kernels(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("pool_at_once")
 @pytest.mark.parametrize("strategy, weight_filter", LABELS)
 def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_path, strategy, weight_filter):
     sizes = []
@@ -1313,6 +1370,30 @@ def test_revalidate_flags_tampering():
     data["raw_count"] = 9
     problems = revalidate_report(report_from_dict(data))
     assert any("raw_count" in p for p in problems)
+
+
+def test_revalidate_flags_a_non_row_by_the_matrix_product_alone(monkeypatch):
+    # The two row tests are redundant: each must still fire without the other.
+    data = report_to_dict(run_search(4, STRATEGY_EXHAUSTIVE))
+    data["solutions"][0] = "++++"
+    monkeypatch.setattr(search, "is_circulant_hadamard", lambda seq: True)
+    problems = revalidate_report(report_from_dict(data))
+    assert "solution '++++' fails the exact matrix product test" in problems
+    assert not any("autocorrelation" in p for p in problems)
+
+
+@pytest.mark.parametrize("strategy, weight_filter", LABELS)
+def test_run_search_reverifies_every_row_a_kernel_emits(monkeypatch, strategy, weight_filter):
+    def with_a_non_row(real):
+        def kernel(*task):
+            nodes, rows = real(*task)
+            return nodes, rows + [0]  # the all-+ row
+        return kernel
+
+    for real in (search._walk_shard, search._dfs_shard):
+        patch_kernel(monkeypatch, real, with_a_non_row(real))
+    with pytest.raises(RuntimeError, match=re.escape("internal error: emitted row ++++ failed exact re-verification")):
+        run_search(4, strategy, weight_filter=weight_filter)
 
 
 # ---------------------------------------------------------------------------
