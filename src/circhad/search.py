@@ -26,10 +26,19 @@ Work is split into independent subtrees by fixing the first few entries
 order 8, with a checkpoint), so results merge
 deterministically regardless of scheduling.  Negating a row keeps every
 r_t and swaps the two admissible -1 counts, so shard p holds exactly
-the negations of shard 2^P - 1 - p and visits as many nodes: only the
-shards p < 2^(P-1) whose mirror is not done yet run, and every other
-shard is filled in from its mirror, its rows negated and in reverse
-order, the order its own kernel would emit them in.  Pending shards run in
+the negations of shard p ^ mask (mask = 2^P - 1, its mirror) and visits
+as many nodes.  At even n, flipping the signs at odd positions sends
+every r_t to (-1)^t r_t, for a row and for each partial sum the DFS
+bounds, so the labels that take every -1 count (``exhaustive`` and
+``pruned-dfs``) have an orbit of four: p, p ^ mask, p ^ alt and
+p ^ mask ^ alt, alt the odd positions below P, the rows negated,
+alternated or both.  Exactly one member of an orbit lies in the first
+quarter, p < 2^(P-2); weighted labels and odd orders keep the pairs, one
+member in the first half.  Only the shards there whose orbit has no
+finished member run, and every other shard is filled in from a finished
+member of its orbit, its rows flipped and put in the order its own
+kernel would emit them in (the DFS +1 first, the walkers -1 first; a
+mirror's rows are the other's reversed).  Pending shards run in
 this process, in prefix order, until the run has taken 50 ms, a margin
 over what a process pool costs to start and stop; only the shards left then
 go to a pool, and only when at least two workers would run them.  So a
@@ -38,10 +47,12 @@ pays at most that time before it goes parallel.  The pool is sent its
 shards in batches, about 8 per worker, so a split into many short
 shards does not pay one pool round trip per shard; results still come
 back, and are logged one line per shard, in prefix order, the
-filled-in shards after the computed ones.  A checkpoint file
+filled-in shards after the computed ones, so a fresh checkpoint lists
+every shard in prefix order.  A checkpoint file
 must read exactly as this run writes it: its header, then one line per
-finished shard, each prefix once, a shard and its mirror alike; anything
-else is refused.  Every shard
+finished shard, each prefix once, run or filled in alike, and any two
+listed members of one orbit each other's image; anything else is
+refused.  Every shard
 returns its node count and its rows, whatever the strategy; counts of
 rows are always the length of a listing.  Every row a strategy emits is
 re-verified with the exact integer autocorrelation before it is reported.
@@ -495,6 +506,9 @@ class _Rules(NamedTuple):
     weighted: bool  # takes only the admissible -1 counts (perfect-square orders)
     nodes: Callable[..., int]
     exact: bool
+    # The kernel emits a shard's rows of one -1 count with -1 before +1
+    # at the first entry they differ in (the walkers), or +1 first (the DFS).
+    minus_first: bool
 
 
 def _label(strategy: str, weight_filter: bool) -> str:
@@ -504,11 +518,29 @@ def _label(strategy: str, weight_filter: bool) -> str:
 
 # Every report label's rules; no other code tests a label.
 _LABELS = {
-    STRATEGY_EXHAUSTIVE: _Rules(_walk_shard, False, _walk_rows, True),
-    STRATEGY_WEIGHT: _Rules(_walk_shard, True, _walk_rows, True),
-    STRATEGY_DFS: _Rules(_dfs_shard, False, _dfs_ceiling, False),
-    _label(STRATEGY_DFS, True): _Rules(_dfs_shard, True, _dfs_ceiling, False),
+    STRATEGY_EXHAUSTIVE: _Rules(_walk_shard, False, _walk_rows, True, True),
+    STRATEGY_WEIGHT: _Rules(_walk_shard, True, _walk_rows, True, True),
+    STRATEGY_DFS: _Rules(_dfs_shard, False, _dfs_ceiling, False, False),
+    _label(STRATEGY_DFS, True): _Rules(_dfs_shard, True, _dfs_ceiling, False, False),
 }
+
+
+def _symmetries(n: int, label: str) -> tuple[int, ...]:
+    """The sign flips, bit i set to flip entry i, that map a ``label`` run's shards onto each other.
+
+    Each keeps every test the run makes, so the shard on prefix p and
+    the one on p ^ (flip & mask) visit as many nodes, and each one's
+    rows are the other's flipped.  Negating a row keeps every r_t and
+    swaps the two admissible -1 counts.  At even n, flipping the odd
+    entries, or the even ones, sends r_t to (-1)^t r_t, for a whole row
+    and for each partial sum the DFS bounds; it changes the -1 count, so
+    a weighted label keeps negation alone.
+    """
+    full = (1 << n) - 1
+    if n & 1 or _LABELS[label].weighted:
+        return (full,)
+    odd = full // 3 << 1  # entries 1, 3, ..., n - 1
+    return full, odd, full ^ odd
 
 
 def _bits_to_string(bits: int, n: int) -> str:
@@ -561,6 +593,19 @@ def _mirror_rows(sols: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(s.translate(_NEGATE) for s in reversed(sols))
 
 
+def _image_rows(sols: tuple[str, ...], flip: int, minus_first: bool) -> tuple[str, ...]:
+    """The rows of the shard ``flip`` maps this one to, from its own, in the order its kernel emits them.
+
+    A negation is ``_mirror_rows``.  Any other flip is one of an unweighted
+    label, whose kernel orders a shard's rows as text, '+' (ASCII 43)
+    before '-' (45) or, ``minus_first``, after it.
+    """
+    if not sols or flip == (1 << len(sols[0])) - 1:
+        return _mirror_rows(sols)
+    flipped = ("".join(c.translate(_NEGATE) if flip >> i & 1 else c for i, c in enumerate(s)) for s in sols)
+    return tuple(sorted(flipped, reverse=minus_first))
+
+
 def _parse_shard_line(path: str, line: str, n: int, label: str, plen: int,
                       weights: tuple[int, ...] | None) -> tuple:
     """One ``prefix=...`` line of a ``label`` run as a shard result; ValueError if it does not hold."""
@@ -611,9 +656,10 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
     line per finished prefix, each prefix once.  A header that differs
     in any field is refused, so a file from another run is never merged.
     Every shard line is checked against the width, the label's node rule
-    and its own listing, and every listed pair of mirror shards against
-    each other, before any shard runs; anything that does not hold raises
-    a ValueError naming the file and leaves the file as it was.
+    and its own listing, and every two listed members of one orbit (see
+    ``_symmetries``) against each other, before any shard runs; anything
+    that does not hold raises a ValueError naming the file and leaves the
+    file as it was.
 
     A file that holds no more than the start of that header is begun
     afresh.  A crash mid-append leaves an unterminated last line: the
@@ -645,19 +691,24 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
         if shard[0] in done:
             raise ValueError(f"checkpoint {path}: shard {line.split()[0]} is listed twice")
         done[shard[0]] = shard
-    # Shard p holds the negations of shard mask - p: when both are listed,
-    # they must read as each other's mirror.  Only a nonempty listing is
-    # negated, so the common empty pair costs two comparisons.
-    mask = (1 << plen) - 1
-    for p in range(1 << plen >> 1):
-        if p in done and mask - p in done:
-            _, nodes, sols, _ = done[p]
-            _, mirror_nodes, mirror_sols, _ = done[mask - p]
-            if nodes != mirror_nodes or mirror_sols != (_mirror_rows(sols) if sols else ()):
+    # A symmetry maps shard p onto shard p ^ (flip & mask): when both are
+    # listed, each must read as the other's image.  Only a nonempty
+    # listing is flipped, so the common empty pair costs two comparisons.
+    mask, full = (1 << plen) - 1, (1 << n) - 1
+    minus_first = _LABELS[label].minus_first
+    images = [(flip, flip & mask) for flip in _symmetries(n, label)]
+    for p, (_, nodes, sols, _) in done.items():
+        for flip, move in images:
+            q = p ^ move
+            if q <= p or q not in done:
+                continue
+            _, image_nodes, image_sols, _ = done[q]
+            if nodes != image_nodes or image_sols != (_image_rows(sols, flip, minus_first) if sols else ()):
+                kind, how = ("mirrors", "negated, in reverse order") if flip == full else (
+                    "alternates", f"negated at {'odd' if flip & 2 else 'even'} entries, in its kernel's order")
                 raise ValueError(
-                    f"checkpoint {path}: shards {_bitstring(p, plen)} and {_bitstring(mask - p, plen)}"
-                    " are not mirrors: each must have the other's nodes_explored and its rows"
-                    " negated, in reverse order"
+                    f"checkpoint {path}: shards {_bitstring(p, plen)} and {_bitstring(q, plen)}"
+                    f" are not {kind}: each must have the other's nodes_explored and its rows {how}"
                 )
     if end < len(data):
         os.truncate(path, end)
@@ -746,17 +797,22 @@ def run_search(
     # 2^P >= 4*jobs shards, capped at 2^8: the pool never has more
     # workers than CPUs, so a wider split only adds per-shard overhead.
     # A checkpointed run always splits at the cap, whatever --jobs.
-    # plen >= 1, as n >= 1 and jobs >= 1, so the shards pair off below.
+    # plen >= 1, as n >= 1 and jobs >= 1, and plen >= 2 at even n.
     plen = min(n, _SPLIT_BITS, _SPLIT_BITS if checkpoint is not None else (4 * jobs - 1).bit_length())
     done = {} if checkpoint is None else _load_checkpoint(checkpoint, n, label, plen, weights)
-    # Shard p holds the negations of shard mask - p and visits as many
-    # nodes, as negation also swaps the DFS weight bounds: only the first
-    # half runs, and a shard whose mirror is done is filled in from it.
-    mask, half = (1 << plen) - 1, 1 << plen >> 1
-    pending = [
-        (label, n, prefix, plen, weights)
-        for prefix in range(half) if prefix not in done and mask - prefix not in done
-    ]
+    # The symmetries move a prefix within its orbit.  Negation flips all P
+    # bits; each alternation flips one of the top two, as P >= 2.  So an
+    # orbit has two or four prefixes, and exactly one of them lies below
+    # 2^P / (orbit size).  Only the shards there whose orbit has no
+    # finished member run; every other shard is filled in from a finished
+    # member of its orbit.
+    mask = (1 << plen) - 1
+    images = [(flip, flip & mask) for flip in _symmetries(n, label)]  # (row flip, prefix move)
+    moves = {0, *(move for _, move in images)}
+    prefixes = range((mask + 1) // len(moves))
+    for move in moves:
+        prefixes = [prefix for prefix in prefixes if prefix ^ move not in done]
+    pending = [(label, n, prefix, plen, weights) for prefix in prefixes]
 
     results = dict(done)
     # No more workers than the CPUs this process may run on; a one-worker
@@ -790,8 +846,11 @@ def run_search(
                     record(res)
         for prefix in range(mask + 1):
             if prefix not in results:
-                _, nodes, sols, _ = results[mask - prefix]
-                record((prefix, nodes, _mirror_rows(sols), 0))
+                for flip, move in images:  # a finished member, the mirror if it is one
+                    if prefix ^ move in results:
+                        break
+                _, nodes, sols, _ = results[prefix ^ move]
+                record((prefix, nodes, _image_rows(sols, flip, rules.minus_first), 0))
 
     all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:
@@ -940,8 +999,8 @@ def cross_validate(n: int) -> CrossValidation:
     full spectral verdict.  Runs without a checkpoint, so ``run_search``
     refuses every order whose full enumeration walks more than 2^24 rows
     (``exhaustive`` from order 25 on).  Every label fills in half its
-    shards by the same negation mirror, so a fault there would be shared
-    and go unseen here; the mirror is checked instead against each
+    shards or more by the same symmetries, so a fault there would be shared
+    and go unseen here; the fill is checked instead against each
     shard's own kernel run (``tests/test_search.py``).
     """
     reports = [run_search(n, strategy, weight_filter=weight_filter)

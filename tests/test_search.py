@@ -603,8 +603,9 @@ def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
 
     monkeypatch.setattr(search, "_blocks", drop_first_block)
     report = run_search(20, STRATEGY_EXHAUSTIVE)
-    # The mirror of the first shard is filled in from it, dropped block and all.
-    assert report.nodes_explored == (1 << 20) - 2 * (1 << search._BLOCK_BITS)
+    # The other three shards of the first shard's orbit are filled in from
+    # it, dropped block and all.
+    assert report.nodes_explored == (1 << 20) - 4 * (1 << search._BLOCK_BITS)
     assert any("nodes_explored" in p for p in revalidate_report(report))
 
 
@@ -868,13 +869,25 @@ def checkpoint_with_line(tmp_path, n, strategy, prefix, line):
         (12, STRATEGY_DFS, "10000000",
          "prefix=10000000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
          "shards 10000000 and 01111111 are not mirrors"),
+        # Shard 1000 still lists -+++, whose odd entries flipped give the
+        # row --+- this line drops; its mirror 0010 is not checked first.
+        (4, STRATEGY_EXHAUSTIVE, "1101",
+         "prefix=1101 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "shards 1000 and 1101 are not alternates: each must have the other's nodes_explored and its"
+         " rows negated at odd entries"),
+        # Under its ceiling, but not the count of shard 00000000.  An exact
+        # node rule refuses any other count first, so this case is a DFS's.
+        (12, STRATEGY_DFS, "01010101",
+         "prefix=01010101 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "shards 00000000 and 01010101 are not alternates"),
     ],
     ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
          "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
          "row_off_prefix", "row_not_hadamard", "row_listed_twice", "prefix_not_bits",
          "nodes_past_int_digit_limit", "prefix_too_short", "prefix_too_long",
          "nodes_not_the_shard_rows", "nodes_off_the_shard_weights", "dfs_nodes_over_the_shard_ceiling",
-         "empty_items", "empty_items_around_a_row", "mirror_rows_disagree", "mirror_nodes_disagree"],
+         "empty_items", "empty_items_around_a_row", "mirror_rows_disagree", "mirror_nodes_disagree",
+         "alternate_rows_disagree", "alternate_nodes_disagree"],
 )
 def test_checkpoint_shard_line_is_validated(tmp_path, n, strategy, prefix, line, problem):
     cp = checkpoint_with_line(tmp_path, n, strategy, prefix, line)
@@ -1015,6 +1028,11 @@ def pool_at_once(monkeypatch):
     monkeypatch.setattr(search, "_POOL_BUDGET_NS", 0)
 
 
+def weighted_dfs16(**kwargs):
+    """A pruned-dfs+weight run of order 16: only negation maps its shards onto each other, so half of them run."""
+    return run_search(16, STRATEGY_DFS, weight_filter=True, **kwargs)
+
+
 def set_clock(monkeypatch, clock):
     """Let ``run_search`` and ``_run_shard`` read ``clock()`` as their monotonic clock."""
     monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic_ns=clock))
@@ -1028,16 +1046,16 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
         lambda max_workers: RecordingPool(max_workers, sizes),
     )
     # jobs=64 and a checkpointed run both split into 2^8 shards, so even
-    # nodes_explored must agree.
+    # nodes_explored must agree.  A weighted label runs half of them.
     cp = str(tmp_path / "cp.txt")
-    base = run_search(12, STRATEGY_DFS, checkpoint=cp)
+    base = weighted_dfs16(checkpoint=cp)
     set_cpus(monkeypatch, 3)
-    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)
+    assert same_but_elapsed(weighted_dfs16(jobs=64), base)
     # Without an affinity mask the CPU count decides; when it is unknown
     # there is one worker, and a one-worker pool is not built.
     monkeypatch.delattr(search.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
-    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)
+    assert same_but_elapsed(weighted_dfs16(jobs=64), base)
     assert sizes == [3]
 
     # Two shards left to run: two workers, however many jobs and cores.
@@ -1047,7 +1065,7 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     with open(cp, "w") as f:
         f.writelines(lines[: 4 + 126] + lines[4 + 130:])
     set_cpus(monkeypatch, 16)
-    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=8, checkpoint=cp), base)
+    assert same_but_elapsed(weighted_dfs16(jobs=8, checkpoint=cp), base)
     assert sizes == [3, 2]
 
 
@@ -1105,25 +1123,28 @@ def test_pool_takes_about_eight_batches_per_worker(monkeypatch, tmp_path):
         lambda max_workers: RecordingPool(max_workers, sizes, chunksizes=chunksizes),
     )
     set_cpus(monkeypatch, 2)
-    # Only the first half of the shards runs, so a batch is
+    # A weighted label runs the first half of the shards, so a batch is
     # max(1, (2^P / 2) // (8 * workers)) shards.
     cp = str(tmp_path / "cp.txt")
-    base = run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp)  # a new file: 128 of 256 run, 128 // 16
+    base = weighted_dfs16(jobs=2, checkpoint=cp)  # a new file: 128 of 256 run, 128 // 16
     set_cpus(monkeypatch, 3)
-    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), base)  # 128 of 256, 3 workers: 128 // 24
-    serial = run_search(12, STRATEGY_EXHAUSTIVE)
-    assert same_but_elapsed(run_search(12, STRATEGY_EXHAUSTIVE, jobs=2), serial)  # 4 of 8: 4 // 16 -> 1
-    assert (sizes, chunksizes) == ([2, 3, 2], [8, 5, 1])
+    assert same_but_elapsed(weighted_dfs16(jobs=64), base)  # 128 of 256, 3 workers: 128 // 24
+    serial = run_search(16, STRATEGY_WEIGHT)
+    assert same_but_elapsed(run_search(16, STRATEGY_WEIGHT, jobs=2), serial)  # 4 of 8: 4 // 16 -> 1
+    # An unweighted label at even order runs the first quarter.
+    quarter = run_search(12, STRATEGY_DFS, checkpoint=str(tmp_path / "quarter.ckpt"))
+    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), quarter)  # 64 of 256, 3 workers: 64 // 24
+    assert (sizes, chunksizes) == ([2, 3, 2, 3], [8, 5, 1, 2])
 
     # The header and the first half of the shards: every other shard is
     # their mirror, so nothing runs and no pool is built.
     lines = open(cp).read().splitlines(True)
     with open(cp, "w") as f:
         f.writelines(lines[: 4 + 128])
-    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp), base)
+    assert same_but_elapsed(weighted_dfs16(jobs=2, checkpoint=cp), base)
     # A finished checkpoint leaves nothing to run either.
-    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=cp), base)
-    assert len(sizes) == 3
+    assert same_but_elapsed(weighted_dfs16(jobs=2, checkpoint=cp), base)
+    assert len(sizes) == 4
 
 
 @pytest.mark.usefixtures("pool_at_once")
@@ -1145,7 +1166,7 @@ def test_real_pool_checkpoint_matches_serial_and_resumes_mid_batch(tmp_path):
 @pytest.mark.parametrize("done", (0, 40), ids=["fresh", "resumed"])
 def test_pool_takes_the_shards_left_once_the_clock_passes_its_budget(monkeypatch, tmp_path, done):
     serial_cp, cp = tmp_path / "serial.ckpt", tmp_path / "cp.ckpt"
-    serial = run_search(12, STRATEGY_DFS, checkpoint=str(serial_cp))
+    serial = weighted_dfs16(checkpoint=str(serial_cp))
     cp.write_bytes(b"".join(serial_cp.read_bytes().splitlines(True)[: 4 + done]))
     sizes, tasks, chunksizes = [], [], []
     monkeypatch.setattr(
@@ -1157,9 +1178,10 @@ def test_pool_takes_the_shards_left_once_the_clock_passes_its_budget(monkeypatch
     # The clock stands at the run's start until k shards have run, then at the budget.
     k = 37
     set_clock(monkeypatch, lambda: search._POOL_BUDGET_NS if len(calls) >= k else 0)
-    report = run_search(12, STRATEGY_DFS, jobs=2, checkpoint=str(cp))
+    report = weighted_dfs16(jobs=2, checkpoint=str(cp))
     # The first k pending shards ran here, in prefix order; the pool got the rest, in order.
-    rest = [(STRATEGY_DFS, 12, prefix, 8, None) for prefix in range(done + k, 128)]
+    label, weights = search._label(STRATEGY_DFS, True), expected_minus_counts(16)
+    rest = [(label, 16, prefix, 8, weights) for prefix in range(done + k, 128)]
     assert [call[1] for call in calls[:k]] == list(range(done, done + k))
     assert (sizes, tasks, chunksizes) == ([2], rest, [len(rest) // 16])
     assert same_but_elapsed(report, serial)
@@ -1174,16 +1196,17 @@ def test_a_run_within_the_budget_builds_no_pool(monkeypatch, tmp_path):
     )
     set_cpus(monkeypatch, 2)
     serial_cp, cp = tmp_path / "serial.ckpt", tmp_path / "cp.ckpt"
-    serial = run_search(12, STRATEGY_DFS, checkpoint=str(serial_cp))
+    serial = weighted_dfs16(checkpoint=str(serial_cp))
     calls = counting_kernels(monkeypatch)
     set_clock(monkeypatch, lambda: 0)  # the budget is never reached
-    assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=2, checkpoint=str(cp)), serial)
+    assert same_but_elapsed(weighted_dfs16(jobs=2, checkpoint=str(cp)), serial)
     assert len(calls) == 128 and sizes == []
     assert masked_bytes(cp) == masked_bytes(serial_cp)
 
 
 # ---------------------------------------------------------------------------
-# mirrored shards: shard p >= 2^P / 2 is filled in from shard 2^P - 1 - p
+# filled-in shards: a run fills in every shard whose orbit under negation
+# (and, unweighted at even n, the two alternations) has a finished member
 
 def masked_line(line):
     return re.sub(r"elapsed_ms=[0-9]+", "elapsed_ms=0", line)
@@ -1191,14 +1214,13 @@ def masked_line(line):
 
 @pytest.mark.parametrize("strategy, weight_filter", LABELS)
 def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strategy, weight_filter):
-    # Every label shares the mirror, so cross_validate cannot see a fault
-    # in it: each filled-in line must read as the shard's own kernel run
-    # writes it (nodes, rows, row order).  Every line, run or filled in,
-    # must also keep the label's node rule: its exact count, or at most
-    # its ceiling.
+    # Every label shares the fill, so cross_validate cannot see a fault
+    # in it: each line, filled in or run, must read as the shard's own
+    # kernel run writes it (nodes, rows, row order).  Every line must also
+    # keep the label's node rule: its exact count, or at most its ceiling.
     label = search._label(strategy, weight_filter)
     rules = search._LABELS[label]
-    pairs = 0
+    compared = 0
     reached = set()  # the orders at which some shard visits its whole ceiling
     for n in range(1, 17):
         weights = expected_minus_counts(n) if rules.weighted else None
@@ -1210,10 +1232,10 @@ def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strat
             run_search(n, strategy, weight_filter=weight_filter, checkpoint=str(cp))
             lines = shard_lines(cp)
             assert len(lines) == 1 << width
-            for prefix in range(1 << width >> 1, 1 << width):
+            for prefix in range(1 << width):
                 own = search._shard_line(width, search._run_shard((label, n, prefix, width, weights)))
                 assert masked_line(lines[prefix]) == masked_line(own.rstrip("\n")), (n, width, prefix)
-                pairs += 1
+                compared += 1
             for prefix, line in enumerate(lines):
                 # Lines are in split order: bit i of the prefix is entry i.
                 assert line.startswith(f"prefix={format(prefix, f'0{width}b')[::-1]} ")
@@ -1228,12 +1250,39 @@ def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strat
                 fault = functools.partial(search._node_fault, n, label, weights)
                 assert fault(total) is None and fault(total + 1) is not None, (n, total)
                 assert rules.exact == (fault(total - 1) is not None), (n, total)
-    # Half of 2^width shards per (n, width): 1374 for a label that takes
-    # every order, 286 for one that takes only the squares 1, 4, 9, 16.
-    assert pairs == (286 if rules.weighted else 1374)
+    # 2^width shards per (n, width): 2748 for a label that takes every
+    # order, 572 for one that takes only the squares 1, 4, 9, 16.
+    assert compared == (572 if rules.weighted else 2748)
     # The ceiling is reached, so it is no looser than it need be at small orders.
     if not rules.exact:
         assert reached >= ({1, 4} if rules.weighted else {1, 2, 4, 6, 8}), reached
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_alternated_shards_visit_as_many_nodes_and_hold_the_alternated_rows(monkeypatch, n):
+    # At even n, flipping the odd entries sends r_t to (-1)^t r_t, for a
+    # row and for every partial sum the DFS bounds.  So the shard on
+    # prefix p ^ alt, alt the odd positions below the width, visits as
+    # many nodes as the shard on p and holds its rows with the odd entries
+    # flipped, in that kernel's own order: the DFS +1 first, the walker -1
+    # first.  Without the half period the walker keeps the almost-perfect
+    # rows (n = 8, 12, 16), a symmetric condition too, so the order is
+    # tested on shards with many rows.
+    odd = sum(1 << i for i in range(1, n, 2))
+    runs = [(search._dfs_shard, False), (search._walk_shard, True)]
+    control = [(search._walk_shard, True)]
+    for condition in ("hadamard", "without_half_period"):
+        if condition == "without_half_period":
+            without_half_period(monkeypatch)
+        for width in range(1, min(n, 8) + 1):
+            alt = odd & ((1 << width) - 1)
+            for kernel, minus_first in runs if condition == "hadamard" else control:
+                shards = [kernel(n, prefix, width, None) for prefix in range(1 << width)]
+                for prefix, (nodes, rows) in enumerate(shards):
+                    expected = sorted((search._bits_to_string(row ^ odd, n) for row in rows), reverse=minus_first)
+                    image_nodes, image_rows = shards[prefix ^ alt]
+                    image = [search._bits_to_string(row, n) for row in image_rows]
+                    assert (image_nodes, image) == (nodes, expected), (condition, n, width, prefix)
 
 
 def counting_kernels(monkeypatch):
@@ -1278,9 +1327,22 @@ def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_pa
         masked_line(l.decode().rstrip("\n")) for l in shards[128:] + shards[:128]
     ]
 
-    # The wrapped kernels are the ones a run calls: a fresh run records every shard it runs.
+    # The header and the first quarter: every orbit of an unweighted label
+    # has a member there, so nothing runs; a weighted one runs the second quarter.
+    weighted = search._LABELS[search._label(strategy, weight_filter)].weighted
+    cp = tmp_path / "quarter.ckpt"
+    cp.write_bytes(b"".join(head + shards[:64]))
+    assert same_but_elapsed(resume(cp), base)
+    assert [call[1] for call in calls] == (list(range(64, 128)) if weighted else [])
+    assert sizes == ([2] if weighted else [])
+    assert masked_bytes(cp) == masked_bytes(full)
+    calls.clear()
+    sizes.clear()
+
+    # The wrapped kernels are the ones a run calls: a fresh run records every
+    # shard it runs, the first half for a weighted label, else the first quarter.
     assert same_but_elapsed(resume(tmp_path / "fresh.ckpt"), base)
-    assert len(calls) == 128 and sizes == [2]
+    assert len(calls) == (128 if weighted else 64) and sizes == [2]
 
 
 def test_tampered_first_half_line_is_refused_through_its_mirror(monkeypatch, tmp_path):
