@@ -31,12 +31,6 @@ class CongruenceSolution:
     j0: int | None
     solution_count: int
 
-    def solutions(self) -> tuple[int, ...]:
-        if not self.solvable:
-            return ()
-        step = self.n // self.g
-        return tuple(self.j0 + t * step for t in range(self.g))
-
 
 def solve_linear_congruence(k: int, c: int, n: int) -> CongruenceSolution:
     """Solve k*j = c (mod n) exactly; inputs are reduced mod n first."""

@@ -104,10 +104,6 @@ class CycloElement:
         if len(self.coeffs) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.coeffs)}")
 
-    @classmethod
-    def zero(cls, n: int) -> CycloElement:
-        return cls(n, (0,) * n)
-
     def _check_order(self, other: CycloElement) -> None:
         if self.n != other.n:
             raise ValueError(f"root order mismatch: {self.n} vs {other.n}")
@@ -167,10 +163,6 @@ class CycloElement:
         c = self.coeffs
         return CycloElement(m, tuple(map(sum, zip(*[c[i : i + m] for i in range(0, n, m)]))))
 
-    def conjugate(self) -> CycloElement:
-        """Complex conjugation: root power e maps to n - e."""
-        return self.power_map(-1)
-
     def residue(self) -> tuple[int, ...]:
         """Canonical representative modulo the n-th cyclotomic polynomial.
 
@@ -181,10 +173,6 @@ class CycloElement:
     def is_zero(self) -> bool:
         """Canonical zero test: the residue vanishes identically."""
         return not any(self.residue())
-
-    def equivalent(self, other: CycloElement) -> bool:
-        """Value equality under canonical reduction."""
-        return (self - other).is_zero()
 
 
 def from_integer(n: int, value: int) -> CycloElement:

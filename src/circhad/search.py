@@ -91,7 +91,6 @@ shard line as it reads it and ``report`` on the total.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import functools
@@ -125,10 +124,12 @@ STRATEGIES = (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT, STRATEGY_DFS)
 _SPLIT_BITS = 8  # shards fix at most this many leading entries
 # A run starts a process pool only once it has taken this long, in
 # nanoseconds, in its own process (the module docstring says why).
-# A trivial 16-task map on a two-worker pool takes 10-20 ms to start and
+# A trivial 16-task map on a two-worker pool takes 10-40 ms to start and
 # stop on a 2-core Xeon, forking and reaping the two children alone 2-6
-# ms; the margin covers slower hosts and wider pools.  A clock, not a
-# node count, as rows per second differ a thousandfold between labels.
+# ms, and the first pool of a process 4-8 ms more to import
+# concurrent.futures; the margin covers slower hosts and wider pools.
+# A clock, not a node count, as rows per second differ a thousandfold
+# between labels.
 _POOL_BUDGET_NS = 50_000_000
 
 
@@ -837,6 +838,8 @@ def run_search(
             record(_run_shard(pending[ran]))
             ran += 1
         if rest := pending[ran:]:
+            import concurrent.futures  # loaded only by a run that starts a pool
+
             # The pool takes the rest in batches, about 8 per worker: a
             # round trip through it costs more than a short shard.  Results
             # still come back in prefix order, and each shard gets its own line.

@@ -52,14 +52,6 @@ class Sequence:
     def to_string(self) -> str:
         return "".join("+" if e == 1 else "-" for e in self.entries)
 
-    def negated(self) -> Sequence:
-        return Sequence(tuple(-e for e in self.entries))
-
-    def rotated(self, shift: int) -> Sequence:
-        """Left-rotate by ``shift`` positions."""
-        shift %= self.n
-        return Sequence(self.entries[shift:] + self.entries[:shift])
-
 
 @dataclass(frozen=True)
 class IndexSet:
@@ -75,10 +67,6 @@ class IndexSet:
             raise ValueError("members must be sorted and distinct")
         if self.members and not (0 <= self.members[0] and self.members[-1] < self.n):
             raise ValueError("members must lie in [0, n)")
-
-    @classmethod
-    def from_iterable(cls, n: int, members) -> IndexSet:
-        return cls(n, tuple(sorted(set(members))))
 
     def __len__(self) -> int:
         return len(self.members)

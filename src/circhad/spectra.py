@@ -39,7 +39,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cyclotomic import CycloElement, RealBasisVector
 from .sequences import IndexSet
@@ -165,6 +164,8 @@ class ConstantTermVerdict:
 
 
 def constant_term_check(index_set: IndexSet, k: int) -> ConstantTermVerdict:
+    from fractions import Fraction  # loaded only where the check runs
+
     n = index_set.n
     if n % 4:
         raise ValueError("the constant-coordinate law needs an order divisible by 4")

@@ -615,6 +615,18 @@ def test_module_entry_point_exit_codes(argv, code):
         assert proc.stdout == "" and proc.stderr.startswith("error: ")
 
 
+def test_import_loads_neither_the_pool_nor_fractions():
+    # A command that starts no pool and checks no constant term loads
+    # neither stack; -S keeps site packages from loading them first.
+    src = os.path.dirname(os.path.dirname(circhad.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import circhad, circhad.cli; "
+            "print(*sorted({'concurrent.futures', 'fractions', 'decimal', 'logging'} & sys.modules.keys()))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
 # ---------------------------------------------------------------------------
 # the indent-2 JSON writer against the stdlib
 

@@ -38,9 +38,8 @@ def test_congruence_exhaustive_against_brute_force_small():
                 brute = brute_solutions(k, c, n)
                 assert sol.solvable == bool(brute)
                 assert sol.solution_count == len(brute)
-                assert list(sol.solutions()) == brute
                 if brute:
-                    assert sol.j0 == brute[0]
+                    assert [sol.j0 + t * (n // sol.g) for t in range(sol.g)] == brute
 
 
 @given(st.integers(1, 500), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
@@ -52,8 +51,9 @@ def test_congruence_solution_structure(n, k, c):
     if sol.solvable:
         assert (sol.k * sol.j0 - sol.c) % n == 0
         assert 0 <= sol.j0 < n
-        assert all((sol.k * j - sol.c) % n == 0 for j in sol.solutions())
-        assert len(set(sol.solutions())) == sol.solution_count
+        solutions = [sol.j0 + t * (n // sol.g) for t in range(sol.g)]
+        assert all((sol.k * j - sol.c) % n == 0 for j in solutions)
+        assert len(set(solutions)) == sol.solution_count
 
 
 # ---------------------------------------------------------------------------

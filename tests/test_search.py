@@ -1,5 +1,6 @@
 """Enumeration strategies, canonical forms, checkpoints, cross-validation."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import itertools
@@ -81,8 +82,9 @@ def test_canonicalize_examples():
 def test_canonicalize_constant_on_the_orbit(s):
     canon = canonicalize(s)
     for r in range(s.n):
-        assert canonicalize(s.rotated(r)) == canon
-        assert canonicalize(s.rotated(r).negated()) == canon
+        rotated = s.entries[r:] + s.entries[:r]
+        assert canonicalize(Sequence(rotated)) == canon
+        assert canonicalize(Sequence(tuple(-e for e in rotated))) == canon
     assert canonicalize(canon) == canon  # idempotent
 
 
@@ -1042,7 +1044,7 @@ def set_clock(monkeypatch, clock):
 def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
     sizes = []
     monkeypatch.setattr(
-        search.concurrent.futures, "ProcessPoolExecutor",
+        concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes),
     )
     # jobs=64 and a checkpointed run both split into 2^8 shards, so even
@@ -1072,7 +1074,7 @@ def test_pool_is_clamped_to_cores_and_pending_shards(monkeypatch, tmp_path):
 def test_pool_counts_the_cpus_this_process_may_run_on(monkeypatch):
     sizes = []
     monkeypatch.setattr(
-        search.concurrent.futures, "ProcessPoolExecutor",
+        concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes),
     )
     monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
@@ -1085,7 +1087,7 @@ def test_pool_counts_the_cpus_this_process_may_run_on(monkeypatch):
 def test_one_shard_resume_builds_no_pool(monkeypatch, tmp_path):
     sizes = []
     monkeypatch.setattr(
-        search.concurrent.futures, "ProcessPoolExecutor",
+        concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes),
     )
     set_cpus(monkeypatch, 2)
@@ -1107,7 +1109,7 @@ def test_one_shard_resume_builds_no_pool(monkeypatch, tmp_path):
 def test_shard_split_is_bounded_whatever_jobs(monkeypatch):
     sizes, tasks = [], []
     monkeypatch.setattr(
-        search.concurrent.futures, "ProcessPoolExecutor",
+        concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes, tasks),
     )
     base = run_search(16, STRATEGY_EXHAUSTIVE, jobs=1)
@@ -1119,7 +1121,7 @@ def test_shard_split_is_bounded_whatever_jobs(monkeypatch):
 def test_pool_takes_about_eight_batches_per_worker(monkeypatch, tmp_path):
     sizes, chunksizes = [], []
     monkeypatch.setattr(
-        search.concurrent.futures, "ProcessPoolExecutor",
+        concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes, chunksizes=chunksizes),
     )
     set_cpus(monkeypatch, 2)
@@ -1170,7 +1172,7 @@ def test_pool_takes_the_shards_left_once_the_clock_passes_its_budget(monkeypatch
     cp.write_bytes(b"".join(serial_cp.read_bytes().splitlines(True)[: 4 + done]))
     sizes, tasks, chunksizes = [], [], []
     monkeypatch.setattr(
-        search.concurrent.futures, "ProcessPoolExecutor",
+        concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes, tasks, chunksizes),
     )
     set_cpus(monkeypatch, 2)
@@ -1191,7 +1193,7 @@ def test_pool_takes_the_shards_left_once_the_clock_passes_its_budget(monkeypatch
 def test_a_run_within_the_budget_builds_no_pool(monkeypatch, tmp_path):
     sizes = []
     monkeypatch.setattr(
-        search.concurrent.futures, "ProcessPoolExecutor",
+        concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes),
     )
     set_cpus(monkeypatch, 2)
@@ -1298,7 +1300,7 @@ def counting_kernels(monkeypatch):
 def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_path, strategy, weight_filter):
     sizes = []
     monkeypatch.setattr(
-        search.concurrent.futures, "ProcessPoolExecutor",
+        concurrent.futures, "ProcessPoolExecutor",
         lambda max_workers: RecordingPool(max_workers, sizes),
     )
     set_cpus(monkeypatch, 2)

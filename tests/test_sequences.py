@@ -151,9 +151,9 @@ def test_matrix_oracle_builds_rows_only_as_it_needs_them():
 # exact eigenvalues
 
 def test_eigenvalue_examples():
-    assert eigenvalue(seq("-+++"), 0).equivalent(from_integer(4, 2))
+    assert (eigenvalue(seq("-+++"), 0) - from_integer(4, 2)).is_zero()
     assert eigenvalue(seq("++++"), 1).is_zero()
-    assert eigenvalue(seq("++-+"), 1).equivalent(from_integer(4, 2))
+    assert (eigenvalue(seq("++-+"), 1) - from_integer(4, 2)).is_zero()
 
 
 @given(sequences_st)
@@ -163,7 +163,7 @@ def test_mag_sq_equals_eigenvalue_times_conjugate(s):
     r = CycloElement(s.n, autocorrelation(s))
     for k in range(s.n):
         lam = eigenvalue(s, k)
-        assert r.power_map(k).equivalent(lam * lam.conjugate())
+        assert (r.power_map(k) - lam * lam.power_map(-1)).is_zero()
 
 
 @given(sequences_st)
@@ -171,10 +171,10 @@ def test_mag_sq_equals_eigenvalue_times_conjugate(s):
 def test_parseval_sum_is_order_squared(s):
     n = s.n
     r = CycloElement(n, autocorrelation(s))
-    total = CycloElement.zero(n)
+    total = from_integer(n, 0)
     for k in range(n):
         total = total + r.power_map(k)
-    assert total.equivalent(from_integer(n, n * n))
+    assert (total - from_integer(n, n * n)).is_zero()
 
 
 def fourier_vector(n, k):
@@ -189,7 +189,7 @@ def eigen_identity_holds(s):
         lam = eigenvalue(s, k)
         vec = fourier_vector(n, k)
         for i in range(n):
-            lhs = CycloElement.zero(n)
+            lhs = from_integer(n, 0)
             for j in range(n):
                 lhs = lhs + vec[j] * rows[i][j]
             if not (lhs - lam * vec[i]).is_zero():
@@ -254,7 +254,6 @@ def test_index_set_validation():
         IndexSet(4, (4,))
     with pytest.raises(ValueError, match="order must be positive"):
         IndexSet(0, ())
-    assert IndexSet.from_iterable(8, [5, 1, 5]).members == (1, 5)
 
 
 def test_even_order_check():
