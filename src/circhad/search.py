@@ -14,12 +14,12 @@ on what they find:
 * ``pruned-dfs``        -- left-to-right sign assignment, backtracking as
                            soon as any partial autocorrelation provably
                            cannot reach zero (magnitude or parity).  All
-                           n-1 partial sums live in one packed integer,
-                           the next entry's -1 partners in two more, so a
-                           node costs a few big-integer operations and one
-                           guard-bit test, with nothing to undo on the way
-                           back; parity is implied at even n and cut by the
-                           per-depth bounds at odd n once h[1] is set.
+                           n-1 partial sums live in one packed integer
+                           and the assigned -1s in two registers that
+                           never shift, so a node costs a few big-integer
+                           operations and one guard-bit test, with nothing
+                           to undo; parity is implied at even n and cut by
+                           the per-depth bounds at odd n once h[1] is set.
 
 Work is split into independent subtrees by fixing the first few entries
 (2^P prefixes with 2^P >= 4*jobs up to 2^8; always 2^8, or 2^n below
@@ -41,12 +41,10 @@ kernel would emit them in (the DFS +1 first, the walkers -1 first; a
 mirror's rows are the other's reversed).  Pending shards run in
 this process, in prefix order, until the run has taken 50 ms, a margin
 over what a process pool costs to start and stop; only the shards left then
-go to a pool, and only when at least two workers would run them.  So a
-run that ends within that time never pays for a pool, and a longer one
-pays at most that time before it goes parallel.  The pool is sent its
-shards in batches, about 8 per worker, so a split into many short
-shards does not pay one pool round trip per shard; results still come
-back, and are logged one line per shard, in prefix order, the
+go to a pool, and only when at least two workers would run them.  The
+pool is sent its shards in batches, about 8 per worker, so a split into
+many short shards does not pay one pool round trip per shard; results
+still come back, and are logged one line per shard, in prefix order, the
 filled-in shards after the computed ones, so a fresh checkpoint lists
 every shard in prefix order.  A checkpoint file
 must read exactly as this run writes it: its header, then one line per
@@ -378,49 +376,45 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
     return nodes, [row for _, row in found]
 
 
-# The pruned DFS keeps every partial autocorrelation in one integer.
-# Field t (bits 8t..8t+7, t = 1..n-1) holds 64 + r_t, the running sum of
-# the products h[i]*h[i+t mod n] whose two entries are both assigned;
-# bit 7 of each field is a guard bit.  At depth d the -1s among the
-# assigned partners of h[d] are kept as two integers, one bit per field:
-# ``near`` has field t set when h[d-t] = -1 (t <= d) and ``wrap`` has
-# field t set when h[d+t-n] = -1 (t >= n-d).  Assigning h[d] = +1 adds
-# to field t the products with both partners, each 1 - 2*[partner is
-# -1], so the whole update is P + ones - 2*(near + wrap); at t = n/2 both
-# terms land in one field, as they should.  Assigning -1 negates every
-# product, so that child is P minus the same delta.  A child's partners
-# are (near << 8, wrap >> 8), with h[d] itself added at field 1 of near
-# and field n-1 of wrap when it is -1; at the leaf, wrap is the row.
+# The pruned DFS keeps each partial autocorrelation r_t (the running sum
+# of h[i]*h[i+t mod n] over assigned pairs) in one integer P.  Field t
+# (bits 16t..16t+15, t = 1..n-1) holds 64 + r_t in its high byte and
+# 64 - r_t in its low one, so adding 255*v to it adds v to r_t.  The
+# assigned -1s sit in two registers that never shift: D2 holds 2*255 at
+# field j and R2 at field n-1-j when h[j] = -1.  At depth d,
+# x = (R2 >> 16(n-1-d)) + (D2 << 16(n-d)) holds 2*255 at field t per -1
+# among h[d-t] (t <= d) and h[d+t-n] (t >= n-d), the assigned partners of
+# h[d] (both at t = n/2).  A partner adds its sign times h[d] to r_t,
+# so with ``ones`` holding 255 per assigned partner the +1 child is
+# P + ones - x and the -1 child P - ones + x; the latter sets field d of
+# D2 and n-1-d of R2.  At the leaf, D2 is the row.
 #
-# The number u_t of open terms of r_t depends only on the depth, so
-# |r_t| <= u_t for every t is one test per node: with lo holding 64 + u_t
-# and hi holding 192 + u_t in field t, the guard bits of P + lo and
-# hi - P are all set exactly when r_t + u_t >= 0 and u_t - r_t >= 0 for
-# every t.  Fields never touched hold r_t = 0 <= u_t = n, and a touched
-# field is touched again at every later depth, so testing all fields is
-# the same as testing the touched ones.  The parity clause, r_t + u_t
-# even, holds at every node at even n and fails at odd n once h[1] is
-# assigned; so at odd n lo is 0 from depth 1 on, P + lo is then a field
-# in [64 - n, 64 + n] and no guard bit is set.
+# The open terms u_t of r_t depend only on the depth, so |r_t| <= u_t for
+# every t is one test: with lo holding 64 + u_t in both bytes of a field,
+# every guard bit (bit 7 of a byte) of P + lo is set exactly when u_t + r_t
+# and u_t - r_t are both >= 0 for every t.  P carries its depth's lo, so a
+# child adds ``up`` - x or x - ``down`` (ones plus or minus the change in
+# lo) and tests P & guard.  An untouched field holds r_t = 0 <= u_t = n and
+# a touched one is touched at every later depth, so all fields can be
+# tested.  The parity clause, r_t + u_t even, holds at even n and fails at
+# odd n once h[1] is assigned: there lo is 0 from depth 1 on.
 
-_FIELD = 8
+_FIELD = 16
 _BIAS = 64
 _GUARD = 128
-
-
-class _Step(NamedTuple):
-    """Per-depth constants of the packed DFS (depth d assigns h[d])."""
-
-    ones: int  # number of terms each field gains
-    lo: int    # 128 + u_t - 64 in field t, u_t counted after depth d; 0 at odd n from d = 1
-    hi: int    # 128 + u_t + 64 in field t
+_TWIN = 255  # 255*v in a field is v in its high byte, -v in its low; 257*v v in both
 
 
 @functools.cache
-def _packed_tables(n: int) -> tuple[int, int, tuple[_Step, ...]]:
-    """(start state, guard mask, per-depth steps) of the packed DFS at order n."""
-    # Fields stay in [64 - n, 64 + n] and guard sums in [128 - n, 128 + 2n]:
-    # [28, 100] and [92, 200] at the order cap, so no field carries into or
+def _packed_tables(n: int, wlo: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(start state, guard mask, steps) of the packed DFS at order n and weight floor wlo.
+
+    Step d, assigning h[d], is (up, down, near, wrap, dbit, rbit, floor):
+    shifts 16(n-1-d) and 16(n-d), h[d] = -1 in D2 and in R2, and the
+    least -1 count a +1 child may keep, wlo - (n-d-1).
+    """
+    # Bytes stay in [64 - n, 64 + n] and guard sums in [128 - n, 128 + 2n]:
+    # [28, 100] and [92, 200] at the order cap, so no byte carries into or
     # borrows from its neighbour and every test is exact.
     assert 1 <= n <= MAX_ORDER and _BIAS + n < _GUARD and _GUARD + 2 * n < 2 * _GUARD
     shifts = range(1, n)
@@ -428,58 +422,62 @@ def _packed_tables(n: int) -> tuple[int, int, tuple[_Step, ...]]:
     def packed(values) -> int:
         return sum(v << (_FIELD * t) for t, v in zip(shifts, values))
 
-    steps = []
+    steps, last = [], 0
     for d in range(n):
         open_terms = [n - max(0, d - t + 1) - max(0, d - (n - t) + 1) for t in shifts]
-        steps.append(_Step(
-            ones=packed((d >= t) + (d >= n - t) for t in shifts),
-            lo=0 if n & 1 and d else packed(_GUARD + u - _BIAS for u in open_terms),
-            hi=packed(_GUARD + u + _BIAS for u in open_terms),
-        ))
-    return packed([_BIAS] * (n - 1)), packed([_GUARD] * (n - 1)), tuple(steps)
+        ones = _TWIN * packed((d >= t) + (d >= n - t) for t in shifts)
+        lo = 0 if n & 1 and d else 257 * packed(_BIAS + u for u in open_terms)
+        steps.append((ones + lo - last, ones - lo + last, _FIELD * (n - 1 - d), _FIELD * (n - d),
+                      2 * _TWIN << _FIELD * d, 2 * _TWIN << _FIELD * (n - 1 - d), wlo - (n - d - 1)))
+        last = lo
+    return packed([257 * _BIAS] * (n - 1)), packed([257 * _GUARD] * (n - 1)), tuple(steps)
 
 
 def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, int] | None) -> tuple[int, list[int]]:
-    start, guard, steps = _packed_tables(n)
-    nodes = 0
-    sols: list[int] = []
     wlo, whi = weights or (0, n)
-    # Either child of depth d stays inside the weight bounds when its -1
-    # count c has wlo - (n-d-1) <= c <= whi; a fixed prefix entry empties
-    # the range of the other sign.  The prefix thus goes through the same
-    # bound machinery, so an infeasible prefix costs exactly the nodes
-    # visited before the cut.
-    rows = []
-    for d, step in enumerate(steps):
-        fixed = d < plen
-        minus_fixed = fixed and (prefix >> d) & 1
-        rows.append(step + (
-            wlo - (n - d - 1), -1 if minus_fixed else whi, -1 if fixed and not minus_fixed else whi,
-        ))
-    near_bit, wrap_bit = 1 << _FIELD, 1 << (_FIELD * (n - 1))
+    start, guard, steps = _packed_tables(n, wlo)
+    sols: list[int] = []
 
-    def walk(d: int, packed: int, near: int, wrap: int, minus: int) -> None:
-        nonlocal nodes
-        if d == n:
-            # Every r_t is 0 here, so (sum h)^2 = sum_t r_t = n: the -1 count is admissible.
-            sols.append(sum(1 << j for j in range(n) if (wrap >> (_FIELD * j)) & 1))
-            return
-        ones, lo, hi, reach, plus_hi, minus_hi = rows[d]
-        delta = ones - 2 * (near + wrap)
-        if reach <= minus <= plus_hi:
+    # A node at depth d has a -1 count c, wlo - (n-d) <= c <= whi.  Its +1
+    # child keeps c, so only the floor can cut it, and its -1 child only the
+    # ceiling.  The +1 child is a call, the -1 child the loop's next turn.
+    def walk(d, packed, d2, r2, minus):
+        nodes = 0
+        while d < n:
+            up, down, near, wrap, dbit, rbit, floor = steps[d]
+            x = (r2 >> near) + (d2 << wrap)
+            if minus >= floor:
+                nodes += 1
+                child = packed - x + up
+                if child & guard == guard:
+                    nodes += walk(d + 1, child, d2, r2, minus)
+            minus += 1
+            if minus > whi:
+                return nodes
             nodes += 1
-            child = packed + delta
-            if ((child + lo) & (hi - child) & guard) == guard:
-                walk(d + 1, child, near << _FIELD, wrap >> _FIELD, minus)
-        minus += 1
-        if reach <= minus <= minus_hi:
-            nodes += 1
-            child = packed - delta
-            if ((child + lo) & (hi - child) & guard) == guard:
-                walk(d + 1, child, near << _FIELD | near_bit, wrap >> _FIELD | wrap_bit, minus)
+            packed += x - down
+            if packed & guard != guard:
+                return nodes
+            d, d2, r2 = d + 1, d2 | dbit, r2 | rbit
+        # Every r_t is 0 here, so (sum h)^2 = sum_t r_t = n: the -1 count is admissible.
+        sols.append(sum(1 << j for j in range(n) if d2 >> (_FIELD * j + 1) & 1))
+        return nodes
 
-    walk(0, start, 0, 0, 0)
-    return nodes, sols
+    # The prefix takes the same bounds and test: an infeasible one costs
+    # the nodes before the cut.
+    packed, d2, r2, minus = start, 0, 0, 0
+    for d in range(plen):
+        up, down, near, wrap, dbit, rbit, floor = steps[d]
+        x = (r2 >> near) + (d2 << wrap)
+        if prefix >> d & 1:
+            packed, d2, r2, minus = packed + x - down, d2 | dbit, r2 | rbit, minus + 1
+        else:
+            packed += up - x
+        if not floor <= minus <= whi:
+            return d, sols
+        if packed & guard != guard:
+            return d + 1, sols
+    return plen + walk(plen, packed, d2, r2, minus), sols
 
 
 def _walk_rows(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> int:
@@ -545,7 +543,7 @@ def _symmetries(n: int, label: str) -> tuple[int, ...]:
 
 
 def _bits_to_string(bits: int, n: int) -> str:
-    return "".join("-" if (bits >> i) & 1 else "+" for i in range(n))
+    return _bitstring(bits, n).translate(_BITS_SIGNS)
 
 
 def _run_shard(task: tuple) -> tuple[int, int, tuple[str, ...], int]:
@@ -575,7 +573,7 @@ _NEGATE = str.maketrans("+-", "-+")
 
 def _bitstring(prefix: int, plen: int) -> str:
     """The prefix as a checkpoint line names it: bit i of the prefix at position i."""
-    return _bits_to_string(prefix, plen).translate(_BITS_SIGNS)
+    return format(prefix, f"0{plen}b")[::-1]
 
 
 def _shard_line(plen: int, result: tuple) -> str:
@@ -823,11 +821,12 @@ def run_search(
         open(checkpoint, "a", encoding="ascii") if checkpoint is not None
         else contextlib.nullcontext()
     ) as log:
-        def record(res: tuple) -> None:
+        def record(res: tuple, flush: bool = True) -> None:
             results[res[0]] = res
             if log is not None:
                 log.write(_shard_line(plen, res))
-                log.flush()
+                if flush:
+                    log.flush()
 
         # Shards run here until the run has used the pool's budget, or all
         # of them when no pool of two or more workers would take the rest.
@@ -853,7 +852,7 @@ def run_search(
                     if prefix ^ move in results:
                         break
                 _, nodes, sols, _ = results[prefix ^ move]
-                record((prefix, nodes, _image_rows(sols, flip, rules.minus_first), 0))
+                record((prefix, nodes, _image_rows(sols, flip, rules.minus_first), 0), flush=False)
 
     all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:

@@ -623,35 +623,50 @@ def test_weighted_walk_splits_blocks_past_the_default_cap(jobs):
 
 
 def test_packed_fields_decode_to_the_partial_autocorrelations():
+    field, twin = search._FIELD, search._TWIN
     for n in (35, 36):  # at odd n the table fails every node once h[1] is assigned
-        start, guard, steps = search._packed_tables(n)
+        wlo = 15 if n == 36 else 0
+        start, guard, steps = search._packed_tables(n, wlo)
         rng = random.Random(n)
         for _ in range(20):
             h = [rng.choice((1, -1)) for _ in range(n)]
-            packed, near, wrap = start, 0, 0
-            for d, step in enumerate(steps):
-                # near and wrap hold the -1s among the assigned partners h[d-t] and h[d+t-n] of h[d].
-                assert near == sum(1 << (8 * t) for t in range(1, d + 1) if h[d - t] == -1), d
-                assert wrap == sum(1 << (8 * t) for t in range(n - d, n) if h[d + t - n] == -1), d
-                delta = step.ones - 2 * (near + wrap)
+            packed, d2, r2 = start, 0, 0
+            for d, (up, down, near_shift, wrap_shift, dbit, rbit, floor) in enumerate(steps):
+                assert floor == wlo - (n - d - 1)
+                # Shifted to depth d, the fixed registers hold twice the -1s
+                # among the assigned partners h[d-t] and h[d+t-n] of h[d].
+                near = sum(1 << (field * t) for t in range(1, d + 1) if h[d - t] == -1)
+                wrap = sum(1 << (field * t) for t in range(n - d, n) if h[d + t - n] == -1)
+                x = (r2 >> near_shift) + (d2 << wrap_shift)
+                assert x == twin * 2 * (near + wrap), d
                 if h[d] == 1:
-                    packed += delta
-                    near, wrap = near << 8, wrap >> 8
+                    packed += up - x
                 else:
-                    packed -= delta
-                    near, wrap = near << 8 | 1 << 8, wrap >> 8 | 1 << (8 * (n - 1))
+                    packed += x - down
+                    d2, r2 = d2 | dbit, r2 | rbit
                 within = True
                 for t in range(1, n):
                     pairs = [i for i in range(n) if i <= d and (i + t) % n <= d]
                     partial = sum(h[i] * h[(i + t) % n] for i in pairs)
-                    assert ((packed >> (8 * t)) & 0xFF) - 64 == partial, (d, t)
                     open_terms = n - len(pairs)
+                    lo = 0 if n & 1 and d else 64 + open_terms
+                    # The twin bytes hold 64 + lo + r_t and 64 + lo - r_t.
+                    high, low = packed >> (field * t + 8) & 0xFF, packed >> (field * t) & 0xFF
+                    assert (high, low) == (64 + lo + partial, 64 + lo - partial), (d, t)
                     if pairs:  # the reference's magnitude and parity clauses, on the touched fields
                         within = within and abs(partial) <= open_terms and (partial + open_terms) % 2 == 0
-                passes = ((packed + step.lo) & (step.hi - packed) & guard) == guard
-                assert passes == within, d
-            # at the leaf, wrap is the row
-            assert wrap == sum(1 << (8 * j) for j in range(n) if h[j] == -1)
+                assert (packed & guard == guard) == within, d
+            # At the leaf the row is read off D2, and R2 holds it reversed.
+            assert d2 == sum(twin * 2 << (field * j) for j in range(n) if h[j] == -1)
+            assert r2 == sum(twin * 2 << (field * (n - 1 - j)) for j in range(n) if h[j] == -1)
+            assert [d2 >> (field * j + 1) & 1 for j in range(n)] == [int(e == -1) for e in h]
+
+
+def test_benchmark_dfs_node_counts_are_pinned():
+    # The counts of the benchmark's two DFS runs: any change to what the
+    # kernel visits above order 16 shows here.
+    assert run_search(20, STRATEGY_DFS).nodes_explored == 397936
+    assert run_search(16, STRATEGY_DFS, weight_filter=True).nodes_explored == 35836
 
 
 # ---------------------------------------------------------------------------
@@ -1328,6 +1343,14 @@ def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_pa
     assert [masked_line(l) for l in shard_lines(cp)] == [
         masked_line(l.decode().rstrip("\n")) for l in shards[128:] + shards[:128]
     ]
+
+    # A crash mid-fill: the computed shards, part of the filled-in ones and a
+    # torn line.  The rest are filled in again from their listed orbit members.
+    cp = tmp_path / "mid_fill.ckpt"
+    cp.write_bytes(b"".join(head + shards[:150]) + shards[150][:20])
+    assert same_but_elapsed(resume(cp), base)
+    assert (calls, sizes) == ([], [])
+    assert masked_bytes(cp) == masked_bytes(full)
 
     # The header and the first quarter: every orbit of an unweighted label
     # has a member there, so nothing runs; a weighted one runs the second quarter.
