@@ -253,8 +253,8 @@ def _cmd_analyze(args) -> int:
             f',\n      "lambdaSqEqualsN": {_JSON_BOOL[m.mag_sq_equals_order]}\n    }}',
         )
         lead = ",\n    {"
-    pieces.append(f'\n  ],\n  "overall": {_JSON_BOOL[overall]}\n}}')
-    print("".join(pieces))
+    pieces.append(f'\n  ],\n  "overall": {_JSON_BOOL[overall]}\n}}\n')
+    sys.stdout.writelines(pieces)  # no joined copy of the whole text
     return EXIT_PASS if overall else EXIT_FAIL
 
 
@@ -417,8 +417,11 @@ def _cmd_lemma(args) -> int:
 # parser
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parsing leaves the parser as it was.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    # Built once per process: parsing leaves the parser as it was.  Also
+    # returns each command's own parser by name, so that a request naming
+    # a command takes one argparse pass (see _parse_args); the full parser
+    # stays for help, errors and everything else.
     parser = argparse.ArgumentParser(
         prog="circhad",
         description="Exact verification, analysis and search for circulant Hadamard rows.",
@@ -480,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=_cmd_report)
 
-    return parser
+    return parser, sub.choices
 
 
 def _join_seq_values(argv: list[str]) -> list[str]:
@@ -499,13 +502,30 @@ def _join_seq_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``parse_args(argv)`` of the full parser gives, or its exit.
+
+    The full parser would pass everything after a command name to that
+    command's parser, so a request naming a command is parsed by that
+    parser alone.  Arguments it leaves over send the whole argv back
+    through the full parser, whose error (usage and exit 2) is the one
+    this Python's argparse prints; so does anything else.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _join_seq_values(list(argv))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(_join_seq_values(list(argv)))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE

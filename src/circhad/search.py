@@ -156,6 +156,18 @@ class SearchReport:
     cap: int
 
 
+_NEGATE = str.maketrans("+-", "-+")
+
+
+def _orbit(row: str):
+    """The n rotations of a row in sign text, then the n rotations of its negation."""
+    n = len(row)
+    for base in (row, row.translate(_NEGATE)):
+        twice = base + base
+        for r in range(n):
+            yield twice[r : r + n]
+
+
 def canonicalize(seq: Sequence) -> Sequence:
     """Distinguished representative of the rotation/negation class.
 
@@ -164,14 +176,11 @@ def canonicalize(seq: Sequence) -> Sequence:
     so the -1-minority form wins and -1 sorts before +1 within it.
     "-+++" is canonical for all eight order-4 solutions.
     """
-    best = None
-    for base in (seq.entries, tuple(-e for e in seq.entries)):
-        weight = base.count(-1)
-        for r in range(len(base)):
-            cand = (weight, base[r:] + base[:r])
-            if best is None or cand < best:
-                best = cand
-    return Sequence(best[1])
+    # Negation maps the orbit onto itself, and turns the order wanted (by
+    # -1 count, then -1 before +1) into the order by +1 count, then text
+    # ('+' sorts before '-'): so take the least image by the latter, negated.
+    least = min((image.count("+"), image) for image in _orbit(seq.to_string()))
+    return Sequence.from_string(least[1].translate(_NEGATE))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +577,6 @@ _HEADER = "# circhad search checkpoint v1\nn={n}\nstrategy={strategy}\nprefix_bi
 _SHARD = "prefix={} raw_count={} nodes_explored={} elapsed_ms={} solutions={}"
 _SHARD_LINE = re.compile(_SHARD.format("([01]*)", "([0-9]+)", "([0-9]+)", "([0-9]+)", "([-+,]*)"))
 _BITS_SIGNS = str.maketrans("01+-", "+-01")  # bits to signs and back
-_NEGATE = str.maketrans("+-", "-+")
 
 
 def _bitstring(prefix: int, plen: int) -> str:
@@ -924,10 +932,12 @@ def revalidate_report(report: SearchReport) -> list[str]:
     cap) rows, strictly ascending.  ``canonical_count`` may not exceed
     ``raw_count``; no count is negative.  At an admitted order each
     listed row is re-checked with the exact autocorrelation test and the
-    independent matrix product, and ``canonical_count`` must match the
-    listed classes when nothing is cut.  A refused report gets only the
-    checks linear in its size, as canonicalizing a row of length n builds
-    2n rotations.  Quoted report values are cut at 60 characters.
+    independent matrix product.  When nothing is cut, ``canonical_count``
+    must match the listed classes, and the listing must be closed under
+    rotation and negation: the first image of a listed row that is not
+    listed is named.  A refused report gets only the checks linear in its
+    size, as canonicalizing a row of length n builds 2n rotations.
+    Quoted report values are cut at 60 characters.
     """
     problems = []
     if report.schema_version != SCHEMA_VERSION:
@@ -955,6 +965,7 @@ def revalidate_report(report: SearchReport) -> list[str]:
     if not admitted:
         return problems
     seen_canonical = set()
+    whole = set(report.solutions) if report.raw_count <= report.cap else None
     for text in report.solutions:
         try:
             seq = Sequence.from_string(text)
@@ -969,6 +980,14 @@ def revalidate_report(report: SearchReport) -> list[str]:
         if not has_orthogonal_rows(seq):
             problems.append(f"solution {text!r:.60} fails the exact matrix product test")
         seen_canonical.add(canonicalize(seq).to_string())
+        if whole is not None:
+            missing = next((image for image in _orbit(text) if image not in whole), None)
+            if missing is not None:
+                problems.append(
+                    f"listing is not closed: {missing!r:.60}, a rotation or negation"
+                    f" of {text!r:.60}, is not listed"
+                )
+                whole = None  # one missing image is named
     if report.raw_count <= report.cap and report.canonical_count != len(seen_canonical):
         problems.append(
             f"canonical_count {report.canonical_count!r:.60} disagrees with the listed rows"

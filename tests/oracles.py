@@ -1,9 +1,13 @@
 """Reference constructions the tests compare the package against.
 
 Each is written the plain way, independent of the fast path it checks,
-and is called only with valid input.
+and is called only with valid input; the CLI reference takes any argv.
 """
 
+import json
+import sys
+
+from circhad import cli, search
 from circhad.cyclotomic import CycloElement, RealBasisVector
 
 
@@ -98,3 +102,26 @@ def analyze_payload(index_set, modes, overall):
         ],
         "overall": overall,
     }
+
+
+def cli_parse_args(argv):
+    """The namespace of one full-parser pass over argv, as ``circhad`` parsed every request before."""
+    parser, _ = cli._build_parser()
+    return parser.parse_args(cli._join_seq_values(list(argv)))
+
+
+def cli_main(argv):
+    """``circhad.cli.main`` as it was with the full parser alone: parse_args, then the command."""
+    try:
+        args = cli_parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code
+        return code if isinstance(code, int) else cli.EXIT_USAGE
+    try:
+        return args.func(args)
+    except search.CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_CAP
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return cli.EXIT_USAGE

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import circhad
 from circhad import cli, sequences, spectra
 from circhad.cli import main
-from oracles import analyze_payload
+from oracles import analyze_payload, cli_main, cli_parse_args
+from test_golden_cli import CASES as GOLDEN_CASES
 
 
 def run(capsys, *argv):
@@ -234,6 +235,20 @@ def test_report_flags_a_listing_search_cannot_write(capsys, tmp_path):
     code, out, _ = run(capsys, "report", "--in", str(out_file))
     assert code == 1
     assert json.loads(out)["problems"] == ["3 rows listed, not min(raw_count, cap) = 5"]
+
+
+def test_report_flags_a_listing_not_closed_under_rotation_and_negation(capsys, tmp_path):
+    out_file = tmp_path / "report.json"
+    run(capsys, "search", "--n", "4", "--out", str(out_file))
+    data = json.loads(out_file.read_text())
+    rows = data["solutions"]
+    for dropped in rows:
+        # Seven of the eight rows: the counts, classes and nodes all agree.
+        out_file.write_text(json.dumps(dict(data, raw_count=7, solutions=[r for r in rows if r != dropped])))
+        code, out, _ = run(capsys, "report", "--in", str(out_file))
+        assert code == 1
+        [problem] = json.loads(out)["problems"]
+        assert problem.startswith(f"listing is not closed: '{dropped}', a rotation or negation of "), problem
 
 
 def test_report_flags_duplicate_rows(capsys, tmp_path):
@@ -552,13 +567,46 @@ def test_lemma_check3_unsupported_order(capsys):
 # argparse level errors
 
 def test_unknown_flag(capsys):
-    code, _, _ = run(capsys, "verify", "--nope")
+    code, out, err = run(capsys, "verify", "--nope")
     assert code == 2
+    assert out == "" and err.startswith("usage: circhad [-h]")
+    assert err.endswith("\ncirchad: error: unrecognized arguments: --nope\n")
 
 
 def test_unknown_subcommand(capsys):
     code, _, _ = run(capsys, "frobnicate")
     assert code == 2
+
+
+PARSER_PARITY_CASES = [
+    *GOLDEN_CASES,
+    ("verify", "--seq", "-+++", "--bogus"),
+    ("verify", "--format", "xml", "--seq", "-+++"),
+    ("analyze",),
+    ("lemma", "--n", "\u0661\u0664\u0664"),
+    ("verify", "-h"),
+    (),
+    ("-h",),
+    ("frobnicate",),
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_PARITY_CASES, ids=" ".join)
+def test_one_parser_pass_answers_as_the_full_parser_does(capsys, argv):
+    # main parses a request that names a command with that command's
+    # parser alone; the reference runs the full parser on every argv.
+    def answer(entry):
+        code = entry(list(argv))
+        out, err = capsys.readouterr()
+        return code, re.sub('"elapsed_ms": [0-9]+', "", out), err
+
+    assert answer(main) == answer(cli_main)
+    try:
+        reference = cli_parse_args(argv)
+    except SystemExit:
+        capsys.readouterr()
+        return
+    assert vars(cli._parse_args(cli._join_seq_values(list(argv)))) == vars(reference)
 
 
 # Every integer option, with "V" standing for the value under test.

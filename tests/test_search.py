@@ -1644,9 +1644,11 @@ def test_run_search_refuses_exactly_what_revalidate_flags(monkeypatch):
 
 
 def test_revalidate_accepts_every_strategy_label():
-    for rep in (
-        run_search(4, STRATEGY_WEIGHT),
-        run_search(4, STRATEGY_DFS),
-        run_search(4, STRATEGY_DFS, weight_filter=True),
-    ):
-        assert revalidate_report(rep) == []
+    # Every run cross_validate makes up to order 16: each listing is whole
+    # and closed under rotation and negation.
+    for n in range(1, 17):
+        for strategy, weight_filter in LABELS:
+            if search._LABELS[search._label(strategy, weight_filter)].weighted and not expected_minus_counts(n):
+                continue
+            rep = run_search(n, strategy, weight_filter=weight_filter)
+            assert revalidate_report(rep) == [], (n, strategy, weight_filter)
