@@ -8,9 +8,8 @@ on what they find:
 * ``exhaustive``        -- all 2^n rows (bit-sliced walk, exact counts);
 * ``weight-constrained``-- only rows carrying one of the two admissible
                            -1 counts for a perfect-square order; the same
-                           walker and row test as ``exhaustive``, fed
-                           the prefix with each admissible choice of -1
-                           positions instead of every suffix;
+                           walker, row test and row order as
+                           ``exhaustive``, restricted to those counts;
 * ``pruned-dfs``        -- left-to-right sign assignment, backtracking as
                            soon as any partial autocorrelation provably
                            cannot reach zero (magnitude or parity).  All
@@ -42,9 +41,8 @@ mirror's rows are the other's reversed).  Pending shards run in
 this process, in prefix order, until the run has taken 50 ms, a margin
 over what a process pool costs to start and stop; only the shards left then
 go to a pool, and only when at least two workers would run them.  The
-pool is sent its shards in batches, about 8 per worker, so a split into
-many short shards does not pay one pool round trip per shard; results
-still come back, and are logged one line per shard, in prefix order, the
+pool takes its shards in batches, about 8 per worker; results still
+come back, and are logged one line per shard, in prefix order, the
 filled-in shards after the computed ones, so a fresh checkpoint lists
 every shard in prefix order.  A checkpoint file
 must read exactly as this run writes it: its header, then one line per
@@ -53,14 +51,15 @@ listed members of one orbit each other's image; anything else is
 refused.  Every shard
 returns its node count and its rows, whatever the strategy; counts of
 rows are always the length of a listing.  Every row a strategy emits is
-re-verified with the exact integer autocorrelation before it is reported.
+re-verified with the exact integer autocorrelation, and a run's rows
+must be closed under rotation and negation, before they are reported.
 
 Rows are represented internally as bit masks (bit i set means entry i is
 -1), and r[t] = n - 2*c_t with c_t the number of positions i where
 h[i] != h[i+t mod n].  The full enumerations test rows bit-sliced, in
 blocks of up to 2^16: a block fixes its first a entries and holds each
 free position as an int ("plane"), bit j of a plane being that entry of
-row j.  Every block of a shard on the same free positions and -1 count
+row j.  Every block of a shard on the same free positions and -1 counts
 has the same planes, so for each shift t <= n/2 the pairs (i, i+t mod n)
 split three ways.  Free pairs (both ends free) are summed once per shard
 into a bit-sliced counter, which holds every row's count at once, and
@@ -68,21 +67,21 @@ reused by all those blocks.  Fixed pairs (both ends fixed) add one
 constant, a popcount of the fixed bits against their rotation, taken
 off the n/2 target.  Boundary pairs, at most 2t, add a free plane or its
 complement, by the fixed entry.  Those whose fixed end lies in the shard
-prefix are alike in every block, so they join the shared counter; the
-rest depend on the block's entries past the prefix.  The blocks on one
-(a, k) run together, ordered by their fixed entries read from position
-a - 1 down, so blocks that agree on the entries a shift reads are
-adjacent: each shift keeps its last tally of those boundary pairs, and
-the mask built from it for each target, while that pattern repeats.
+prefix join the shared counter; the rest depend on the block's entries
+past the prefix.  The blocks on one (a, ks) run together, ordered by
+their fixed entries read from position a - 1 down, so blocks that agree
+on the entries a shift reads are adjacent: each shift keeps its last
+tally of those boundary pairs, and the mask built from it for each
+target, while that pattern repeats.
 The rows whose total is the target are kept as a mask, and a block is
-done when its mask is empty.  At odd n every r_t is odd, so no counter
-is built at all.  This is the same exact integer arithmetic, a few
-hundred big-integer operations per pattern instead of a Python loop per
-row; rows found are put back in block order.  Both
-full enumerations take their blocks from one generator and their planes
-from one recursion, which split rows alike (on the first free position,
-a -1 there first), so both walk a shard's rows in one order.  Both count
-as nodes the rows of the blocks walked, so a skipped block leaves its
+done when its mask is empty.  Each c_t is even, so r_t = n (mod 4), and
+at any n > 1 not divisible by 4 no counter is built at all.  Rows found
+are put back in block order.  Both full enumerations take their blocks
+from one generator and their planes from one recursion, which split a
+shard's rows, of every -1 count or of the admissible ones, alike: on the
+first free position, a -1 there first.  So both walk a shard's rows in
+one order, the weighted walk restricted to its counts.  Both count as
+nodes the rows of the blocks walked, so a skipped block leaves its
 shard short of the label's node rule, which a resume checks on every
 shard line as it reads it and ``report`` on the total.
 """
@@ -121,13 +120,10 @@ STRATEGY_DFS = "pruned-dfs"
 STRATEGIES = (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT, STRATEGY_DFS)
 _SPLIT_BITS = 8  # shards fix at most this many leading entries
 # A run starts a process pool only once it has taken this long, in
-# nanoseconds, in its own process (the module docstring says why).
-# A trivial 16-task map on a two-worker pool takes 10-40 ms to start and
-# stop on a 2-core Xeon, forking and reaping the two children alone 2-6
-# ms, and the first pool of a process 4-8 ms more to import
-# concurrent.futures; the margin covers slower hosts and wider pools.
-# A clock, not a node count, as rows per second differ a thousandfold
-# between labels.
+# nanoseconds, in its own process (the module docstring says why).  A
+# 16-task map on a two-worker pool takes 10-40 ms to start and stop on a
+# 2-core Xeon; the margin covers slower hosts and wider pools.  A clock,
+# not a node count, as rows per second differ a thousandfold by label.
 _POOL_BUDGET_NS = 50_000_000
 
 
@@ -190,44 +186,53 @@ def canonicalize(seq: Sequence) -> Sequence:
 # and its node rule: the nodes a shard visits, or a ceiling on them.
 #
 # The walker's blocks (see the module docstring) come from ``_blocks``
-# and are (rows, a, k, fixed): the rows agree with ``fixed`` before
+# and are (rows, a, ks, fixed): the rows agree with ``fixed`` before
 # position a and run through the free planes of n - a positions (every
-# sign, k None, or k -1s) from it on, plane m bit j set when row j has -1
-# at position a + m.  rows is the block's row count, so its node count;
-# every block on the same (a, k) has as many.
+# sign, ks None, or a -1 count in ks) from it on, plane m bit j set when
+# row j has -1 at position a + m.  rows is the block's row count, so its
+# node count; every block on the same (a, ks) has as many.
 
 _BLOCK_BITS = 16  # at most 2^16 rows per block: planes of 8 KiB each
 
 
+def _rows(b: int, ks: tuple[int, ...] | None) -> int:
+    """The rows of b free positions: 2^b (ks None), or C(b, k) over the -1 counts k in ks."""
+    return 1 << b if ks is None else sum(math.comb(b, k) for k in ks)
+
+
+def _split(b: int, ks: tuple[int, ...] | None) -> tuple:
+    """The -1 counts the last b - 1 positions hold after a -1 at the first, and after a +1."""
+    return (None, None) if ks is None else (tuple(k - 1 for k in ks if k), tuple(k for k in ks if k < b))
+
+
 @functools.cache
-def _planes(b: int, k: int | None) -> tuple[int, ...]:
-    """Planes of b free positions over their rows: every sign (k None) or k -1s.
+def _planes(b: int, ks: tuple[int, ...] | None) -> tuple[int, ...]:
+    """Planes of b free positions over their rows: every sign (ks None) or a -1 count in ks.
 
     The rows split on the first position, those with a -1 there first,
-    and each half the same way on the rest, as ``_blocks`` splits; with k
-    -1s this is ``itertools.combinations(range(b), k)`` order.
+    and each half the same way on the rest, as ``_blocks`` splits: the
+    order of every sign, restricted to the counts in ks (each in 0..b).
     """
-    if not b or k in (0, b):
-        return (int(k == b),) * b
-    split = 1 << (b - 1) if k is None else math.comb(b - 1, k - 1)
-    with_first, without_first = _planes(b - 1, None if k is None else k - 1), _planes(b - 1, k)
-    return ((1 << split) - 1,) + tuple(w | (o << split) for w, o in zip(with_first, without_first))
+    if not b:
+        return ()
+    first, rest = _split(b, ks)
+    split = _rows(b - 1, first)
+    return ((1 << split) - 1,) + tuple(w | o << split for w, o in zip(_planes(b - 1, first), _planes(b - 1, rest)))
 
 
-def _blocks(n: int, a: int, k: int | None, fixed: int):
-    """(rows, a, k, fixed) blocks of the rows fixed before position a, free from it on.
+def _blocks(n: int, a: int, ks: tuple[int, ...] | None, fixed: int):
+    """(rows, a, ks, fixed) blocks of the rows fixed before position a, free from it on.
 
-    The free positions take every sign (k None) or exactly k -1s.  A set
-    too large for one block is split on position a, the rows with a -1
-    there first, as ``_planes`` splits within a block, so a shard's rows
-    come in one order however many blocks hold them.
+    A set too large for one block is split on position a as ``_planes``
+    splits, so a shard's rows come in one order however many blocks hold them.
     """
-    rows = 1 << (n - a) if k is None else math.comb(n - a, k)
-    if rows <= 1 << _BLOCK_BITS:
-        yield rows, a, k, fixed
-    else:
-        yield from _blocks(n, a + 1, None if k is None else k - 1, fixed | 1 << a)
-        yield from _blocks(n, a + 1, k, fixed)
+    rows = _rows(n - a, ks)
+    if rows > 1 << _BLOCK_BITS:
+        first, rest = _split(n - a, ks)
+        yield from _blocks(n, a + 1, first, fixed | 1 << a)
+        yield from _blocks(n, a + 1, rest, fixed)
+    elif rows:
+        yield rows, a, ks, fixed
 
 
 class _Pairs(NamedTuple):
@@ -292,24 +297,29 @@ def _tally(planes: list[int], counter: list[int]) -> list[int]:
     return out
 
 
-def _shared_counter(n: int, pairs: _Pairs, prefix: int, free: tuple[int, ...], full: int) -> list[int]:
+def _shared_counter(n: int, pairs: _Pairs, prefix: int, free: tuple[int, ...], flipped: tuple[int, ...]) -> list[int]:
     """The counter of one shift's pairs that every block of a shard on these planes shares.
 
     Those are the pairs with both ends free and the boundary pairs whose
-    fixed end lies in the prefix.  The counter has n.bit_length() levels,
-    so no count of the at most n pairs overflows it.
+    fixed end lies in the prefix; ``flipped`` holds the complemented
+    planes.  The counter has n.bit_length() levels, so no count of the at
+    most n pairs overflows it.
     """
     planes = [free[i] ^ free[j] for i, j in pairs.free]
-    planes += [free[m] ^ full if prefix >> p & 1 else free[m] for m, p in pairs.shared]
+    planes += [(flipped if prefix >> p & 1 else free)[m] for m, p in pairs.shared]
     return _tally(planes, [0] * n.bit_length())
 
 
-def _boundary_tally(pairs: _Pairs, fixed: int, free: tuple[int, ...], full: int, counter: list[int]) -> list[int]:
+def _boundary_tally(pairs: _Pairs, fixed: int, free: tuple[int, ...], flipped: tuple[int, ...],
+                    counter: list[int]) -> list[int]:
     """The shared counter plus the boundary pairs past the prefix, by the block's fixed entries there.
 
-    Blocks that agree on ``fixed & pairs.reads`` get the same tally.
+    Blocks that agree on ``fixed & pairs.reads`` get the same tally; with
+    no such pair it is the shared counter itself.
     """
-    return _tally([free[m] ^ full if fixed >> p & 1 else free[m] for m, p in pairs.boundary], counter)
+    if not pairs.boundary:
+        return counter
+    return _tally([(flipped if fixed >> p & 1 else free)[m] for m, p in pairs.boundary], counter)
 
 
 def _shift_target(n: int, pairs: _Pairs, fixed: int) -> int:
@@ -328,37 +338,35 @@ def _zero_shift_mask(levels: list[int], target: int, full: int) -> int:
     return mask
 
 
-def _free_counts(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> list[int | None]:
-    """The -1 counts ``_walk_shard`` places after the prefix; [None] for every count."""
+def _free_counts(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, ...] | None:
+    """The -1 counts ``_walk_shard`` places after the prefix; None for every count."""
     if weights is None:
-        return [None]
-    return [k for w in weights if 0 <= (k := w - prefix.bit_count()) <= n - plen]
+        return None
+    return tuple(k for w in weights if 0 <= (k := w - prefix.bit_count()) <= n - plen)
 
 
 def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> tuple[int, list[int]]:
     """Test every row on the prefix, or only those with an admissible -1 count.
 
-    ``weights`` lists the admissible counts ascending and distinct, as
-    ``expected_minus_counts`` returns them.  The blocks on one (a, k) run
-    together, in the numeric order of their fixed entries, so blocks that
-    agree on the entries a shift reads from position a - 1 down are
-    adjacent.  The shared counter of a shift is built for the first of
-    them that reaches that shift; its boundary tally, and the zero mask of
-    each target, are reused while the next block reads the same entries.
-    Rows come back in ``_blocks`` order, ascending within a block.
+    ``weights`` holds the admissible counts, each once; ``_blocks`` takes
+    the shard's rows of all of them as one set.  The blocks on one (a, ks)
+    run in the numeric order of their fixed entries, and share each shift's
+    counter, tally and masks as the module docstring says.  Rows come back
+    in ``_blocks`` order, ascending within a block.
     """
-    blocks = [block for k in _free_counts(n, prefix, plen, weights) for block in _blocks(n, plen, k, prefix)]
+    blocks = list(_blocks(n, plen, _free_counts(n, prefix, plen, weights), prefix))
     nodes = sum(rows for rows, *_ in blocks)
-    if n & 1 and n > 1:
-        # Every r_t is odd, so no row qualifies and no counter is built.
+    if n % 4 and n > 1:
+        # r_t = n (mod 4) for every row, so no r_t is 0 and no counter is built.
         return nodes, []
-    groups: dict[tuple, list[tuple[int, int]]] = {}  # (rows, a, k) -> (fixed, block index)
-    for index, (rows, a, k, fixed) in enumerate(blocks):
-        groups.setdefault((rows, a, k), []).append((fixed, index))
+    groups: dict[tuple, list[tuple[int, int]]] = {}  # (rows, a, ks) -> (fixed, block index)
+    for index, (rows, a, ks, fixed) in enumerate(blocks):
+        groups.setdefault((rows, a, ks), []).append((fixed, index))
     found = []  # (block index, row)
-    for (rows, a, k), members in groups.items():
+    for (rows, a, ks), members in groups.items():
         full = (1 << rows) - 1
-        free = _planes(n - a, k)
+        free = _planes(n - a, ks)
+        flipped = tuple(plane ^ full for plane in free)
         counters: dict[int, list[int]] = {}  # t -> shared counter, for this group only
         memos: dict[int, tuple] = {}  # t -> (entries read, boundary tally, {target: zero mask})
         for fixed, index in sorted(members):
@@ -368,8 +376,8 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
                 t, pattern = pairs.t, fixed & pairs.reads
                 if t not in memos or memos[t][0] != pattern:
                     if t not in counters:
-                        counters[t] = _shared_counter(n, pairs, prefix, free, full)
-                    memos[t] = (pattern, _boundary_tally(pairs, fixed, free, full, counters[t]), {})
+                        counters[t] = _shared_counter(n, pairs, prefix, free, flipped)
+                    memos[t] = (pattern, _boundary_tally(pairs, fixed, free, flipped, counters[t]), {})
                 _, levels, masks = memos[t]
                 target = _shift_target(n, pairs, fixed)
                 if target not in masks:
@@ -490,9 +498,8 @@ def _dfs_shard(n: int, prefix: int, plen: int, weights: tuple[int, int] | None) 
 
 
 def _walk_rows(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> int:
-    """The rows ``_walk_shard`` tests on the prefix: 2^(n-plen), or C(n-plen, k) over its -1 counts k."""
-    return sum(1 << (n - plen) if k is None else math.comb(n - plen, k)
-               for k in _free_counts(n, prefix, plen, weights))
+    """The rows ``_walk_shard`` tests on the prefix (see ``_rows``)."""
+    return _rows(n - plen, _free_counts(n, prefix, plen, weights))
 
 
 def _dfs_ceiling(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None) -> int:
@@ -514,8 +521,8 @@ class _Rules(NamedTuple):
     weighted: bool  # takes only the admissible -1 counts (perfect-square orders)
     nodes: Callable[..., int]
     exact: bool
-    # The kernel emits a shard's rows of one -1 count with -1 before +1
-    # at the first entry they differ in (the walkers), or +1 first (the DFS).
+    # The kernel emits a shard's rows with -1 before +1 at the first
+    # entry they differ in (the walkers), or +1 first (the DFS).
     minus_first: bool
 
 
@@ -593,9 +600,8 @@ def _mirror_rows(sols: tuple[str, ...]) -> tuple[str, ...]:
     """The rows of a shard's mirror, from its own: negated, in reverse order.
 
     Every kernel orders a shard's rows by their free entries, one sign
-    first (the walkers -1, the DFS +1), and the weighted walker its
-    counts ascending; negation swaps both, so this is the order the
-    mirror's own kernel emits them in.
+    first (the walkers -1, the DFS +1); negation swaps the signs, so this
+    is the order the mirror's own kernel emits them in.
     """
     return tuple(s.translate(_NEGATE) for s in reversed(sols))
 
@@ -658,15 +664,13 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
     """Parse completed shard lines; create the file with a header if new.
 
     Returns the finished shards.  The file must read exactly as
-    ``run_search`` writes it: at offset 0 the header this run writes,
-    for order n, strategy ``label`` and width ``plen``, then one shard
-    line per finished prefix, each prefix once.  A header that differs
-    in any field is refused, so a file from another run is never merged.
-    Every shard line is checked against the width, the label's node rule
-    and its own listing, and every two listed members of one orbit (see
-    ``_symmetries``) against each other, before any shard runs; anything
-    that does not hold raises a ValueError naming the file and leaves the
-    file as it was.
+    ``run_search`` writes it (see the module docstring) for order n,
+    strategy ``label`` and width ``plen``, so a file from another run is
+    never merged.  Every shard line is checked against the width, the
+    label's node rule and its own listing, and every two listed members
+    of one orbit (see ``_symmetries``) against each other, before any
+    shard runs; anything that does not hold raises a ValueError naming
+    the file and leaves the file as it was.
 
     A file that holds no more than the start of that header is begun
     afresh.  A crash mid-append leaves an unterminated last line: the
@@ -866,6 +870,9 @@ def run_search(
     for text in all_solutions:
         if not is_circulant_hadamard(Sequence.from_string(text)):
             raise RuntimeError(f"internal error: emitted row {text} failed exact re-verification")
+    if missing := {image for text in all_solutions for image in _orbit(text)} - set(all_solutions):
+        fault, source = (ValueError, f"checkpoint {checkpoint}") if done else (RuntimeError, "internal error")
+        raise fault(f"{source}: the rows are not closed under rotation and negation: {min(missing)} is missing")
     canonical = {canonicalize(Sequence.from_string(s)).to_string() for s in all_solutions}
     elapsed_ms = (time.monotonic_ns() - start) // 1_000_000
     return SearchReport(
@@ -1019,10 +1026,8 @@ def cross_validate(n: int) -> CrossValidation:
     (for orders divisible by 4, on its -1-minority canonical form) the
     full spectral verdict.  Runs without a checkpoint, so ``run_search``
     refuses every order whose full enumeration walks more than 2^24 rows
-    (``exhaustive`` from order 25 on).  Every label fills in half its
-    shards or more by the same symmetries, so a fault there would be shared
-    and go unseen here; the fill is checked instead against each
-    shard's own kernel run (``tests/test_search.py``).
+    (``exhaustive`` from order 25 on).  Every label shares the symmetry
+    fill, so the tests check it against each shard's own kernel run.
     """
     reports = [run_search(n, strategy, weight_filter=weight_filter)
                for strategy in STRATEGIES for weight_filter in (False, True)

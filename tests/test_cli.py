@@ -368,6 +368,22 @@ def test_search_malformed_checkpoint_line_is_invalid_input(capsys, tmp_path):
     assert out == "" and "does not read" in err
 
 
+def test_search_checkpoint_whose_rows_are_not_closed_is_invalid_input(capsys, tmp_path):
+    # One orbit's four lines emptied (-+++, +---, --+- and ++-+): every
+    # line holds, and only the closure of the merged rows fails.
+    cp = tmp_path / "cp.txt"
+    argv = ("search", "--n", "4", "--strategy", "exhaustive", "--checkpoint", str(cp))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    text = cp.read_text()
+    for bits in ("1000", "0111", "1101", "0010"):
+        text = re.sub(f"prefix={bits} .*", f"prefix={bits} raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=", text)
+    cp.write_text(text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and f"error: checkpoint {cp}: the rows are not closed under rotation and negation: " in err
+
+
 @pytest.mark.parametrize(
     "prefix, line",
     [

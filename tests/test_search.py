@@ -305,22 +305,15 @@ def reference_walk_shard(n, prefix, plen, weights, shifts=None):
     """The full enumeration written row by row, one rotated-XOR popcount per shift.
 
     Rows come in the walker's order: those with a -1 at the first free
-    position, then those without, each half in that order on the rest
-    (for a fixed -1 count, ``itertools.combinations`` order).  A row is
-    kept when r_t = 0 at every shift in ``shifts``, by default 1..n/2.
+    position, then those without, each half in that order on the rest,
+    and with ``weights`` only those with an admissible -1 count.  A row
+    is kept when r_t = 0 at every shift in ``shifts``, by default 1..n/2.
     """
-    free = range(plen, n)
-    if weights is None:
-        rows = [prefix]
-        for i in reversed(free):
-            rows = [bits | 1 << i for bits in rows] + rows
-    else:
-        needs = [w - prefix.bit_count() for w in sorted(set(weights))]
-        needs = [k for k in needs if 0 <= k <= len(free)]
-        rows = [
-            prefix | sum(1 << i for i in combo)
-            for k in needs for combo in itertools.combinations(free, k)
-        ]
+    rows = [prefix]
+    for i in reversed(range(plen, n)):
+        rows = [bits | 1 << i for bits in rows] + rows
+    if weights is not None:
+        rows = [bits for bits in rows if bits.bit_count() in weights]
     nodes = len(rows)
     mask = (1 << n) - 1
     sols = []
@@ -346,14 +339,17 @@ def _decode(planes, j):
 @pytest.mark.parametrize("b", range(11))
 def test_planes_hold_each_row_once_in_split_order(b):
     # -1 (bit 1) at an earlier position first: itertools.product over
-    # (1, 0) with the first position slowest, filtered by -1 count.
+    # (1, 0) with the first position slowest, filtered by -1 count.  One
+    # count, two in either order, three, none and all of them.
     every = [sum(bit << m for m, bit in enumerate(signs)) for signs in itertools.product((1, 0), repeat=b)]
-    for k in (None, *range(b + 1)):
-        expected = [row for row in every if k is None or row.bit_count() == k]
-        planes = search._planes(b, k)
+    counts = [None, (), tuple(range(b + 1)), tuple(range(b, -1, -3))]
+    counts += [combo for r in (1, 2) for combo in itertools.permutations(range(b + 1), r)]
+    for ks in counts:
+        expected = [row for row in every if ks is None or row.bit_count() in ks]
+        planes = search._planes(b, ks)
         assert len(planes) == b
-        assert all(plane >> len(expected) == 0 for plane in planes), k
-        assert [_decode(planes, j) for j in range(len(expected))] == expected, k
+        assert all(plane >> len(expected) == 0 for plane in planes), ks
+        assert [_decode(planes, j) for j in range(len(expected))] == expected, ks
 
 
 def _shift_masks(n, a, plen, fixed, free, full):
@@ -364,9 +360,10 @@ def _shift_masks(n, a, plen, fixed, free, full):
     of the shard the tally is reused for.
     """
     masks = {}
+    flipped = tuple(plane ^ full for plane in free)
     for pairs in search._pair_classes(n, a, plen):
-        counter = search._shared_counter(n, pairs, fixed & ((1 << plen) - 1), free, full)
-        levels = search._boundary_tally(pairs, fixed, free, full, counter)
+        counter = search._shared_counter(n, pairs, fixed & ((1 << plen) - 1), free, flipped)
+        levels = search._boundary_tally(pairs, fixed, free, flipped, counter)
         masks[pairs.t] = search._zero_shift_mask(levels, search._shift_target(n, pairs, fixed), full)
     return masks
 
@@ -510,9 +507,9 @@ def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypat
     real = search._shared_counter
     built = []
 
-    def recording(n, pairs, prefix, free, full):
-        built.append((n, pairs, free))
-        return real(n, pairs, prefix, free, full)
+    def recording(n, pairs, prefix, free, flipped):
+        built.append((n, pairs, free, flipped))
+        return real(n, pairs, prefix, free, flipped)
 
     monkeypatch.setattr(search, "_shared_counter", recording)
     for n, plen, weights in ((16, 2, None), (16, 2, (6, 10)), (12, 0, (4, 5, 6))):
@@ -523,20 +520,23 @@ def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypat
                     n, prefix, plen, weights
                 )
                 # Each (free planes, shift) once per call, built afresh by
-                # the next call.
+                # the next call.  Two groups may share their planes and
+                # differ in rows, the last row all +1 in one of them, so
+                # the complemented planes tell them apart.
                 assert built and len(set(built)) == len(built), (n, prefix, weights)
     built.clear()
-    for n, plen in ((3, 2), (9, 2), (15, 4), (25, 14)):
+    # No r_t is 0 at n = 2 (mod 4) either, as r_t = n (mod 4).
+    for n, plen in ((3, 2), (9, 2), (15, 4), (25, 14), (6, 2), (10, 4), (22, 14)):
         for weights in (None, expected_minus_counts(n)):
             assert search._walk_shard(n, 1, plen, weights) == reference_walk_shard(n, 1, plen, weights)
     assert built == []
 
 
 def test_blocks_reuse_each_shifts_boundary_tally_per_pattern(monkeypatch):
-    # At n = 22 a shard of 2^20 rows holds 16 blocks on positions 6..21.
-    # Shift 1 reads only entry 5 past the two-entry prefix (its other
-    # boundary pair ends at entry 0), so its 16 blocks make 2 tallies, one
-    # per sign there; every row dies at shift 1 (c_1 is even, 11 is not).
+    # At n = 24 a shard of 2^22 rows holds 64 blocks on positions 8..23.
+    # Shift 1 reads only entry 7 past the two-entry prefix (its other
+    # boundary pair ends at entry 0), so its 64 blocks make 2 tallies, one
+    # per sign there.
     real = search._boundary_tally
     tallies = Counter()
 
@@ -545,9 +545,9 @@ def test_blocks_reuse_each_shifts_boundary_tally_per_pattern(monkeypatch):
         return real(pairs, *args)
 
     monkeypatch.setattr(search, "_boundary_tally", recording)
-    assert len(list(search._blocks(22, 2, None, 1))) == 16
-    assert search._walk_shard(22, 1, 2, None) == (1 << 20, [])
-    assert tallies == {1: 2}
+    assert len(list(search._blocks(24, 2, None, 1))) == 64
+    assert search._walk_shard(24, 1, 2, None) == (1 << 22, [])
+    assert tallies[1] == 2
     # Blocks that read the same entries but differ on the others still
     # get the zero mask of their own target: at n = 16 the 2048 blocks of
     # 8 rows on a 2-entry prefix share 2 shift-1 tallies (entry 12), and
@@ -620,6 +620,32 @@ def test_weighted_walk_splits_blocks_past_the_default_cap(jobs):
     assert report.nodes_explored == 2 * math.comb(25, 10) == 6537520
     assert report.raw_count == 0
     assert revalidate_report(report) == []
+
+
+def test_weighted_shard_walks_both_counts_as_one_block(monkeypatch):
+    # At n = 16 on a two-entry prefix, C(14, 6 - c) + C(14, 10 - c) = 4004
+    # rows for c = 0 or 1 prefix -1s: one block of both counts per shard.
+    real_blocks, real_walk = search._blocks, search._walk_shard
+    blocks, shards = [], []
+
+    def recording_blocks(*args):
+        for block in real_blocks(*args):
+            blocks.append(block)
+            yield block
+
+    def recording_walk(*task):
+        blocks.clear()
+        result = real_walk(*task)
+        shards.append(list(blocks))
+        return result
+
+    monkeypatch.setattr(search, "_blocks", recording_blocks)
+    patch_kernel(monkeypatch, real_walk, recording_walk)
+    report = run_search(16, STRATEGY_WEIGHT)
+    assert (report.nodes_explored, report.raw_count) == (16016, 0)
+    assert len(shards) == 2
+    for shard in shards:
+        assert [(rows, len(ks)) for rows, _, ks, _ in shard] == [(4004, 2)], shard
 
 
 def test_packed_fields_decode_to_the_partial_autocorrelations():
@@ -699,6 +725,22 @@ def test_full_enumeration_past_2_24_rows_needs_a_checkpoint(tmp_path):
     # Exactly 2^24 rows need no checkpoint.
     report = run_search(24, STRATEGY_EXHAUSTIVE, jobs=2)
     assert (report.nodes_explored, report.raw_count) == (1 << 24, 0)
+
+
+@pytest.mark.parametrize("n", (30, 34))
+def test_exhaustive_walk_decides_orders_2_mod_4_by_parity(tmp_path, n):
+    # r_t = n (mod 4) for every row, so at n = 2 (mod 4) the walker counts
+    # its rows and builds no counter: 2^34 rows take well under a second.
+    cp = tmp_path / "e.ckpt"
+    report = run_search(n, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    assert (report.nodes_explored, report.raw_count) == (1 << n, 0)
+    assert revalidate_report(report) == []
+    lines = cp.read_text().splitlines(True)
+    head = [l for l in lines if not l.startswith("prefix=")]
+    shards = [l for l in lines if l.startswith("prefix=")]
+    cp.write_text("".join(head + shards[: len(shards) // 2]))
+    assert same_but_elapsed(run_search(n, STRATEGY_EXHAUSTIVE, checkpoint=str(cp)), report)
+    assert len(shard_lines(cp)) == 256
 
 
 # ---------------------------------------------------------------------------
@@ -1481,6 +1523,37 @@ def test_run_search_reverifies_every_row_a_kernel_emits(monkeypatch, strategy, w
         patch_kernel(monkeypatch, real, with_a_non_row(real))
     with pytest.raises(RuntimeError, match=re.escape("internal error: emitted row ++++ failed exact re-verification")):
         run_search(4, strategy, weight_filter=weight_filter)
+
+
+@pytest.mark.parametrize("strategy, weight_filter", LABELS)
+def test_run_search_refuses_rows_not_closed_under_rotation_and_negation(monkeypatch, tmp_path, strategy,
+                                                                       weight_filter):
+    # A kernel that drops -+++ wherever it would emit it; the checkpointed
+    # run splits order 4 into its 16 rows, so some shard that runs holds it.
+    def without_row(real):
+        def kernel(*task):
+            nodes, rows = real(*task)
+            return nodes, [bits for bits in rows if bits != 1]  # 1 is -+++
+        return kernel
+
+    for real in (search._walk_shard, search._dfs_shard):
+        patch_kernel(monkeypatch, real, without_row(real))
+    message = "internal error: the rows are not closed under rotation and negation: "
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        run_search(4, strategy, weight_filter=weight_filter, checkpoint=str(tmp_path / "cp.txt"))
+
+
+def test_resume_refuses_a_checkpoint_whose_rows_are_not_closed(tmp_path):
+    # The four lines of one orbit claim no rows: each line holds, and each
+    # is the others' image, so only the closure of the merged rows fails.
+    cp = tmp_path / "cp.txt"
+    cp.write_text(search._HEADER.format(n=4, strategy=STRATEGY_EXHAUSTIVE, prefix_bits=4) + "".join(
+        f"prefix={bits} raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=\n"
+        for bits in ("1000", "0111", "1101", "0010")  # -+++, +---, --+- and ++-+
+    ))
+    message = f"checkpoint {cp}: the rows are not closed under rotation and negation: ++-+ is missing"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
 
 
 # ---------------------------------------------------------------------------
