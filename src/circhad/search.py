@@ -8,8 +8,8 @@ on what they find:
 * ``exhaustive``        -- all 2^n rows (bit-sliced walk, exact counts);
 * ``weight-constrained``-- only rows carrying one of the two admissible
                            -1 counts for a perfect-square order; the same
-                           walker, row test and row order as
-                           ``exhaustive``, restricted to those counts;
+                           walker and row test as ``exhaustive``,
+                           restricted to those counts;
 * ``pruned-dfs``        -- left-to-right sign assignment, backtracking as
                            soon as any partial autocorrelation provably
                            cannot reach zero (magnitude or parity).  All
@@ -35,17 +35,17 @@ alternated or both.  Exactly one member of an orbit lies in the first
 quarter, p < 2^(P-2); weighted labels and odd orders keep the pairs, one
 member in the first half.  Only the shards there whose orbit has no
 finished member run, and every other shard is filled in from a finished
-member of its orbit, its rows flipped and put in the order its own
-kernel would emit them in (the DFS +1 first, the walkers -1 first; a
-mirror's rows are the other's reversed).  Pending shards run in
-this process, in prefix order, until the run has taken 50 ms, a margin
-over what a process pool costs to start and stop; only the shards left then
-go to a pool, and only when at least two workers would run them.  The
-pool takes its shards in batches, about 8 per worker; results still
-come back, and are logged one line per shard, in prefix order, the
-filled-in shards after the computed ones, so a fresh checkpoint lists
-every shard in prefix order.  A checkpoint file
-must read exactly as this run writes it: its header, then one line per
+member of its orbit, its rows flipped.  A shard lists its rows in
+ascending order, as a report does, whatever order its kernel found them
+in, so an image's rows are the member's flipped, then sorted.  Pending
+shards run in this process, in prefix order, until the run has taken
+50 ms, a margin over what a process pool costs to start and stop; only
+the shards left then go to a pool, and only when at least two workers
+would run them.  The pool takes its shards in batches, about 8 per
+worker; results still come back, and are logged one line per shard, in
+prefix order, the filled-in shards after the computed ones, so a fresh
+checkpoint lists every shard in prefix order.  A checkpoint file must
+read exactly as this run writes it: its header, then one line per
 finished shard, each prefix once, run or filled in alike, and any two
 listed members of one orbit each other's image; anything else is
 refused.  Every shard
@@ -75,12 +75,10 @@ tally of those boundary pairs, and the mask built from it for each
 target, while that pattern repeats.
 The rows whose total is the target are kept as a mask, and a block is
 done when its mask is empty.  Each c_t is even, so r_t = n (mod 4), and
-at any n > 1 not divisible by 4 no counter is built at all.  Rows found
-are put back in block order.  Both full enumerations take their blocks
-from one generator and their planes from one recursion, which split a
-shard's rows, of every -1 count or of the admissible ones, alike: on the
-first free position, a -1 there first.  So both walk a shard's rows in
-one order, the weighted walk restricted to its counts.  Both count as
+at any n > 1 not divisible by 4 no counter is built at all.  Both full
+enumerations take their blocks from one generator and their planes from
+one recursion, which split a shard's rows, of every -1 count or of the
+admissible ones, alike: on the first free position.  Both count as
 nodes the rows of the blocks walked, so a skipped block leaves its
 shard short of the label's node rule, which a resume checks on every
 shard line as it reads it and ``report`` on the total.
@@ -207,11 +205,10 @@ def _split(b: int, ks: tuple[int, ...] | None) -> tuple:
 
 @functools.cache
 def _planes(b: int, ks: tuple[int, ...] | None) -> tuple[int, ...]:
-    """Planes of b free positions over their rows: every sign (ks None) or a -1 count in ks.
+    """Planes of b free positions over their rows: every sign (ks None) or a -1 count in ks (each in 0..b).
 
     The rows split on the first position, those with a -1 there first,
-    and each half the same way on the rest, as ``_blocks`` splits: the
-    order of every sign, restricted to the counts in ks (each in 0..b).
+    and each half the same way on the rest, as ``_blocks`` splits.
     """
     if not b:
         return ()
@@ -223,8 +220,7 @@ def _planes(b: int, ks: tuple[int, ...] | None) -> tuple[int, ...]:
 def _blocks(n: int, a: int, ks: tuple[int, ...] | None, fixed: int):
     """(rows, a, ks, fixed) blocks of the rows fixed before position a, free from it on.
 
-    A set too large for one block is split on position a as ``_planes``
-    splits, so a shard's rows come in one order however many blocks hold them.
+    A set too large for one block is split on position a as ``_planes`` splits.
     """
     rows = _rows(n - a, ks)
     if rows > 1 << _BLOCK_BITS:
@@ -351,25 +347,24 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
     ``weights`` holds the admissible counts, each once; ``_blocks`` takes
     the shard's rows of all of them as one set.  The blocks on one (a, ks)
     run in the numeric order of their fixed entries, and share each shift's
-    counter, tally and masks as the module docstring says.  Rows come back
-    in ``_blocks`` order, ascending within a block.
+    counter, tally and masks as the module docstring says.
     """
     blocks = list(_blocks(n, plen, _free_counts(n, prefix, plen, weights), prefix))
     nodes = sum(rows for rows, *_ in blocks)
     if n % 4 and n > 1:
         # r_t = n (mod 4) for every row, so no r_t is 0 and no counter is built.
         return nodes, []
-    groups: dict[tuple, list[tuple[int, int]]] = {}  # (rows, a, ks) -> (fixed, block index)
-    for index, (rows, a, ks, fixed) in enumerate(blocks):
-        groups.setdefault((rows, a, ks), []).append((fixed, index))
-    found = []  # (block index, row)
+    groups: dict[tuple, list[int]] = {}  # (rows, a, ks) -> fixed entries
+    for rows, a, ks, fixed in blocks:
+        groups.setdefault((rows, a, ks), []).append(fixed)
+    found = []
     for (rows, a, ks), members in groups.items():
         full = (1 << rows) - 1
         free = _planes(n - a, ks)
         flipped = tuple(plane ^ full for plane in free)
         counters: dict[int, list[int]] = {}  # t -> shared counter, for this group only
         memos: dict[int, tuple] = {}  # t -> (entries read, boundary tally, {target: zero mask})
-        for fixed, index in sorted(members):
+        for fixed in sorted(members):
             alive = full
             # r[t] = r[n-t], so the shifts 0 < t <= n/2 decide the row.
             for pairs in _pair_classes(n, a, plen):
@@ -387,10 +382,9 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
                     break
             while alive:
                 j = (alive & -alive).bit_length() - 1
-                found.append((index, fixed | sum(1 << (a + m) for m, plane in enumerate(free) if plane >> j & 1)))
+                found.append(fixed | sum(1 << (a + m) for m, plane in enumerate(free) if plane >> j & 1))
                 alive &= alive - 1
-    found.sort(key=lambda hit: hit[0])  # stable: ascending within a block
-    return nodes, [row for _, row in found]
+    return nodes, found
 
 
 # The pruned DFS keeps each partial autocorrelation r_t (the running sum
@@ -521,9 +515,6 @@ class _Rules(NamedTuple):
     weighted: bool  # takes only the admissible -1 counts (perfect-square orders)
     nodes: Callable[..., int]
     exact: bool
-    # The kernel emits a shard's rows with -1 before +1 at the first
-    # entry they differ in (the walkers), or +1 first (the DFS).
-    minus_first: bool
 
 
 def _label(strategy: str, weight_filter: bool) -> str:
@@ -533,10 +524,10 @@ def _label(strategy: str, weight_filter: bool) -> str:
 
 # Every report label's rules; no other code tests a label.
 _LABELS = {
-    STRATEGY_EXHAUSTIVE: _Rules(_walk_shard, False, _walk_rows, True, True),
-    STRATEGY_WEIGHT: _Rules(_walk_shard, True, _walk_rows, True, True),
-    STRATEGY_DFS: _Rules(_dfs_shard, False, _dfs_ceiling, False, False),
-    _label(STRATEGY_DFS, True): _Rules(_dfs_shard, True, _dfs_ceiling, False, False),
+    STRATEGY_EXHAUSTIVE: _Rules(_walk_shard, False, _walk_rows, True),
+    STRATEGY_WEIGHT: _Rules(_walk_shard, True, _walk_rows, True),
+    STRATEGY_DFS: _Rules(_dfs_shard, False, _dfs_ceiling, False),
+    _label(STRATEGY_DFS, True): _Rules(_dfs_shard, True, _dfs_ceiling, False),
 }
 
 
@@ -563,12 +554,12 @@ def _bits_to_string(bits: int, n: int) -> str:
 
 
 def _run_shard(task: tuple) -> tuple[int, int, tuple[str, ...], int]:
-    """(prefix, nodes, solution strings, elapsed_ms) of one shard."""
+    """(prefix, nodes, solution strings in ascending order, elapsed_ms) of one shard."""
     label, n, prefix, plen, weights = task
     start = time.monotonic_ns()
     nodes, sols = _LABELS[label].kernel(n, prefix, plen, weights)
     elapsed = (time.monotonic_ns() - start) // 1_000_000
-    return prefix, nodes, tuple(_bits_to_string(b, n) for b in sols), elapsed
+    return prefix, nodes, tuple(sorted(_bits_to_string(b, n) for b in sols)), elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -596,27 +587,9 @@ def _shard_line(plen: int, result: tuple) -> str:
     return _SHARD.format(_bitstring(prefix, plen), len(sols), nodes, elapsed, ",".join(sols)) + "\n"
 
 
-def _mirror_rows(sols: tuple[str, ...]) -> tuple[str, ...]:
-    """The rows of a shard's mirror, from its own: negated, in reverse order.
-
-    Every kernel orders a shard's rows by their free entries, one sign
-    first (the walkers -1, the DFS +1); negation swaps the signs, so this
-    is the order the mirror's own kernel emits them in.
-    """
-    return tuple(s.translate(_NEGATE) for s in reversed(sols))
-
-
-def _image_rows(sols: tuple[str, ...], flip: int, minus_first: bool) -> tuple[str, ...]:
-    """The rows of the shard ``flip`` maps this one to, from its own, in the order its kernel emits them.
-
-    A negation is ``_mirror_rows``.  Any other flip is one of an unweighted
-    label, whose kernel orders a shard's rows as text, '+' (ASCII 43)
-    before '-' (45) or, ``minus_first``, after it.
-    """
-    if not sols or flip == (1 << len(sols[0])) - 1:
-        return _mirror_rows(sols)
-    flipped = ("".join(c.translate(_NEGATE) if flip >> i & 1 else c for i, c in enumerate(s)) for s in sols)
-    return tuple(sorted(flipped, reverse=minus_first))
+def _image_rows(sols: tuple[str, ...], flip: int) -> tuple[str, ...]:
+    """The rows of the shard ``flip`` maps this one to, from its own: each row flipped, in ascending order."""
+    return tuple(sorted("".join(c.translate(_NEGATE) if flip >> i & 1 else c for i, c in enumerate(s)) for s in sols))
 
 
 def _parse_shard_line(path: str, line: str, n: int, label: str, plen: int,
@@ -706,7 +679,6 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
     # listed, each must read as the other's image.  Only a nonempty
     # listing is flipped, so the common empty pair costs two comparisons.
     mask, full = (1 << plen) - 1, (1 << n) - 1
-    minus_first = _LABELS[label].minus_first
     images = [(flip, flip & mask) for flip in _symmetries(n, label)]
     for p, (_, nodes, sols, _) in done.items():
         for flip, move in images:
@@ -714,12 +686,13 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
             if q <= p or q not in done:
                 continue
             _, image_nodes, image_sols, _ = done[q]
-            if nodes != image_nodes or image_sols != (_image_rows(sols, flip, minus_first) if sols else ()):
-                kind, how = ("mirrors", "negated, in reverse order") if flip == full else (
-                    "alternates", f"negated at {'odd' if flip & 2 else 'even'} entries, in its kernel's order")
+            if nodes != image_nodes or image_sols != (_image_rows(sols, flip) if sols else ()):
+                kind, how = ("mirrors", "negated") if flip == full else (
+                    "alternates", f"negated at {'odd' if flip & 2 else 'even'} entries")
                 raise ValueError(
                     f"checkpoint {path}: shards {_bitstring(p, plen)} and {_bitstring(q, plen)}"
-                    f" are not {kind}: each must have the other's nodes_explored and its rows {how}"
+                    f" are not {kind}: each must have the other's nodes_explored and its rows {how},"
+                    " in ascending order"
                 )
     if end < len(data):
         os.truncate(path, end)
@@ -864,7 +837,7 @@ def run_search(
                     if prefix ^ move in results:
                         break
                 _, nodes, sols, _ = results[prefix ^ move]
-                record((prefix, nodes, _image_rows(sols, flip, rules.minus_first), 0), flush=False)
+                record((prefix, nodes, _image_rows(sols, flip), 0), flush=False)
 
     all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:

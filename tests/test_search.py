@@ -304,14 +304,11 @@ def test_dfs_kernel_matches_reference_on_order_36_shards():
 def reference_walk_shard(n, prefix, plen, weights, shifts=None):
     """The full enumeration written row by row, one rotated-XOR popcount per shift.
 
-    Rows come in the walker's order: those with a -1 at the first free
-    position, then those without, each half in that order on the rest,
-    and with ``weights`` only those with an admissible -1 count.  A row
-    is kept when r_t = 0 at every shift in ``shifts``, by default 1..n/2.
+    Rows come in ascending order as bit masks, with ``weights`` only those
+    with an admissible -1 count.  A row is kept when r_t = 0 at every
+    shift in ``shifts``, by default 1..n/2.
     """
-    rows = [prefix]
-    for i in reversed(range(plen, n)):
-        rows = [bits | 1 << i for bits in rows] + rows
+    rows = [prefix | free << plen for free in range(1 << (n - plen))]
     if weights is not None:
         rows = [bits for bits in rows if bits.bit_count() in weights]
     nodes = len(rows)
@@ -325,6 +322,12 @@ def reference_walk_shard(n, prefix, plen, weights, shifts=None):
         else:
             sols.append(bits)
     return nodes, sols
+
+
+def walk_shard(n, prefix, plen, weights):
+    """``search._walk_shard`` with its rows in ascending order, the order of ``reference_walk_shard``."""
+    nodes, rows = search._walk_shard(n, prefix, plen, weights)
+    return nodes, sorted(rows)
 
 
 def _signs(bits, n):
@@ -424,7 +427,7 @@ def test_walker_matches_reference_on_every_prefix(n):
     for plen in sorted({0, min(2, n), min(8, n)}):
         for weights in weight_options:
             for prefix in range(1 << plen):
-                assert search._walk_shard(n, prefix, plen, weights) == reference_walk_shard(
+                assert walk_shard(n, prefix, plen, weights) == reference_walk_shard(
                     n, prefix, plen, weights
                 ), (plen, weights, prefix)
 
@@ -481,7 +484,7 @@ def test_split_blocks_walk_every_row_once(monkeypatch, n, block_bits):
     for plen in sorted({0, min(2, n)}):
         for weights in weight_options:
             for prefix in range(1 << plen):
-                assert search._walk_shard(n, prefix, plen, weights) == reference_walk_shard(
+                assert walk_shard(n, prefix, plen, weights) == reference_walk_shard(
                     n, prefix, plen, weights
                 ), (plen, weights, prefix)
 
@@ -499,7 +502,7 @@ def test_deep_weighted_shards_match_reference(monkeypatch, n, plen, block_bits):
         prefix = rng.getrandbits(plen)
         expected = reference_walk_shard(n, prefix, plen, weights)
         assert expected[0] > 1000, prefix
-        assert search._walk_shard(n, prefix, plen, weights) == expected, prefix
+        assert walk_shard(n, prefix, plen, weights) == expected, prefix
 
 
 def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypatch):
@@ -516,7 +519,7 @@ def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypat
         for prefix in range(1 << plen):
             for _ in range(2):
                 built.clear()
-                assert search._walk_shard(n, prefix, plen, weights) == reference_walk_shard(
+                assert walk_shard(n, prefix, plen, weights) == reference_walk_shard(
                     n, prefix, plen, weights
                 )
                 # Each (free planes, shift) once per call, built afresh by
@@ -528,7 +531,7 @@ def test_free_counters_are_built_once_per_shard_and_never_at_odd_order(monkeypat
     # No r_t is 0 at n = 2 (mod 4) either, as r_t = n (mod 4).
     for n, plen in ((3, 2), (9, 2), (15, 4), (25, 14), (6, 2), (10, 4), (22, 14)):
         for weights in (None, expected_minus_counts(n)):
-            assert search._walk_shard(n, 1, plen, weights) == reference_walk_shard(n, 1, plen, weights)
+            assert walk_shard(n, 1, plen, weights) == reference_walk_shard(n, 1, plen, weights)
     assert built == []
 
 
@@ -555,7 +558,7 @@ def test_blocks_reuse_each_shifts_boundary_tally_per_pattern(monkeypatch):
     monkeypatch.setattr(search, "_BLOCK_BITS", 3)
     for prefix in range(4):
         tallies.clear()
-        assert search._walk_shard(16, prefix, 2, None) == reference_walk_shard(16, prefix, 2, None)
+        assert walk_shard(16, prefix, 2, None) == reference_walk_shard(16, prefix, 2, None)
         assert tallies[1] == 2, prefix
 
 
@@ -579,17 +582,52 @@ def test_walker_finds_the_rows_of_every_shift_but_the_half_period(monkeypatch, b
     for n, count in expected.items():
         plen = min(n, 8)
         shifts = range(1, n // 2)
-        shards = {prefix: search._walk_shard(n, prefix, plen, None) for prefix in range(1 << plen)}
+        shards = {prefix: walk_shard(n, prefix, plen, None) for prefix in range(1 << plen)}
         assert sum(len(rows) for _, rows in shards.values()) == count, n
         if n <= 16:
             for prefix, shard in shards.items():
                 assert shard == reference_walk_shard(n, prefix, plen, None, shifts), (n, prefix)
         if n in (12, 16):
-            mask = (1 << plen) - 1
+            mask, full = (1 << plen) - 1, (1 << n) - 1
             for prefix, (_, rows) in shards.items():
                 own = tuple(search._bits_to_string(b, n) for b in rows)
                 mirror = tuple(search._bits_to_string(b, n) for b in shards[mask - prefix][1])
-                assert search._mirror_rows(own) == mirror, (n, prefix)
+                assert search._image_rows(own, full) == tuple(sorted(mirror)), (n, prefix)
+
+
+shard_rows_st = st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=40))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shard_rows_st)
+def test_image_rows_are_ascending_and_flipped_twice_are_the_rows(case):
+    # Any set of rows, not only Hadamard ones: the fill flips and sorts
+    # whatever a shard lists.
+    n, rows = case
+    sols = tuple(search._bits_to_string(bits, n) for bits in rows)
+    for label in search._LABELS:
+        for flip in search._symmetries(n, label):
+            image = search._image_rows(sols, flip)
+            assert all(a < b for a, b in zip(image, image[1:])), (label, flip)
+            assert len(image) == len(sols), (label, flip)
+            assert search._image_rows(image, flip) == tuple(sorted(sols)), (label, flip)
+
+
+@pytest.mark.parametrize("n", (12, 16))
+def test_image_rows_of_a_shard_are_its_images_own_rows(monkeypatch, n):
+    # The fill on shards that hold many rows: without the half period the
+    # walker keeps the almost-perfect rows, and each image of a shard, its
+    # mirror and its alternates, lists the flipped rows as its own run does.
+    without_half_period(monkeypatch)
+    plen = 8
+    mask = (1 << plen) - 1
+    shards = [search._run_shard((STRATEGY_EXHAUSTIVE, n, prefix, plen, None)) for prefix in range(1 << plen)]
+    assert sum(len(sols) for _, _, sols, _ in shards) == {12: 144, 16: 128}[n]
+    for prefix, _, sols, _ in shards:
+        for flip in search._symmetries(n, STRATEGY_EXHAUSTIVE):
+            assert search._image_rows(sols, flip) == shards[prefix ^ (flip & mask)][2], (prefix, flip)
 
 
 def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
@@ -1275,7 +1313,7 @@ def masked_line(line):
 def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strategy, weight_filter):
     # Every label shares the fill, so cross_validate cannot see a fault
     # in it: each line, filled in or run, must read as the shard's own
-    # kernel run writes it (nodes, rows, row order).  Every line must also
+    # kernel run writes it (nodes, rows in ascending order).  Every line must also
     # keep the label's node rule: its exact count, or at most its ceiling.
     label = search._label(strategy, weight_filter)
     rules = search._LABELS[label]
@@ -1323,24 +1361,23 @@ def test_alternated_shards_visit_as_many_nodes_and_hold_the_alternated_rows(monk
     # row and for every partial sum the DFS bounds.  So the shard on
     # prefix p ^ alt, alt the odd positions below the width, visits as
     # many nodes as the shard on p and holds its rows with the odd entries
-    # flipped, in that kernel's own order: the DFS +1 first, the walker -1
-    # first.  Without the half period the walker keeps the almost-perfect
-    # rows (n = 8, 12, 16), a symmetric condition too, so the order is
-    # tested on shards with many rows.
+    # flipped.  Without the half period the walker keeps the almost-perfect
+    # rows (n = 8, 12, 16), a symmetric condition too, so the rows are
+    # compared on shards with many of them.
     odd = sum(1 << i for i in range(1, n, 2))
-    runs = [(search._dfs_shard, False), (search._walk_shard, True)]
-    control = [(search._walk_shard, True)]
+    runs = [search._dfs_shard, search._walk_shard]
+    control = [search._walk_shard]
     for condition in ("hadamard", "without_half_period"):
         if condition == "without_half_period":
             without_half_period(monkeypatch)
         for width in range(1, min(n, 8) + 1):
             alt = odd & ((1 << width) - 1)
-            for kernel, minus_first in runs if condition == "hadamard" else control:
+            for kernel in runs if condition == "hadamard" else control:
                 shards = [kernel(n, prefix, width, None) for prefix in range(1 << width)]
                 for prefix, (nodes, rows) in enumerate(shards):
-                    expected = sorted((search._bits_to_string(row ^ odd, n) for row in rows), reverse=minus_first)
+                    expected = sorted(search._bits_to_string(row ^ odd, n) for row in rows)
                     image_nodes, image_rows = shards[prefix ^ alt]
-                    image = [search._bits_to_string(row, n) for row in image_rows]
+                    image = sorted(search._bits_to_string(row, n) for row in image_rows)
                     assert (image_nodes, image) == (nodes, expected), (condition, n, width, prefix)
 
 
