@@ -23,32 +23,40 @@ on what they find:
 Work is split into independent subtrees by fixing the first few entries
 (2^P prefixes with 2^P >= 4*jobs up to 2^8; always 2^8, or 2^n below
 order 8, with a checkpoint), so results merge
-deterministically regardless of scheduling.  Negating a row keeps every
-r_t and swaps the two admissible -1 counts, so shard p holds exactly
-the negations of shard p ^ mask (mask = 2^P - 1, its mirror) and visits
-as many nodes.  At even n, flipping the signs at odd positions sends
-every r_t to (-1)^t r_t, for a row and for each partial sum the DFS
-bounds, so the labels that take every -1 count (``exhaustive`` and
-``pruned-dfs``) have an orbit of four: p, p ^ mask, p ^ alt and
-p ^ mask ^ alt, alt the odd positions below P, the rows negated,
-alternated or both.  Exactly one member of an orbit lies in the first
-quarter, p < 2^(P-2); weighted labels and odd orders keep the pairs, one
-member in the first half.  Only the shards there whose orbit has no
-finished member run, and every other shard is filled in from a finished
-member of its orbit, its rows flipped.  A shard lists its rows in
-ascending order, as a report does, whatever order its kernel found them
-in, so an image's rows are the member's flipped, then sorted.  Pending
+deterministically regardless of scheduling.  A few signed permutations
+of the positions map a run's shards onto each other (``_symmetries``):
+negating a row keeps every r_t and swaps the two admissible -1 counts;
+at even n, negating the odd entries, or the even ones, sends every r_t
+to (-1)^t r_t, for a row and for each partial sum the DFS bounds; and
+reversing a row about its prefix, h'_x = h_((P-1-x) mod n), a rotation
+of its reversal, keeps every r_t and the -1 count.  Each maps the first
+P entries onto themselves, so it sends shard p's rows onto another
+shard's, the one on p's image.  The labels whose node rule is exact
+(the walks) take all three: at a perfect-square order every perfect row
+already has an admissible -1 count, so a weighted shard holds all the
+perfect rows on its prefix, and any map of perfect rows fills it.  The
+DFS labels take only the moves under which two mapped shards visit as
+many nodes: negation, and the alternations at even n unweighted.  So an
+orbit has 2, 4 or 8 prefixes, or fewer where a move fixes a prefix.
+The least prefix of each orbit that has no finished member runs, and
+every other shard is filled in from a finished member of its orbit:
+its rows moved, then sorted, as a shard lists its rows in ascending
+order, as a report does, whatever order its kernel found them in; its
+node count the member's plus the rule's difference between the two
+shards, so a member's shortfall reaches every image.  Pending
 shards run in this process, in prefix order, until the run has taken
 50 ms, a margin over what a process pool costs to start and stop; only
 the shards left then go to a pool, and only when at least two workers
 would run them.  The pool takes its shards in batches, about 8 per
 worker; results still come back, and are logged one line per shard, in
-prefix order, the filled-in shards after the computed ones, so a fresh
-checkpoint lists every shard in prefix order.  A checkpoint file must
+prefix order, the filled-in shards after the computed ones, also in
+prefix order; so a fresh checkpoint of an exact label is not in prefix
+order as a whole.  A checkpoint file must
 read exactly as this run writes it: its header, then one line per
-finished shard, each prefix once, run or filled in alike, and any two
-listed members of one orbit each other's image; anything else is
-refused.  Every shard
+finished shard, in any order, each prefix once, run or filled in alike,
+and any two listed members of one orbit, or a listed shard and itself,
+each other's image under every move that maps one onto the other;
+anything else is refused.  Every shard
 returns its node count and its rows, whatever the strategy; counts of
 rows are always the length of a listing.  Every row a strategy emits is
 re-verified with the exact integer autocorrelation, and a run's rows
@@ -79,7 +87,8 @@ at any n > 1 not divisible by 4 no counter is built at all.  Both full
 enumerations take their blocks from one generator and their planes from
 one recursion, which split a shard's rows, of every -1 count or of the
 admissible ones, alike: on the first free position.  Both count as
-nodes the rows of the blocks walked, so a skipped block leaves its
+nodes the rows of the blocks walked (where no counter is built, the
+rule's count, as no block is walked), so a skipped block leaves its
 shard short of the label's node rule, which a resume checks on every
 shard line as it reads it and ``report`` on the total.
 """
@@ -349,11 +358,11 @@ def _walk_shard(n: int, prefix: int, plen: int, weights: tuple[int, ...] | None)
     run in the numeric order of their fixed entries, and share each shift's
     counter, tally and masks as the module docstring says.
     """
+    if n % 4 and n > 1:
+        # r_t = n (mod 4) for every row, so no r_t is 0 and no block is walked.
+        return _walk_rows(n, prefix, plen, weights), []
     blocks = list(_blocks(n, plen, _free_counts(n, prefix, plen, weights), prefix))
     nodes = sum(rows for rows, *_ in blocks)
-    if n % 4 and n > 1:
-        # r_t = n (mod 4) for every row, so no r_t is 0 and no counter is built.
-        return nodes, []
     groups: dict[tuple, list[int]] = {}  # (rows, a, ks) -> fixed entries
     for rows, a, ks, fixed in blocks:
         groups.setdefault((rows, a, ks), []).append(fixed)
@@ -531,22 +540,84 @@ _LABELS = {
 }
 
 
-def _symmetries(n: int, label: str) -> tuple[int, ...]:
-    """The sign flips, bit i set to flip entry i, that map a ``label`` run's shards onto each other.
+class _Move(NamedTuple):
+    """A signed permutation of positions: entry x of a row's image is its entry perm[x], negated at flip's bit x."""
 
-    Each keeps every test the run makes, so the shard on prefix p and
-    the one on p ^ (flip & mask) visit as many nodes, and each one's
-    rows are the other's flipped.  Negating a row keeps every r_t and
-    swaps the two admissible -1 counts.  At even n, flipping the odd
-    entries, or the even ones, sends r_t to (-1)^t r_t, for a whole row
-    and for each partial sum the DFS bounds; it changes the -1 count, so
-    a weighted label keeps negation alone.
+    perm: tuple[int, ...]
+    flip: int
+
+
+def _symmetries(n: int, label: str, plen: int) -> tuple[_Move, ...]:
+    """The moves that map a ``label`` run's shards, on ``plen``-entry prefixes, onto each other; the identity first.
+
+    Each sends a row of the shard on prefix p to a row of the shard on
+    p's image, as every move maps the first plen entries onto themselves.
+    Negating a row keeps every r_t and swaps the two admissible -1
+    counts.  At even n, flipping the odd entries, or the even ones, sends
+    r_t to (-1)^t r_t, for a whole row and for each partial sum the DFS
+    bounds; reversing a row about the prefix, h'_x = h_((plen-1-x) mod n),
+    keeps every r_t and its -1 count.  An exact label takes all three, as
+    its image holds the moved rows whatever its node count.  A DFS label
+    takes the flips under which two mapped shards visit as many nodes:
+    negation, and the alternations unless weighted, as they change the
+    -1 count; reversal changes the order the DFS assigns entries in.
+    Reversal keeps the set of flips (at even n, x and (plen-1-x) mod n
+    have the parities of x and plen-1-x), so each flip after the identity
+    or the reversal is the whole group, of 2, 4 or 8 moves.
     """
+    rules = _LABELS[label]
     full = (1 << n) - 1
-    if n & 1 or _LABELS[label].weighted:
-        return (full,)
-    odd = full // 3 << 1  # entries 1, 3, ..., n - 1
-    return full, odd, full ^ odd
+    flips = [0, full]
+    if not n & 1 and (rules.exact or not rules.weighted):
+        odd = full // 3 << 1  # entries 1, 3, ..., n - 1
+        flips += [odd, full ^ odd]
+    perms = [tuple(range(n))]
+    if rules.exact and (reversal := tuple((plen - 1 - x) % n for x in range(n))) != perms[0]:
+        perms.append(reversal)
+    return tuple(_Move(perm, flip) for perm in perms for flip in flips)
+
+
+@functools.cache
+def _orbit_table(n: int, label: str, plen: int) -> tuple[tuple[tuple[int, _Move], ...], ...]:
+    """For each prefix p of a ``label`` run, (p's image, move) under each move of ``_symmetries`` but the identity.
+
+    A run reads the table to pick the shards it runs and to fill in the
+    rest, and a resume to check listed orbit members against each other,
+    so it is built once per (n, label, plen).  A prefix's image is its
+    bits permuted, then flipped; the permuted prefixes are built one bit
+    at a time, p's from that of p less its lowest bit.
+    """
+    mask = (1 << plen) - 1
+    moves = _symmetries(n, label, plen)[1:]
+    permuted = {}
+    for perm in {move.perm for move in moves}:
+        unit = [0] * plen  # unit[i]: where the prefix's entry i goes
+        for x in range(plen):
+            unit[perm[x]] = 1 << x
+        images = [0]
+        for p in range(1, mask + 1):
+            images.append(images[p & (p - 1)] ^ unit[(p & -p).bit_length() - 1])
+        permuted[perm] = images
+    return tuple(tuple((permuted[move.perm][p] ^ move.flip & mask, move) for move in moves) for p in range(mask + 1))
+
+
+@functools.cache
+def _orbits(n: int, label: str, plen: int) -> tuple[tuple[int, ...], ...]:
+    """The orbits of a ``label`` run's prefixes under its moves, each ascending, ordered by their least prefix."""
+    return tuple(
+        orbit for p, moved in enumerate(_orbit_table(n, label, plen))
+        if (orbit := tuple(sorted({p, *(q for q, _ in moved)})))[0] == p
+    )
+
+
+def _describe(move: _Move, n: int) -> tuple[str, str]:
+    """What a checkpoint refusal calls two shards ``move`` maps onto each other, and what it does to their rows."""
+    full = (1 << n) - 1
+    how = ("" if not move.flip else "negated" if move.flip == full
+           else f"negated at {'odd' if move.flip & 2 else 'even'} entries")
+    if move.perm == tuple(range(n)):
+        return ("mirrors" if move.flip == full else "alternates"), how
+    return "reversals", "reversed about the prefix" + (how and ", then " + how)
 
 
 def _bits_to_string(bits: int, n: int) -> str:
@@ -587,9 +658,12 @@ def _shard_line(plen: int, result: tuple) -> str:
     return _SHARD.format(_bitstring(prefix, plen), len(sols), nodes, elapsed, ",".join(sols)) + "\n"
 
 
-def _image_rows(sols: tuple[str, ...], flip: int) -> tuple[str, ...]:
-    """The rows of the shard ``flip`` maps this one to, from its own: each row flipped, in ascending order."""
-    return tuple(sorted("".join(c.translate(_NEGATE) if flip >> i & 1 else c for i, c in enumerate(s)) for s in sols))
+def _image_rows(sols: tuple[str, ...], move: _Move) -> tuple[str, ...]:
+    """The rows of the shard ``move`` maps this one to, from its own: each row moved, in ascending order."""
+    return tuple(sorted(
+        "".join(s[i].translate(_NEGATE) if move.flip >> x & 1 else s[i] for x, i in enumerate(move.perm))
+        for s in sols
+    ))
 
 
 def _parse_shard_line(path: str, line: str, n: int, label: str, plen: int,
@@ -675,20 +749,21 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
         if shard[0] in done:
             raise ValueError(f"checkpoint {path}: shard {line.split()[0]} is listed twice")
         done[shard[0]] = shard
-    # A symmetry maps shard p onto shard p ^ (flip & mask): when both are
-    # listed, each must read as the other's image.  Only a nonempty
-    # listing is flipped, so the common empty pair costs two comparisons.
-    mask, full = (1 << plen) - 1, (1 << n) - 1
-    images = [(flip, flip & mask) for flip in _symmetries(n, label)]
+    # A move maps shard p onto shard q (``_orbit_table``): when both are
+    # listed, q must list p's rows moved.  An exact label holds each line
+    # to its own node rule as it is read; under a ceiling, which is the
+    # same on every shard, the two must visit as many nodes.  A shard a
+    # move maps onto itself is checked against itself.  Only a nonempty
+    # listing is moved, so the common empty pair costs two comparisons.
+    exact = _LABELS[label].exact
+    table = _orbit_table(n, label, plen)
     for p, (_, nodes, sols, _) in done.items():
-        for flip, move in images:
-            q = p ^ move
-            if q <= p or q not in done:
+        for q, move in table[p]:
+            if q < p or q not in done:
                 continue
             _, image_nodes, image_sols, _ = done[q]
-            if nodes != image_nodes or image_sols != (_image_rows(sols, flip) if sols else ()):
-                kind, how = ("mirrors", "negated") if flip == full else (
-                    "alternates", f"negated at {'odd' if flip & 2 else 'even'} entries")
+            if not exact and nodes != image_nodes or image_sols != (_image_rows(sols, move) if sols else ()):
+                kind, how = _describe(move, n)
                 raise ValueError(
                     f"checkpoint {path}: shards {_bitstring(p, plen)} and {_bitstring(q, plen)}"
                     f" are not {kind}: each must have the other's nodes_explored and its rows {how},"
@@ -784,19 +859,9 @@ def run_search(
     # plen >= 1, as n >= 1 and jobs >= 1, and plen >= 2 at even n.
     plen = min(n, _SPLIT_BITS, _SPLIT_BITS if checkpoint is not None else (4 * jobs - 1).bit_length())
     done = {} if checkpoint is None else _load_checkpoint(checkpoint, n, label, plen, weights)
-    # The symmetries move a prefix within its orbit.  Negation flips all P
-    # bits; each alternation flips one of the top two, as P >= 2.  So an
-    # orbit has two or four prefixes, and exactly one of them lies below
-    # 2^P / (orbit size).  Only the shards there whose orbit has no
-    # finished member run; every other shard is filled in from a finished
-    # member of its orbit.
-    mask = (1 << plen) - 1
-    images = [(flip, flip & mask) for flip in _symmetries(n, label)]  # (row flip, prefix move)
-    moves = {0, *(move for _, move in images)}
-    prefixes = range((mask + 1) // len(moves))
-    for move in moves:
-        prefixes = [prefix for prefix in prefixes if prefix ^ move not in done]
-    pending = [(label, n, prefix, plen, weights) for prefix in prefixes]
+    # The least prefix of each orbit with no finished member runs.
+    pending = [(label, n, orbit[0], plen, weights)
+               for orbit in _orbits(n, label, plen) if done.keys().isdisjoint(orbit)]
 
     results = dict(done)
     # No more workers than the CPUs this process may run on; a one-worker
@@ -831,13 +896,18 @@ def run_search(
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for res in pool.map(_run_shard, rest, chunksize=max(1, len(rest) // (8 * workers))):
                     record(res)
-        for prefix in range(mask + 1):
-            if prefix not in results:
-                for flip, move in images:  # a finished member, the mirror if it is one
-                    if prefix ^ move in results:
-                        break
-                _, nodes, sols, _ = results[prefix ^ move]
-                record((prefix, nodes, _image_rows(sols, flip), 0), flush=False)
+        # Every other shard is filled in from a finished member of its
+        # orbit.  Under an exact rule its nodes are the member's, less the
+        # member's rule, plus its own, so a member's shortfall reaches every
+        # image; a ceiling is the same on every shard.
+        table = _orbit_table(n, label, plen)
+        fills = {q: (p, move) for p in results for q, move in table[p] if q not in results}
+        for q in sorted(fills):
+            p, move = fills[q]
+            _, nodes, sols, _ = results[p]
+            if rules.exact:
+                nodes += rules.nodes(n, q, plen, weights) - rules.nodes(n, p, plen, weights)
+            record((q, nodes, _image_rows(sols, move), 0), flush=False)
 
     all_solutions = sorted(s for r in results.values() for s in r[2])
     for text in all_solutions:

@@ -588,46 +588,98 @@ def test_walker_finds_the_rows_of_every_shift_but_the_half_period(monkeypatch, b
             for prefix, shard in shards.items():
                 assert shard == reference_walk_shard(n, prefix, plen, None, shifts), (n, prefix)
         if n in (12, 16):
-            mask, full = (1 << plen) - 1, (1 << n) - 1
+            mask, negation = (1 << plen) - 1, search._Move(tuple(range(n)), (1 << n) - 1)
             for prefix, (_, rows) in shards.items():
                 own = tuple(search._bits_to_string(b, n) for b in rows)
                 mirror = tuple(search._bits_to_string(b, n) for b in shards[mask - prefix][1])
-                assert search._image_rows(own, full) == tuple(sorted(mirror)), (n, prefix)
+                assert search._image_rows(own, negation) == tuple(sorted(mirror)), (n, prefix)
 
 
 shard_rows_st = st.integers(1, 16).flatmap(
-    lambda n: st.tuples(st.just(n), st.sets(st.integers(0, (1 << n) - 1), max_size=40))
+    lambda n: st.tuples(st.just(n), st.integers(1, min(n, 8)), st.sets(st.integers(0, (1 << n) - 1), max_size=40))
 )
+
+
+def inverse(move):
+    """The signed permutation that undoes ``move``, worked out apart from search.py."""
+    perm, flip = [0] * len(move.perm), 0
+    for x, i in enumerate(move.perm):
+        perm[i] = x  # entry x of the image is entry i of the row, negated with flip bit x
+        flip |= (move.flip >> x & 1) << i
+    return search._Move(tuple(perm), flip)
+
+
+def compose(a, b):
+    """The move ``a`` after the move ``b``, worked out apart from search.py."""
+    return search._Move(
+        tuple(b.perm[i] for i in a.perm), sum(((a.flip >> x ^ b.flip >> i) & 1) << x for x, i in enumerate(a.perm))
+    )
+
+
+def moves(n, label, plen):
+    """Every move of a ``label`` run's group but the identity: the moves of its orbit table at the first prefix."""
+    return [move for _, move in search._orbit_table(n, label, plen)[0]]
 
 
 @settings(max_examples=100, deadline=None)
 @given(shard_rows_st)
-def test_image_rows_are_ascending_and_flipped_twice_are_the_rows(case):
-    # Any set of rows, not only Hadamard ones: the fill flips and sorts
-    # whatever a shard lists.
-    n, rows = case
+def test_image_rows_are_ascending_and_undone_by_the_inverse_move(case):
+    # Any set of rows, not only Hadamard ones: the fill moves and sorts
+    # whatever a shard lists.  A reversal composed with an alternation is
+    # not an involution, so each move is undone by its own inverse, which
+    # the group holds, as it holds every product of two moves.
+    n, plen, rows = case
     sols = tuple(search._bits_to_string(bits, n) for bits in rows)
+    identity = search._Move(tuple(range(n)), 0)
     for label in search._LABELS:
-        for flip in search._symmetries(n, label):
-            image = search._image_rows(sols, flip)
-            assert all(a < b for a, b in zip(image, image[1:])), (label, flip)
-            assert len(image) == len(sols), (label, flip)
-            assert search._image_rows(image, flip) == tuple(sorted(sols)), (label, flip)
+        group = moves(n, label, plen)
+        assert search._symmetries(n, label, plen) == (identity, *group), label
+        assert len(set(group) | {identity}) == len(group) + 1 in (2, 4, 8), label
+        assert {compose(a, b) for a in group for b in group} <= {identity, *group}, label
+        for move in group:
+            image = search._image_rows(sols, move)
+            assert all(a < b for a, b in zip(image, image[1:])), (label, move)
+            assert len(image) == len(sols), (label, move)
+            assert inverse(move) in group, (label, move)
+            assert search._image_rows(image, inverse(move)) == tuple(sorted(sols)), (label, move)
+
+
+def almost_perfect_control(monkeypatch):
+    """Let a run keep the rows with r_t = 0 for 0 < t < n/2, weighted to the -1 counts they take.
+
+    The walker drops the half period (``without_half_period``), the row
+    test asks only for those shifts, and a weighted run of any order
+    takes the -1 counts of the control's rows (at n = 12, 4, 5, 7 and 8;
+    at n = 16, 7 and 9), so shards that hold rows go through the fill,
+    the checkpoint lines and the closure check.
+    """
+    without_half_period(monkeypatch)
+
+    def almost_perfect(seq):
+        r = autocorrelation(seq)
+        return all(r[t] == 0 for t in range(1, seq.n // 2))
+
+    monkeypatch.setattr(search, "is_circulant_hadamard", almost_perfect)
+    counts = {12: (4, 5, 7, 8), 16: (7, 9)}
+    monkeypatch.setattr(search, "expected_minus_counts", counts.get)
+    return counts
 
 
 @pytest.mark.parametrize("n", (12, 16))
 def test_image_rows_of_a_shard_are_its_images_own_rows(monkeypatch, n):
-    # The fill on shards that hold many rows: without the half period the
-    # walker keeps the almost-perfect rows, and each image of a shard, its
-    # mirror and its alternates, lists the flipped rows as its own run does.
-    without_half_period(monkeypatch)
+    # The fill on shards that hold many rows: with the almost-perfect
+    # control each image of a shard, under every move of each exact
+    # label, lists the moved rows as its own run does.
+    counts = almost_perfect_control(monkeypatch)
     plen = 8
-    mask = (1 << plen) - 1
-    shards = [search._run_shard((STRATEGY_EXHAUSTIVE, n, prefix, plen, None)) for prefix in range(1 << plen)]
-    assert sum(len(sols) for _, _, sols, _ in shards) == {12: 144, 16: 128}[n]
-    for prefix, _, sols, _ in shards:
-        for flip in search._symmetries(n, STRATEGY_EXHAUSTIVE):
-            assert search._image_rows(sols, flip) == shards[prefix ^ (flip & mask)][2], (prefix, flip)
+    for label, weights in ((STRATEGY_EXHAUSTIVE, None), (STRATEGY_WEIGHT, counts[n])):
+        shards = [search._run_shard((label, n, prefix, plen, weights))[2] for prefix in range(1 << plen)]
+        assert sum(map(len, shards)) == {12: 144, 16: 128}[n], label
+        table = search._orbit_table(n, label, plen)
+        assert len(table[0]) == 7, label  # negation, two alternations, reversal and their products
+        for prefix, sols in enumerate(shards):
+            for image, move in table[prefix]:
+                assert search._image_rows(sols, move) == shards[image], (label, prefix, move)
 
 
 def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
@@ -646,6 +698,39 @@ def test_skipped_block_is_flagged_by_revalidate(monkeypatch):
     # The other three shards of the first shard's orbit are filled in from
     # it, dropped block and all.
     assert report.nodes_explored == (1 << 20) - 4 * (1 << search._BLOCK_BITS)
+    assert any("nodes_explored" in p for p in revalidate_report(report))
+
+
+def shard_nodes(path):
+    """{prefix: nodes_explored} of a checkpoint's shard lines."""
+    return {p: int(re.search(r"nodes_explored=([0-9]+)", line).group(1)) for p, line in lines_by_prefix(path).items()}
+
+
+def test_skipped_block_of_a_weighted_shard_reaches_every_image(monkeypatch, tmp_path):
+    # Alternation changes a weighted shard's -1 count, so the images of a
+    # shard have other node rules: each carries the member's shortfall.
+    # Shard 00000000 runs and fills 10101010, 01010101 and 11111111,
+    # which hold 28, 56, 56 and 28 rows of 6 or 10 entries -1.
+    monkeypatch.setattr(search, "_BLOCK_BITS", 3)
+    real = search._blocks
+
+    def drop_first_block(*args):
+        monkeypatch.setattr(search, "_blocks", real)
+        blocks = real(*args)
+        next(blocks)
+        yield from blocks
+
+    monkeypatch.setattr(search, "_blocks", drop_first_block)
+    cp = tmp_path / "cp.txt"
+    report = run_search(16, STRATEGY_WEIGHT, checkpoint=str(cp))
+    weights = expected_minus_counts(16)
+    nodes = shard_nodes(cp)
+    rule = {p: sum(math.comb(8, w - p.bit_count()) for w in weights if 0 <= w - p.bit_count() <= 8) for p in nodes}
+    short = rule[0] - nodes[0]
+    assert len(nodes) == 256 and short > 0
+    assert [rule[p] for p in (0, 85, 170, 255)] == [28, 56, 56, 28]
+    assert {p: rule[p] - nodes[p] for p in nodes if nodes[p] != rule[p]} == dict.fromkeys((0, 85, 170, 255), short)
+    assert report.nodes_explored == 2 * math.comb(16, 6) - 4 * short
     assert any("nodes_explored" in p for p in revalidate_report(report))
 
 
@@ -681,7 +766,8 @@ def test_weighted_shard_walks_both_counts_as_one_block(monkeypatch):
     patch_kernel(monkeypatch, real_walk, recording_walk)
     report = run_search(16, STRATEGY_WEIGHT)
     assert (report.nodes_explored, report.raw_count) == (16016, 0)
-    assert len(shards) == 2
+    # Negation, alternation and reversal map the four shards onto each other, so one runs.
+    assert len(shards) == 1
     for shard in shards:
         assert [(rows, len(ks)) for rows, _, ks, _ in shard] == [(4004, 2)], shard
 
@@ -977,6 +1063,16 @@ def checkpoint_with_line(tmp_path, n, strategy, prefix, line):
         (12, STRATEGY_DFS, "01010101",
          "prefix=01010101 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
          "shards 00000000 and 01010101 are not alternates"),
+        # Shard 1000 still lists -+++, which reversed about the prefix is
+        # +++-, the row this line drops; then negated, ---+.
+        (4, STRATEGY_EXHAUSTIVE, "0001",
+         "prefix=0001 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "shards 1000 and 0001 are not reversals: each must have the other's nodes_explored and its"
+         " rows reversed about the prefix, in ascending order"),
+        (4, STRATEGY_WEIGHT, "1110",
+         "prefix=1110 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
+         "shards 1000 and 1110 are not reversals: each must have the other's nodes_explored and its"
+         " rows reversed about the prefix, then negated, in ascending order"),
     ],
     ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
          "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
@@ -984,7 +1080,8 @@ def checkpoint_with_line(tmp_path, n, strategy, prefix, line):
          "nodes_past_int_digit_limit", "prefix_too_short", "prefix_too_long",
          "nodes_not_the_shard_rows", "nodes_off_the_shard_weights", "dfs_nodes_over_the_shard_ceiling",
          "empty_items", "empty_items_around_a_row", "mirror_rows_disagree", "mirror_nodes_disagree",
-         "alternate_rows_disagree", "alternate_nodes_disagree"],
+         "alternate_rows_disagree", "alternate_nodes_disagree", "reversal_rows_disagree",
+         "weighted_reversal_then_negation_rows_disagree"],
 )
 def test_checkpoint_shard_line_is_validated(tmp_path, n, strategy, prefix, line, problem):
     cp = checkpoint_with_line(tmp_path, n, strategy, prefix, line)
@@ -1019,9 +1116,10 @@ def test_checkpoint_torn_header_starts_afresh(tmp_path):
         assert cp.read_text().startswith("# circhad search checkpoint v1\nn=4\n")
 
 
-# The order-4 exhaustive checkpoint byte for byte (elapsed_ms masked):
-# one row per shard, shards in ascending prefix order, bit i of the
-# prefix at position i.
+# The order-4 exhaustive checkpoint byte for byte (elapsed_ms masked) as
+# runs wrote it while only negation and alternation filled shards: one
+# row per shard, shards in ascending prefix order, bit i of the prefix at
+# position i.  Such files must still resume.
 ORDER_FOUR_CHECKPOINT = """\
 # circhad search checkpoint v1
 n=4
@@ -1046,6 +1144,35 @@ prefix=1111 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
 """
 
 
+# The same checkpoint as a fresh run writes it now: first the shard on
+# the least prefix of each of the three orbits, which runs: 0000 (with
+# 1111, 1010 and 0101), 1000 (the eight rows with one or three -1s, all
+# of them perfect) and 1100 (with 0110, 0011 and 1001).  Then the
+# thirteen filled in, in ascending prefix order.
+ORDER_FOUR_FRESH_CHECKPOINT = """\
+# circhad search checkpoint v1
+n=4
+strategy=exhaustive
+prefix_bits=4
+prefix=0000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-+++
+prefix=1100 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=0100 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+-++
+prefix=0010 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=++-+
+prefix=1010 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=0110 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=1110 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=---+
+prefix=0001 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+++-
+prefix=1001 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=0101 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=1101 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=--+-
+prefix=0011 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+prefix=1011 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-+--
+prefix=0111 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+---
+prefix=1111 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+"""
+
+
 def masked_bytes(path):
     return re.sub(rb"elapsed_ms=[0-9]+", b"elapsed_ms=0", path.read_bytes())
 
@@ -1053,11 +1180,48 @@ def masked_bytes(path):
 def test_checkpoint_bytes_are_pinned_fresh_and_after_a_resume(tmp_path):
     cp = tmp_path / "cp.txt"
     full = run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
-    assert masked_bytes(cp) == ORDER_FOUR_CHECKPOINT.encode("ascii")
+    assert masked_bytes(cp) == ORDER_FOUR_FRESH_CHECKPOINT.encode("ascii")
     lines = cp.read_bytes().splitlines(True)
     cp.write_bytes(b"".join(lines[:11]) + lines[11][:20])  # cut mid-line
     assert same_but_elapsed(run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp)), full)
-    assert masked_bytes(cp) == ORDER_FOUR_CHECKPOINT.encode("ascii")
+    assert masked_bytes(cp) == ORDER_FOUR_FRESH_CHECKPOINT.encode("ascii")
+
+
+def prefix_order_checkpoint(n, strategy):
+    """A checkpoint of order n as runs wrote it while only negation and alternation filled shards.
+
+    Every shard in ascending prefix order: at order 4 ``ORDER_FOUR_CHECKPOINT``;
+    at order 16 weighted, 256 lines of no rows, each with the C(8, 6 - c)
+    + C(8, 10 - c) rows of its c prefix -1s (a term with c past its count
+    is 0), the walk's node count.
+    """
+    if n == 4:
+        return ORDER_FOUR_CHECKPOINT
+    lines = [
+        f"prefix={format(p, '08b')[::-1]} raw_count=0"
+        f" nodes_explored={sum(math.comb(8, w - p.bit_count()) for w in (6, 10) if w >= p.bit_count())}"
+        " elapsed_ms=0 solutions=\n"
+        for p in range(256)
+    ]
+    return search._HEADER.format(n=16, strategy=strategy, prefix_bits=8) + "".join(lines)
+
+
+@pytest.mark.parametrize("n, strategy", [(4, STRATEGY_EXHAUSTIVE), (16, STRATEGY_WEIGHT)])
+def test_prefix_order_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_path, n, strategy):
+    # A file in the older layout, whole or cut after its first half, holds
+    # a finished member of every orbit: it resumes with no kernel call to
+    # the report a fresh run gives, and the other half is appended in
+    # prefix order, which rebuilds the older file.
+    text = prefix_order_checkpoint(n, strategy)
+    lines = text.splitlines(True)
+    fresh = run_search(n, strategy)
+    calls = counting_kernels(monkeypatch)
+    cp = tmp_path / "cp.txt"
+    for cut in (len(lines), 4 + (len(lines) - 4) // 2):
+        cp.write_text("".join(lines[:cut]))
+        assert same_but_elapsed(run_search(n, strategy, checkpoint=str(cp)), fresh), cut
+        assert calls == []
+        assert masked_bytes(cp) == text.encode("ascii"), cut
 
 
 @pytest.mark.parametrize(
@@ -1220,15 +1384,15 @@ def test_pool_takes_about_eight_batches_per_worker(monkeypatch, tmp_path):
         lambda max_workers: RecordingPool(max_workers, sizes, chunksizes=chunksizes),
     )
     set_cpus(monkeypatch, 2)
-    # A weighted label runs the first half of the shards, so a batch is
+    # The weighted DFS runs the first half of the shards, so a batch is
     # max(1, (2^P / 2) // (8 * workers)) shards.
     cp = str(tmp_path / "cp.txt")
     base = weighted_dfs16(jobs=2, checkpoint=cp)  # a new file: 128 of 256 run, 128 // 16
     set_cpus(monkeypatch, 3)
     assert same_but_elapsed(weighted_dfs16(jobs=64), base)  # 128 of 256, 3 workers: 128 // 24
     serial = run_search(16, STRATEGY_WEIGHT)
-    assert same_but_elapsed(run_search(16, STRATEGY_WEIGHT, jobs=2), serial)  # 4 of 8: 4 // 16 -> 1
-    # An unweighted label at even order runs the first quarter.
+    assert same_but_elapsed(run_search(16, STRATEGY_WEIGHT, jobs=2), serial)  # 2 orbits of 8: 2 // 16 -> 1
+    # The unweighted DFS at even order runs the first quarter.
     quarter = run_search(12, STRATEGY_DFS, checkpoint=str(tmp_path / "quarter.ckpt"))
     assert same_but_elapsed(run_search(12, STRATEGY_DFS, jobs=64), quarter)  # 64 of 256, 3 workers: 64 // 24
     assert (sizes, chunksizes) == ([2, 3, 2, 3], [8, 5, 1, 2])
@@ -1302,11 +1466,23 @@ def test_a_run_within_the_budget_builds_no_pool(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# filled-in shards: a run fills in every shard whose orbit under negation
-# (and, unweighted at even n, the two alternations) has a finished member
+# filled-in shards: a run fills in every shard whose orbit has a finished
+# member, under negation, the two alternations at even n (not for the
+# weighted DFS) and, for the exact labels, reversal about the prefix
 
 def masked_line(line):
     return re.sub(r"elapsed_ms=[0-9]+", "elapsed_ms=0", line)
+
+
+def prefix_of(line):
+    """The prefix a shard line names, as text or bytes: bit i is entry i."""
+    bits = line.split()[0][len("prefix="):]
+    return int(bits[::-1], 2)
+
+
+def lines_by_prefix(path):
+    """{prefix: line} of a checkpoint's shard lines."""
+    return {prefix_of(line): line for line in shard_lines(path)}
 
 
 @pytest.mark.parametrize("strategy, weight_filter", LABELS)
@@ -1315,11 +1491,14 @@ def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strat
     # in it: each line, filled in or run, must read as the shard's own
     # kernel run writes it (nodes, rows in ascending order).  Every line must also
     # keep the label's node rule: its exact count, or at most its ceiling.
+    # Lines are compared by prefix, as a fresh checkpoint of an exact label
+    # lists the shards that ran first.  Order 25 reverses shards at an odd
+    # order past 16, where the weighted label's shards have other -1 counts.
     label = search._label(strategy, weight_filter)
     rules = search._LABELS[label]
     compared = 0
     reached = set()  # the orders at which some shard visits its whole ceiling
-    for n in range(1, 17):
+    for n in [*range(1, 17), 25]:
         weights = expected_minus_counts(n) if rules.weighted else None
         if rules.weighted and weights is None:
             continue
@@ -1327,16 +1506,13 @@ def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strat
             monkeypatch.setattr(search, "_SPLIT_BITS", width)
             cp = tmp_path / f"{label}-{n}-{width}.ckpt"
             run_search(n, strategy, weight_filter=weight_filter, checkpoint=str(cp))
-            lines = shard_lines(cp)
-            assert len(lines) == 1 << width
+            lines = lines_by_prefix(cp)
+            assert len(shard_lines(cp)) == len(lines) == 1 << width
             for prefix in range(1 << width):
                 own = search._shard_line(width, search._run_shard((label, n, prefix, width, weights)))
                 assert masked_line(lines[prefix]) == masked_line(own.rstrip("\n")), (n, width, prefix)
                 compared += 1
-            for prefix, line in enumerate(lines):
-                # Lines are in split order: bit i of the prefix is entry i.
-                assert line.startswith(f"prefix={format(prefix, f'0{width}b')[::-1]} ")
-                nodes = int(re.search(r"nodes_explored=([0-9]+)", line).group(1))
+                nodes = int(re.search(r"nodes_explored=([0-9]+)", lines[prefix]).group(1))
                 rule = rules.nodes(n, prefix, width, weights)
                 assert nodes == rule if rules.exact else nodes <= rule, (n, width, prefix)
                 if nodes == rule and not rules.exact:
@@ -1347,12 +1523,28 @@ def test_mirrored_shards_match_their_own_kernel_run(monkeypatch, tmp_path, strat
                 fault = functools.partial(search._node_fault, n, label, weights)
                 assert fault(total) is None and fault(total + 1) is not None, (n, total)
                 assert rules.exact == (fault(total - 1) is not None), (n, total)
-    # 2^width shards per (n, width): 2748 for a label that takes every
-    # order, 572 for one that takes only the squares 1, 4, 9, 16.
-    assert compared == (572 if rules.weighted else 2748)
+    # 2^width shards per (n, width): 2748 + 270 at order 25 for a label
+    # that takes every order, 572 + 270 for one that takes only the
+    # squares 1, 4, 9, 16 and 25.
+    assert compared == (842 if rules.weighted else 3018)
     # The ceiling is reached, so it is no looser than it need be at small orders.
     if not rules.exact:
         assert reached >= ({1, 4} if rules.weighted else {1, 2, 4, 6, 8}), reached
+        return
+    # Shards that hold rows, under every move of the label: the
+    # almost-perfect control, through the fill, the checkpoint and a resume.
+    counts = almost_perfect_control(monkeypatch)
+    monkeypatch.setattr(search, "_SPLIT_BITS", 8)
+    for n in (12, 16):
+        weights = counts[n] if rules.weighted else None
+        cp = tmp_path / f"{label}-control-{n}.ckpt"
+        report = run_search(n, strategy, checkpoint=str(cp))
+        assert report.raw_count == {12: 144, 16: 128}[n]
+        lines = lines_by_prefix(cp)
+        for prefix in range(1 << 8):
+            own = search._shard_line(8, search._run_shard((label, n, prefix, 8, weights)))
+            assert masked_line(lines[prefix]) == masked_line(own.rstrip("\n")), (n, prefix)
+        assert same_but_elapsed(run_search(n, strategy, checkpoint=str(cp)), report)
 
 
 @pytest.mark.parametrize("n", range(2, 17, 2))
@@ -1389,6 +1581,14 @@ def counting_kernels(monkeypatch):
     return calls
 
 
+# The shards a fresh checkpointed run of order 16 runs, one per orbit of
+# its 2^8 prefixes.  The exact labels' eight moves leave 36 orbits, by
+# Burnside (256 + 16 + 16) / 8: reversal, and reversal with negation, each
+# fix 16 prefixes, and the other five moves none.  The DFS keeps 64 orbits
+# of four, or 128 mirror pairs when weighted.
+SHARDS_RUN_AT_SIXTEEN = {"exhaustive": 36, "weight-constrained": 36, "pruned-dfs": 64, "pruned-dfs+weight": 128}
+
+
 @pytest.mark.usefixtures("pool_at_once")
 @pytest.mark.parametrize("strategy, weight_filter", LABELS)
 def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_path, strategy, weight_filter):
@@ -1407,20 +1607,22 @@ def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_pa
     def resume(cp):
         return run_search(16, strategy, jobs=2, weight_filter=weight_filter, checkpoint=str(cp))
 
-    # The header and the first half: every shard left is a mirror.
+    # The header and the first half of the lines: the shards that ran and
+    # then filled-in ones, so every shard left is filled in.
     cp = tmp_path / "first.ckpt"
     cp.write_bytes(b"".join(head + shards[:128]))
     assert same_but_elapsed(resume(cp), base)
     assert (calls, sizes) == ([], [])
     assert masked_bytes(cp) == masked_bytes(full)
 
-    # The second half alone: the first half is filled in from it.
+    # The second half alone: it holds a member of every orbit, so the
+    # first half is filled in from it, in ascending prefix order.
     cp = tmp_path / "second.ckpt"
     cp.write_bytes(b"".join(head + shards[128:]))
     assert same_but_elapsed(resume(cp), base)
     assert (calls, sizes) == ([], [])
     assert [masked_line(l) for l in shard_lines(cp)] == [
-        masked_line(l.decode().rstrip("\n")) for l in shards[128:] + shards[:128]
+        masked_line(l.decode().rstrip("\n")) for l in shards[128:] + sorted(shards[:128], key=prefix_of)
     ]
 
     # A crash mid-fill: the computed shards, part of the filled-in ones and a
@@ -1431,22 +1633,41 @@ def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_pa
     assert (calls, sizes) == ([], [])
     assert masked_bytes(cp) == masked_bytes(full)
 
-    # The header and the first quarter: every orbit of an unweighted label
-    # has a member there, so nothing runs; a weighted one runs the second quarter.
-    weighted = search._LABELS[search._label(strategy, weight_filter)].weighted
+    # The header and the first quarter of the lines: they hold a member of
+    # every orbit, so nothing runs, unless only negation maps the shards
+    # (the weighted DFS), whose second quarter then runs.
+    runs = SHARDS_RUN_AT_SIXTEEN[search._label(strategy, weight_filter)]
     cp = tmp_path / "quarter.ckpt"
     cp.write_bytes(b"".join(head + shards[:64]))
     assert same_but_elapsed(resume(cp), base)
-    assert [call[1] for call in calls] == (list(range(64, 128)) if weighted else [])
-    assert sizes == ([2] if weighted else [])
+    assert [call[1] for call in calls] == (list(range(64, 128)) if runs == 128 else [])
+    assert sizes == ([2] if runs == 128 else [])
     assert masked_bytes(cp) == masked_bytes(full)
     calls.clear()
     sizes.clear()
 
     # The wrapped kernels are the ones a run calls: a fresh run records every
-    # shard it runs, the first half for a weighted label, else the first quarter.
+    # shard it runs, one per orbit.
     assert same_but_elapsed(resume(tmp_path / "fresh.ckpt"), base)
-    assert len(calls) == (128 if weighted else 64) and sizes == [2]
+    assert len(calls) == runs and sizes == [2]
+
+
+def test_a_shard_a_move_maps_onto_itself_is_checked_against_itself(monkeypatch, tmp_path):
+    # At n = 12 reversal about the prefix maps shard 01000010 onto itself
+    # and swaps its two almost-perfect rows.  A file that lists one of
+    # them alone, and no other member of the orbit, is refused as it is
+    # read, before the row is moved into the rest of its orbit.
+    almost_perfect_control(monkeypatch)
+    cp = tmp_path / "cp.txt"
+    run_search(12, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    line = lines_by_prefix(cp)[66]
+    rows = line.split("solutions=")[1].split(",")
+    assert line.startswith("prefix=01000010 raw_count=2 ") and len(rows) == 2
+    header = search._HEADER.format(n=12, strategy=STRATEGY_EXHAUSTIVE, prefix_bits=8)
+    cp.write_text(header + line.replace("raw_count=2", "raw_count=1").replace(",".join(rows), rows[0]) + "\n")
+    message = f"checkpoint {cp}: shards 01000010 and 01000010 are not reversals"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_search(12, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
 
 
 def test_tampered_first_half_line_is_refused_through_its_mirror(monkeypatch, tmp_path):
@@ -1565,32 +1786,39 @@ def test_run_search_reverifies_every_row_a_kernel_emits(monkeypatch, strategy, w
 @pytest.mark.parametrize("strategy, weight_filter", LABELS)
 def test_run_search_refuses_rows_not_closed_under_rotation_and_negation(monkeypatch, tmp_path, strategy,
                                                                        weight_filter):
-    # A kernel that drops -+++ wherever it would emit it; the checkpointed
-    # run splits order 4 into its 16 rows, so some shard that runs holds it.
+    # A kernel that drops ++-+ wherever it would emit it.  On two-entry
+    # prefixes (jobs = 1, no checkpoint) every label runs the shard on ++,
+    # which holds ++-+ and +++-, so a shard filled in from it lacks an
+    # image of ++-+.  (Split into the 16 rows of order 4, the exact labels
+    # run one shard, -+++, for all eight rows: a kernel that drops it
+    # leaves no row at all, a closed listing that only cross_validate,
+    # through the other strategy, can tell from the truth.)
     def without_row(real):
         def kernel(*task):
             nodes, rows = real(*task)
-            return nodes, [bits for bits in rows if bits != 1]  # 1 is -+++
+            return nodes, [bits for bits in rows if bits != 4]  # 4 is ++-+
         return kernel
 
     for real in (search._walk_shard, search._dfs_shard):
         patch_kernel(monkeypatch, real, without_row(real))
     message = "internal error: the rows are not closed under rotation and negation: "
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        run_search(4, strategy, weight_filter=weight_filter, checkpoint=str(tmp_path / "cp.txt"))
+        run_search(4, strategy, weight_filter=weight_filter)
 
 
 def test_resume_refuses_a_checkpoint_whose_rows_are_not_closed(tmp_path):
-    # The four lines of one orbit claim no rows: each line holds, and each
-    # is the others' image, so only the closure of the merged rows fails.
+    # The four lines of one DFS orbit claim no rows: each line holds, and
+    # each is the others' image, so only the closure of the merged rows
+    # fails.  (For an exact label reversal joins this orbit to the other
+    # four rows', so these lines would fill in all eight shards.)
     cp = tmp_path / "cp.txt"
-    cp.write_text(search._HEADER.format(n=4, strategy=STRATEGY_EXHAUSTIVE, prefix_bits=4) + "".join(
+    cp.write_text(search._HEADER.format(n=4, strategy=STRATEGY_DFS, prefix_bits=4) + "".join(
         f"prefix={bits} raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=\n"
         for bits in ("1000", "0111", "1101", "0010")  # -+++, +---, --+- and ++-+
     ))
     message = f"checkpoint {cp}: the rows are not closed under rotation and negation: ++-+ is missing"
     with pytest.raises(ValueError, match=re.escape(message)):
-        run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+        run_search(4, STRATEGY_DFS, checkpoint=str(cp))
 
 
 # ---------------------------------------------------------------------------
