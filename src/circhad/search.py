@@ -34,9 +34,14 @@ P entries onto themselves, so it sends shard p's rows onto another
 shard's, the one on p's image.  The labels whose node rule is exact
 (the walks) take all three: at a perfect-square order every perfect row
 already has an admissible -1 count, so a weighted shard holds all the
-perfect rows on its prefix, and any map of perfect rows fills it.  The
-DFS labels take only the moves under which two mapped shards visit as
-many nodes: negation, and the alternations at even n unweighted.  So an
+perfect rows on its prefix, and any map of perfect rows fills it.  They
+take reversal only where a row's 2n rotations and negations outnumber
+its images under the moves, at every order but 2 and 4: at order 4 the
+eight moves send -+++ onto every perfect row, so one shard, run or
+listed, would stand for all of them, and the closure check below could
+not see a row its kernel lost or its line left out.  The DFS labels
+take only the moves under which two mapped shards visit as many nodes:
+negation, and the alternations at even n unweighted.  So an
 orbit has 2, 4 or 8 prefixes, or fewer where a move fixes a prefix.
 The least prefix of each orbit that has no finished member runs, and
 every other shard is filled in from a finished member of its orbit:
@@ -557,7 +562,11 @@ def _symmetries(n: int, label: str, plen: int) -> tuple[_Move, ...]:
     r_t to (-1)^t r_t, for a whole row and for each partial sum the DFS
     bounds; reversing a row about the prefix, h'_x = h_((plen-1-x) mod n),
     keeps every r_t and its -1 count.  An exact label takes all three, as
-    its image holds the moved rows whatever its node count.  A DFS label
+    its image holds the moved rows whatever its node count, but reversal
+    only while the group, with it, has fewer moves than the 2n rotations
+    and negations of a row: else, as at n = 4, a row's images could be
+    all of them, and the closure check ``run_search`` ends with could not
+    see one lost with the shard that holds it.  A DFS label
     takes the flips under which two mapped shards visit as many nodes:
     negation, and the alternations unless weighted, as they change the
     -1 count; reversal changes the order the DFS assigns entries in.
@@ -572,7 +581,8 @@ def _symmetries(n: int, label: str, plen: int) -> tuple[_Move, ...]:
         odd = full // 3 << 1  # entries 1, 3, ..., n - 1
         flips += [odd, full ^ odd]
     perms = [tuple(range(n))]
-    if rules.exact and (reversal := tuple((plen - 1 - x) % n for x in range(n))) != perms[0]:
+    reversal = tuple((plen - 1 - x) % n for x in range(n))
+    if rules.exact and reversal != perms[0] and 2 * len(flips) < 2 * n:
         perms.append(reversal)
     return tuple(_Move(perm, flip) for perm in perms for flip in flips)
 
@@ -764,10 +774,10 @@ def _load_checkpoint(path: str, n: int, label: str, plen: int,
             _, image_nodes, image_sols, _ = done[q]
             if not exact and nodes != image_nodes or image_sols != (_image_rows(sols, move) if sols else ()):
                 kind, how = _describe(move, n)
+                what = "rows" if exact else "nodes_explored and its rows"
                 raise ValueError(
                     f"checkpoint {path}: shards {_bitstring(p, plen)} and {_bitstring(q, plen)}"
-                    f" are not {kind}: each must have the other's nodes_explored and its rows {how},"
-                    " in ascending order"
+                    f" are not {kind}: each must have the other's {what} {how}, in ascending order"
                 )
     if end < len(data):
         os.truncate(path, end)

@@ -636,6 +636,8 @@ def test_image_rows_are_ascending_and_undone_by_the_inverse_move(case):
         assert search._symmetries(n, label, plen) == (identity, *group), label
         assert len(set(group) | {identity}) == len(group) + 1 in (2, 4, 8), label
         assert {compose(a, b) for a in group for b in group} <= {identity, *group}, label
+        # Reversal only where a row's images are fewer than its 2n rotations and negations.
+        assert all(move.perm == identity.perm for move in group) or len(group) + 1 < 2 * n, label
         for move in group:
             image = search._image_rows(sols, move)
             assert all(a < b for a, b in zip(image, image[1:])), (label, move)
@@ -1056,23 +1058,12 @@ def checkpoint_with_line(tmp_path, n, strategy, prefix, line):
         # row --+- this line drops; its mirror 0010 is not checked first.
         (4, STRATEGY_EXHAUSTIVE, "1101",
          "prefix=1101 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
-         "shards 1000 and 1101 are not alternates: each must have the other's nodes_explored and its"
-         " rows negated at odd entries"),
+         "shards 1000 and 1101 are not alternates: each must have the other's rows negated at odd entries"),
         # Under its ceiling, but not the count of shard 00000000.  An exact
         # node rule refuses any other count first, so this case is a DFS's.
         (12, STRATEGY_DFS, "01010101",
          "prefix=01010101 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
          "shards 00000000 and 01010101 are not alternates"),
-        # Shard 1000 still lists -+++, which reversed about the prefix is
-        # +++-, the row this line drops; then negated, ---+.
-        (4, STRATEGY_EXHAUSTIVE, "0001",
-         "prefix=0001 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
-         "shards 1000 and 0001 are not reversals: each must have the other's nodes_explored and its"
-         " rows reversed about the prefix, in ascending order"),
-        (4, STRATEGY_WEIGHT, "1110",
-         "prefix=1110 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=",
-         "shards 1000 and 1110 are not reversals: each must have the other's nodes_explored and its"
-         " rows reversed about the prefix, then negated, in ascending order"),
     ],
     ids=["missing_raw_count", "non_integer_nodes", "missing_elapsed", "negative_raw_count",
          "negative_nodes", "count_disagrees_with_rows", "row_not_n_signs",
@@ -1080,8 +1071,7 @@ def checkpoint_with_line(tmp_path, n, strategy, prefix, line):
          "nodes_past_int_digit_limit", "prefix_too_short", "prefix_too_long",
          "nodes_not_the_shard_rows", "nodes_off_the_shard_weights", "dfs_nodes_over_the_shard_ceiling",
          "empty_items", "empty_items_around_a_row", "mirror_rows_disagree", "mirror_nodes_disagree",
-         "alternate_rows_disagree", "alternate_nodes_disagree", "reversal_rows_disagree",
-         "weighted_reversal_then_negation_rows_disagree"],
+         "alternate_rows_disagree", "alternate_nodes_disagree"],
 )
 def test_checkpoint_shard_line_is_validated(tmp_path, n, strategy, prefix, line, problem):
     cp = checkpoint_with_line(tmp_path, n, strategy, prefix, line)
@@ -1116,10 +1106,11 @@ def test_checkpoint_torn_header_starts_afresh(tmp_path):
         assert cp.read_text().startswith("# circhad search checkpoint v1\nn=4\n")
 
 
-# The order-4 exhaustive checkpoint byte for byte (elapsed_ms masked) as
-# runs wrote it while only negation and alternation filled shards: one
-# row per shard, shards in ascending prefix order, bit i of the prefix at
-# position i.  Such files must still resume.
+# The order-4 exhaustive checkpoint byte for byte (elapsed_ms masked):
+# one row per shard, shards in ascending prefix order, bit i of the
+# prefix at position i.  Order 4 takes no reversal (see ``_symmetries``),
+# so the shards that run, 0000 to 0011, are the first four, as they were
+# for every order while only negation and alternation filled shards.
 ORDER_FOUR_CHECKPOINT = """\
 # circhad search checkpoint v1
 n=4
@@ -1144,32 +1135,14 @@ prefix=1111 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
 """
 
 
-# The same checkpoint as a fresh run writes it now: first the shard on
-# the least prefix of each of the three orbits, which runs: 0000 (with
-# 1111, 1010 and 0101), 1000 (the eight rows with one or three -1s, all
-# of them perfect) and 1100 (with 0110, 0011 and 1001).  Then the
-# thirteen filled in, in ascending prefix order.
-ORDER_FOUR_FRESH_CHECKPOINT = """\
-# circhad search checkpoint v1
-n=4
-strategy=exhaustive
-prefix_bits=4
-prefix=0000 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
-prefix=1000 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-+++
-prefix=1100 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
-prefix=0100 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+-++
-prefix=0010 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=++-+
-prefix=1010 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
-prefix=0110 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
-prefix=1110 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=---+
-prefix=0001 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+++-
-prefix=1001 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
-prefix=0101 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
-prefix=1101 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=--+-
-prefix=0011 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
-prefix=1011 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=-+--
-prefix=0111 raw_count=1 nodes_explored=1 elapsed_ms=0 solutions=+---
-prefix=1111 raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=
+# The shards of a fresh order-5 exhaustive checkpoint, in the order it
+# lists them: first the least prefix of each of the ten orbits under
+# negation and reversal, which runs, then the 22 filled in, in ascending
+# prefix order.  Each line reads raw_count=0 nodes_explored=1.
+ORDER_FIVE_PREFIXES = """\
+00000 10000 01000 11000 00100 10100 01100 10010 01010 01110
+11100 00010 11010 00110 10110 11110 00001 10001 01001 11001 00101 10101 01101 11101
+00011 10011 01011 11011 00111 10111 01111 11111
 """
 
 
@@ -1180,17 +1153,33 @@ def masked_bytes(path):
 def test_checkpoint_bytes_are_pinned_fresh_and_after_a_resume(tmp_path):
     cp = tmp_path / "cp.txt"
     full = run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
-    assert masked_bytes(cp) == ORDER_FOUR_FRESH_CHECKPOINT.encode("ascii")
+    assert masked_bytes(cp) == ORDER_FOUR_CHECKPOINT.encode("ascii")
     lines = cp.read_bytes().splitlines(True)
     cp.write_bytes(b"".join(lines[:11]) + lines[11][:20])  # cut mid-line
     assert same_but_elapsed(run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp)), full)
-    assert masked_bytes(cp) == ORDER_FOUR_FRESH_CHECKPOINT.encode("ascii")
+    assert masked_bytes(cp) == ORDER_FOUR_CHECKPOINT.encode("ascii")
+
+
+def test_reversed_checkpoint_lists_the_shards_that_ran_first(tmp_path):
+    # Order 5 fills shards by reversal: its bytes, fresh and after a
+    # resume cut mid-line among the filled-in shards.
+    expected = search._HEADER.format(n=5, strategy=STRATEGY_EXHAUSTIVE, prefix_bits=5) + "".join(
+        f"prefix={bits} raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=\n" for bits in ORDER_FIVE_PREFIXES.split()
+    )
+    cp = tmp_path / "cp.txt"
+    full = run_search(5, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
+    assert masked_bytes(cp) == expected.encode("ascii")
+    lines = cp.read_bytes().splitlines(True)
+    cp.write_bytes(b"".join(lines[:20]) + lines[20][:20])  # cut mid-line
+    assert same_but_elapsed(run_search(5, STRATEGY_EXHAUSTIVE, checkpoint=str(cp)), full)
+    assert masked_bytes(cp) == expected.encode("ascii")
 
 
 def prefix_order_checkpoint(n, strategy):
     """A checkpoint of order n as runs wrote it while only negation and alternation filled shards.
 
-    Every shard in ascending prefix order: at order 4 ``ORDER_FOUR_CHECKPOINT``;
+    Every shard in ascending prefix order: at order 4 ``ORDER_FOUR_CHECKPOINT``,
+    which a fresh run still writes;
     at order 16 weighted, 256 lines of no rows, each with the C(8, 6 - c)
     + C(8, 10 - c) rows of its c prefix -1s (a term with c past its count
     is 0), the walk's node count.
@@ -1652,6 +1641,73 @@ def test_first_half_checkpoint_resumes_without_a_kernel_call(monkeypatch, tmp_pa
     assert len(calls) == runs and sizes == [2]
 
 
+@pytest.mark.parametrize("strategy, image, how", [
+    (STRATEGY_EXHAUSTIVE, "00100001", "reversed about the prefix"),
+    (STRATEGY_WEIGHT, "11011110", "reversed about the prefix, then negated"),
+], ids=(STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT))
+def test_listed_reversals_are_checked_against_each_other(monkeypatch, tmp_path, strategy, image, how):
+    # Past order 4 only the almost-perfect control has shards with rows.
+    # At n = 12 shard 10000100 lists two, and one move alone maps it onto
+    # the other line here, which drops a row: the file is refused as it
+    # is read.  An exact label holds nodes to each line's own rule, so the
+    # refusal asks for rows only.
+    almost_perfect_control(monkeypatch)
+    cp = tmp_path / "cp.txt"
+    run_search(12, strategy, checkpoint=str(cp))
+    lines = lines_by_prefix(cp)
+    member, moved = lines[prefix_of("prefix=10000100")], lines[prefix_of(f"prefix={image}")]
+    rows = moved.split("solutions=")[1].split(",")
+    assert member.startswith("prefix=10000100 raw_count=2 ") and len(rows) == 2
+    header = search._HEADER.format(n=12, strategy=strategy, prefix_bits=8)
+    short = moved.replace("raw_count=2", "raw_count=1").replace(",".join(rows), rows[0])
+    cp.write_text(header + member + "\n" + short + "\n")
+    message = (f"checkpoint {cp}: shards 10000100 and {image} are not reversals:"
+               f" each must have the other's rows {how}, in ascending order")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_search(12, strategy, checkpoint=str(cp))
+
+
+@pytest.mark.parametrize("strategy", (STRATEGY_EXHAUSTIVE, STRATEGY_WEIGHT))
+def test_closure_sees_a_row_lost_where_reversal_fills_shards(monkeypatch, tmp_path, strategy):
+    # The closure check is what sees a row a kernel loses or a file leaves
+    # out: one run or listed shard fills its orbit, up to eight shards.
+    # Reversal joins the moves only where a row's 2n rotations and
+    # negations outnumber its images, so some of them lie past the orbit.
+    # On the almost-perfect control at n = 12 and 16, with a checkpoint:
+    # a kernel that loses one row of a class fails the run, and a file
+    # whose one line claims no rows for a shard that holds some is refused.
+    counts = almost_perfect_control(monkeypatch)
+    real = search._walk_shard
+    for n in (12, 16):
+        cp = tmp_path / f"{n}.ckpt"
+        full = run_search(n, strategy, checkpoint=str(cp))
+        lines = lines_by_prefix(cp)
+        classes = {canonicalize(Sequence.from_string(text)).to_string() for text in full.solutions}
+        assert len(classes) == {12: 6, 16: 4}[n]
+        runs = {orbit[0] for orbit in search._orbits(n, strategy, 8)}
+        for text in sorted(classes):
+            # The class's first row on a shard that runs: a filled one is never run.
+            lost = min(bits for row in search._orbit(text)
+                       if (bits := sum(1 << i for i, sign in enumerate(row) if sign == "-")) & 255 in runs)
+            patch_kernel(monkeypatch, real, lambda *task, lost=lost: (
+                (shard := real(*task))[0], [bits for bits in shard[1] if bits != lost]))
+            with pytest.raises(RuntimeError, match="internal error: the rows are not closed"):
+                run_search(n, strategy, checkpoint=str(tmp_path / f"{n}-{text}.ckpt"))
+            patch_kernel(monkeypatch, search._LABELS[strategy].kernel, real)
+        header = search._HEADER.format(n=n, strategy=strategy, prefix_bits=8)
+        weights = counts[n] if strategy == STRATEGY_WEIGHT else None
+        forged = 0
+        for p, *_ in search._orbits(n, strategy, 8):
+            if "raw_count=0 " not in lines[p]:
+                rule = search._LABELS[strategy].nodes(n, p, 8, weights)
+                cp.write_text(header + f"prefix={search._bitstring(p, 8)} raw_count=0 nodes_explored={rule}"
+                              " elapsed_ms=0 solutions=\n")
+                with pytest.raises(ValueError, match=re.escape(f"checkpoint {cp}: the rows are not closed")):
+                    run_search(n, strategy, checkpoint=str(cp))
+                forged += 1
+        assert forged > 10, (n, forged)
+
+
 def test_a_shard_a_move_maps_onto_itself_is_checked_against_itself(monkeypatch, tmp_path):
     # At n = 12 reversal about the prefix maps shard 01000010 onto itself
     # and swaps its two almost-perfect rows.  A file that lists one of
@@ -1786,39 +1842,32 @@ def test_run_search_reverifies_every_row_a_kernel_emits(monkeypatch, strategy, w
 @pytest.mark.parametrize("strategy, weight_filter", LABELS)
 def test_run_search_refuses_rows_not_closed_under_rotation_and_negation(monkeypatch, tmp_path, strategy,
                                                                        weight_filter):
-    # A kernel that drops ++-+ wherever it would emit it.  On two-entry
-    # prefixes (jobs = 1, no checkpoint) every label runs the shard on ++,
-    # which holds ++-+ and +++-, so a shard filled in from it lacks an
-    # image of ++-+.  (Split into the 16 rows of order 4, the exact labels
-    # run one shard, -+++, for all eight rows: a kernel that drops it
-    # leaves no row at all, a closed listing that only cross_validate,
-    # through the other strategy, can tell from the truth.)
+    # A kernel that drops -+++ wherever it would emit it; the checkpointed
+    # run splits order 4 into its 16 rows, so some shard that runs holds it.
     def without_row(real):
         def kernel(*task):
             nodes, rows = real(*task)
-            return nodes, [bits for bits in rows if bits != 4]  # 4 is ++-+
+            return nodes, [bits for bits in rows if bits != 1]  # 1 is -+++
         return kernel
 
     for real in (search._walk_shard, search._dfs_shard):
         patch_kernel(monkeypatch, real, without_row(real))
     message = "internal error: the rows are not closed under rotation and negation: "
     with pytest.raises(RuntimeError, match=re.escape(message)):
-        run_search(4, strategy, weight_filter=weight_filter)
+        run_search(4, strategy, weight_filter=weight_filter, checkpoint=str(tmp_path / "cp.txt"))
 
 
 def test_resume_refuses_a_checkpoint_whose_rows_are_not_closed(tmp_path):
-    # The four lines of one DFS orbit claim no rows: each line holds, and
-    # each is the others' image, so only the closure of the merged rows
-    # fails.  (For an exact label reversal joins this orbit to the other
-    # four rows', so these lines would fill in all eight shards.)
+    # The four lines of one orbit claim no rows: each line holds, and each
+    # is the others' image, so only the closure of the merged rows fails.
     cp = tmp_path / "cp.txt"
-    cp.write_text(search._HEADER.format(n=4, strategy=STRATEGY_DFS, prefix_bits=4) + "".join(
+    cp.write_text(search._HEADER.format(n=4, strategy=STRATEGY_EXHAUSTIVE, prefix_bits=4) + "".join(
         f"prefix={bits} raw_count=0 nodes_explored=1 elapsed_ms=0 solutions=\n"
         for bits in ("1000", "0111", "1101", "0010")  # -+++, +---, --+- and ++-+
     ))
     message = f"checkpoint {cp}: the rows are not closed under rotation and negation: ++-+ is missing"
     with pytest.raises(ValueError, match=re.escape(message)):
-        run_search(4, STRATEGY_DFS, checkpoint=str(cp))
+        run_search(4, STRATEGY_EXHAUSTIVE, checkpoint=str(cp))
 
 
 # ---------------------------------------------------------------------------
