@@ -103,30 +103,12 @@ def _json_text(obj) -> str:
     return "".join(out)
 
 
-def _int_list(values, indent: str, text=int.__repr__) -> str:
-    """The indent-2 JSON text of a sequence of plain ``int``, its closing bracket at this indent.
-
-    ``text`` gives each entry's decimal text: ``int.__repr__``, or the
-    lookup of an ``_IntTexts`` where the same values recur.
-    """
+def _int_list(values, indent: str) -> str:
+    """The indent-2 JSON text of a sequence of plain ``int``, its closing bracket at this indent."""
     if not values:
         return "[]"
     inner = indent + "  "
-    return f"[\n{inner}" + f",\n{inner}".join(map(text, values)) + f"\n{indent}]"
-
-
-class _IntTexts(dict):
-    """Maps each ``int`` looked up to its decimal text, made on the first lookup.
-
-    ``analyze`` keeps one per output: its about n²/4 cosine coordinates
-    take a few dozen distinct values at n = 144, and a lookup costs less
-    than a conversion.  The small payloads keep ``int.__repr__``, where
-    a first lookup would cost more.
-    """
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = int.__repr__(value)
-        return text
+    return f"[\n{inner}" + f",\n{inner}".join(map(int.__repr__, values)) + f"\n{indent}]"
 
 
 def _write_json(obj, indent: str, out: list[str]) -> None:
@@ -222,8 +204,7 @@ def _cmd_analyze(args) -> int:
     seq = sequences.Sequence.from_string(args.seq)
     index_set = sequences.minus_indices(seq)
     if args.k == "all":
-        verdict = spectra.spectral_verdict(index_set)
-        modes, overall = verdict.per_mode, verdict.overall
+        records = _mode_records(seq.n, spectra._modes(index_set))  # the order is refused here
     else:
         try:
             k = _ascii_int(args.k)
@@ -231,31 +212,44 @@ def _cmd_analyze(args) -> int:
             if seq.n % 4 == 0:
                 raise ValueError(f'--k takes "all" or a mode index, got {args.k!r:.60}') from None
             k = 0  # mode_verdict refuses the order before it reads k
-        modes = (spectra.mode_verdict(index_set, k),)
-        overall = modes[0].mag_sq_equals_order
+        m = spectra.mode_verdict(index_set, k)
+        coeffs = _int_list(m.coefficients.coeffs, "      ")
+        records = ((k, m.constant_term_ok, coeffs, m.mag_sq_equals_order),)
     # json.dumps(payload, indent=2) of {"n", "J", "perK": [{"k", "c0pass",
-    # "cVector", "lambdaSqEqualsN"}, ...], "overall"}, from one template per
-    # mode.  Modes k and n-k share one coefficient tuple, so each tuple is
-    # joined once (keyed by identity while modes holds it) and its text is
-    # one shared piece of the output, not copied into each mode's record.
-    pieces = [f'{{\n  "n": {seq.n},\n  "J": {_int_list(index_set.members, "  ")},\n  "perK": [']
-    text = _IntTexts().__getitem__  # J's members are distinct; the coordinates repeat
-    vectors: dict[int, str] = {}
+    # "cVector", "lambdaSqEqualsN"}, ...], "overall"}, one template per mode,
+    # each mode written as it is made.
+    write = sys.stdout.write
+    write(f'{{\n  "n": {seq.n},\n  "J": {_int_list(index_set.members, "  ")},\n  "perK": [')
+    overall = True
     lead = "\n    {"
-    for m in modes:
-        coeffs = m.coefficients.coeffs
-        vector = vectors.get(id(coeffs))
-        if vector is None:
-            vector = vectors[id(coeffs)] = _int_list(coeffs, "      ", text)
-        pieces += (
-            f'{lead}\n      "k": {m.k},\n      "c0pass": {_JSON_BOOL[m.constant_term_ok]},\n      "cVector": ',
-            vector,
-            f',\n      "lambdaSqEqualsN": {_JSON_BOOL[m.mag_sq_equals_order]}\n    }}',
-        )
+    for k, c0pass, vector, flat in records:
+        write(f'{lead}\n      "k": {k},\n      "c0pass": {_JSON_BOOL[c0pass]},\n      "cVector": {vector},'
+              f'\n      "lambdaSqEqualsN": {_JSON_BOOL[flat]}\n    }}')
+        overall = overall and flat
         lead = ",\n    {"
-    pieces.append(f'\n  ],\n  "overall": {_JSON_BOOL[overall]}\n}}\n')
-    sys.stdout.writelines(pieces)  # no joined copy of the whole text
+    write(f'\n  ],\n  "overall": {_JSON_BOOL[overall]}\n}}\n')
     return EXIT_PASS if overall else EXIT_FAIL
+
+
+def _mode_records(n: int, modes):
+    """(k, c0pass, cVector text, lambdaSqEqualsN) of every mode k < n, from the spectral stream.
+
+    Each divisor's cosine vector is turned into text once, and mode k's
+    coordinates are one gather of those texts through its remap row.
+    The records of modes 0 < k < n/2 are kept, as mode n-k repeats them.
+    """
+    texts: dict[int, tuple[str, ...]] = {}
+    kept = []
+    for k, (g, vector, flat, index) in enumerate(modes):
+        if g not in texts:
+            texts[g] = tuple(map(int.__repr__, vector))
+        coeffs = "[\n        " + ",\n        ".join(spectra._gather(texts[g], index)) + "\n      ]"
+        record = (4 * vector[index[0]] == n, coeffs, flat)
+        yield (k, *record)
+        if 0 < k < n // 2:
+            kept.append(record)
+    for k in range(n // 2 + 1, n):
+        yield (k, *kept[n - k - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ test of fold - n/4 in that subfield decides flatness for every mode
 with that gcd.  The same fold gives mode k's cosine coordinates
 counts[l] - counts[n/2 - l] for l < n/4: one gather, through a cached
 row of n/4 positions per mode, of a cosine vector built once per
-divisor from the fold.  ``_mode_verdict`` is the only reader of those
-rows; ``basis_coefficients`` and ``constant_term_check`` read the whole
-table they are given, so they check the verdicts without the remap.
-``spectral_verdict`` folds each divisor once and holds n/2 + 1 rows,
-(n/2 + 1)*n/4 positions; ``mode_verdict`` counts, folds and zero-tests
-once and builds only its own row.
+divisor from the fold.  Two readers use those rows: ``_modes``, the
+stream of modes 0..n/2 that ``spectral_verdict`` and ``circhad analyze``
+(every mode) consume, and ``mode_verdict``, which ``analyze --k`` calls.
+``basis_coefficients`` and ``constant_term_check`` read the whole table
+they are given, so they check the verdicts without the remap.  A full
+stream folds each divisor once and caches n/2 + 1 rows, (n/2 + 1)*n/4
+positions; ``mode_verdict`` counts, folds and zero-tests once and builds
+only its own row.
 
 Mode k = 0 is deliberately evaluated with the same pair-sum form as
 every other mode, so it passes only when 4*|J|^2 = n.  The k = 0
@@ -216,10 +218,34 @@ def _divisor_vector(pair_sum: CycloElement, g: int) -> tuple[tuple[int, ...], bo
     return tuple(map(operator.sub, fold, fold[half::-1] + fold[:half:-1])) + (0,), flat
 
 
-def _mode_verdict(n: int, k: int, vector: tuple[int, ...], flat: bool) -> ModeVerdict:
+def _modes(index_set: IndexSet):
+    """Refuse an order not divisible by 4, then stream modes k = 0..n/2 as (g, vector, flat, index).
+
+    g = gcd(k, n); vector and flat are that divisor's cosine vector and
+    zero test, made when the first mode with that gcd comes; index is
+    mode k's remap row, so ``_gather(vector, index)`` is mode k's
+    coordinates.  Mode n-k repeats mode k and is not streamed.
+    """
+    n = index_set.n
+    if n % 4:
+        raise ValueError("spectral verdicts need an order divisible by 4")
+    pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
+    return _mode_stream(pair_sum)
+
+
+def _mode_stream(pair_sum: CycloElement):
+    n = pair_sum.n
+    divisors: dict[int, tuple[tuple[int, ...], bool]] = {}
+    for k in range(n // 2 + 1):
+        g = math.gcd(k, n)
+        if g not in divisors:
+            divisors[g] = _divisor_vector(pair_sum, g)
+        yield g, *divisors[g], _mode_index(n, k)
+
+
+def _mode_verdict(n: int, k: int, vector: tuple[int, ...], flat: bool, index: tuple[int, ...]) -> ModeVerdict:
     """Mode k's verdict from its divisor's cosine vector and zero test, gathered through its remap row."""
-    # Mode n-k has mode k's table.
-    coeffs = RealBasisVector(n, _gather(vector, _mode_index(n, min(k, n - k))))
+    coeffs = RealBasisVector(n, _gather(vector, index))
     return ModeVerdict(k, 4 * coeffs.coeffs[0] == n, coeffs, flat)
 
 
@@ -231,7 +257,8 @@ def mode_verdict(index_set: IndexSet, k: int) -> ModeVerdict:
     if not 0 <= k < n:
         raise ValueError(f"k must lie in [0, {n - 1}], got {k!r:.60}")
     pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
-    return _mode_verdict(n, k, *_divisor_vector(pair_sum, math.gcd(k, n)))
+    # Mode n-k has mode k's table.
+    return _mode_verdict(n, k, *_divisor_vector(pair_sum, math.gcd(k, n)), _mode_index(n, min(k, n - k)))
 
 
 def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
@@ -246,15 +273,11 @@ def spectral_verdict(index_set: IndexSet) -> SpectralVerdict:
     implies).
     """
     n = index_set.n
-    if n % 4:
-        raise ValueError("spectral verdicts need an order divisible by 4")
-    half = n // 2
-    pair_sum = CycloElement(n, difference_counts(index_set, 1).counts)
-    vectors = {g: _divisor_vector(pair_sum, g) for g in range(1, n + 1) if n % g == 0}
-    modes = [_mode_verdict(n, k, *vectors[math.gcd(k, n)]) for k in range(half + 1)]
+    modes = [_mode_verdict(n, k, vector, flat, index)
+             for k, (_, vector, flat, index) in enumerate(_modes(index_set))]
     # Mode n-k has mode k's table, as the mode-1 counts are symmetric.
     modes += [ModeVerdict(n - m.k, m.constant_term_ok, m.coefficients, m.mag_sq_equals_order)
-              for m in reversed(modes[1:half])]
+              for m in reversed(modes[1 : n // 2])]
     return SpectralVerdict(
         n=n,
         index_set=index_set,

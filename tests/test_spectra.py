@@ -363,6 +363,24 @@ def test_spectral_verdict_matches_recount_on_seeded_sets(n):
     assert flat == [k % m == 0 for k in range(n)]
 
 
+@pytest.mark.parametrize("n", (60, 120))
+def test_verdict_and_analyze_match_recount_at_a_fold_order_with_two_odd_primes(n, capsys):
+    # Modes with gcd(k, n) = n/15 fold mod 15 = 3 * 5; every odd fold
+    # order of the other tests' orders is a prime power (3, 9, 5, 25, 125).
+    rng = random.Random(n)
+    sets = [random_index_set(rng, n, size) for size in ((n - math.isqrt(n)) // 2, n // 2, 15)]
+    sets.append(IndexSet(n, tuple(range(0, n, n // 15))))
+    for J in sets:
+        reference = recount_verdict(J)
+        assert spectral_verdict(J) == reference
+        assert tuple(mode_verdict(J, k) for k in range(n)) == reference.per_mode
+        row = "".join("-" if i in J.members else "+" for i in range(n))
+        assert main(["analyze", "--seq", row]) == (0 if reference.overall else 1)
+        assert capsys.readouterr().out == (
+            json.dumps(analyze_payload(J, reference.per_mode, reference.overall), indent=2) + "\n"
+        )
+
+
 def count_spectral_calls(monkeypatch):
     """Record every table count (its mode), fold (its order), zero test and full verdict."""
     calls = {"tables": [], "folds": [], "zero_tests": 0, "verdicts": 0}
@@ -401,6 +419,39 @@ def test_spectral_verdict_counts_one_table_and_one_zero_test_per_divisor(monkeyp
     # One fold and one zero test per divisor of 36.
     assert sorted(calls["folds"]) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
     assert calls["zero_tests"] == 9
+
+
+def count_constructions(monkeypatch, *classes):
+    """Record how many instances of each class are built."""
+    built = dict.fromkeys((cls.__name__ for cls in classes), 0)
+    for cls in classes:
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("n", (4, 36, 60, 144))
+def test_full_analyze_counts_one_table_then_one_fold_and_one_zero_test_per_divisor(monkeypatch, capsys, n):
+    J = random_index_set(random.Random(n), n, (n - math.isqrt(n)) // 2)
+    row = "".join("-" if i in J.members else "+" for i in range(n))
+    expected = spectral_verdict(J)
+    calls = count_spectral_calls(monkeypatch)
+    built = count_constructions(monkeypatch, ModeVerdict, RealBasisVector)
+    assert main(["analyze", "--seq", row]) == (0 if expected.overall else 1)
+    assert capsys.readouterr().out == (
+        json.dumps(analyze_payload(J, expected.per_mode, expected.overall), indent=2) + "\n"
+    )
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    # A fold mod n/g for every divisor g is a fold mod every divisor, once.
+    calls["folds"].sort()
+    assert calls == {"tables": [1], "folds": divisors, "zero_tests": len(divisors), "verdicts": 0}
+    assert built == {"ModeVerdict": 0, "RealBasisVector": 0}
+    # The counters see what a verdict builds: half + 1 vectors, n modes.
+    spectral_verdict(J)
+    assert built == {"ModeVerdict": n, "RealBasisVector": n // 2 + 1}
 
 
 @pytest.mark.parametrize("n, k", [(4, 0), (4, 3), (36, 8), (144, 35), (144, 72), (1000, 8), (1000, 200),
